@@ -8,6 +8,9 @@ once across all figures.  Environment knobs:
   uses 100, which roughly quintuples runtime).
 * ``REPRO_BENCH_SCALE`` — dataset scale for the default dataset
   (default 1/16 of the paper's node counts).
+* ``REPRO_BENCH_RECORD`` — set to ``1`` to write each test's measurements
+  to ``benchmarks/results/<test>.json``; unset (the default, and what
+  tier-1 runs with) nothing under the source tree is touched.
 """
 
 from __future__ import annotations
@@ -123,11 +126,12 @@ def ctx() -> BenchContext:
 
 @pytest.fixture()
 def results(request) -> ResultsLog:
-    """Per-test JSON results file under benchmarks/results/."""
+    """Per-test results log (a file only under ``REPRO_BENCH_RECORD=1``)."""
     name = request.node.name.replace("[", "_").replace("]", "")
     log = ResultsLog(os.path.join(RESULTS_DIR, f"{name}.json"))
     yield log
-    log.save()
+    if os.environ.get("REPRO_BENCH_RECORD") == "1":
+        log.save()
 
 
 def emit(title: str, headers, rows) -> None:

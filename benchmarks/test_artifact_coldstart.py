@@ -95,6 +95,7 @@ def _measure(ctx, name: str, artifact_dir, graph_file: str) -> dict:
     )
 
 
+@pytest.mark.perf
 def test_artifact_coldstart(ctx, results, artifact_dir):
     from repro.graph.io import write_graph
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
 from benchmarks.conftest import emit
 from repro.crypto.hashing import HashFunction
 from repro.errors import CryptoError
@@ -73,6 +75,7 @@ def _measure(h: HashFunction) -> "tuple[float, float]":
     return digests_per_s, mb_per_s
 
 
+@pytest.mark.perf
 def test_digest_throughput(results):
     have_blake3 = _blake3_available()
     rows = []

@@ -26,6 +26,8 @@ import pytest
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_SCALE, emit
 from repro.bench.serving import run_router_loadtest
 
+pytestmark = pytest.mark.perf
+
 SHARD_COUNTS = (1, 2)
 
 #: Required warm-QPS advantage of the 2-shard fleet over 1 shard

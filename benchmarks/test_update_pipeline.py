@@ -55,6 +55,7 @@ def _fresh_method(ctx, name, scale):
     return graph, method
 
 
+@pytest.mark.perf
 def test_update_incremental_vs_rebuild(ctx, results):
     rows = []
     for name, scale, count in UPDATE_CONFIGS:

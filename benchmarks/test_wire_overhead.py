@@ -37,20 +37,6 @@ BATCH_K = 16
 #: the gate holds the architectural win, not the best case).
 MIN_BATCH_SAVINGS = 0.25
 
-#: Warm wire QPS of the persistent-connection client over the
-#: dial-per-frame baseline (measured ~1.5–1.6x on the short-range
-#: workload below once TCP_NODELAY removed the delayed-ACK stalls; 1.3x
-#: is the floor that keeps the per-query reconnect defect from ever
-#: coming back).
-MIN_KEEPALIVE_SPEEDUP = 1.3
-
-#: Query range for the connection-cost gate: short-range queries keep
-#: per-query proof and verification work small, so the measured gap is
-#: dominated by what is under test — connection setup per frame.  At
-#: the default range 2000 the proof work itself (~5ms/query at this
-#: scale) would dilute the ratio below any meaningful gate.
-KEEPALIVE_QUERY_RANGE = 500.0
-
 
 @pytest.fixture(scope="module")
 def wire_reports(ctx) -> "dict[str, HttpLoadtestReport]":
@@ -148,59 +134,4 @@ def test_multiproof_batch_savings(ctx, results):
         f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, range={DEFAULT_RANGE:g})",
         ["method", "k", "KB/query solo", "KB/query batch", "savings %"],
         rows,
-    )
-
-
-def test_persistent_connection_speedup(ctx, results):
-    """Keep-alive vs dial-per-frame: the wire-path defect gate.
-
-    Both runs drive the identical workload through the identical server;
-    the only difference is ``keep_alive``.  The warm passes compare
-    steady-state throughput with the method cache hot, so the measured
-    gap is pure connection cost.
-
-    The measurement pair retries up to three times and gates on the
-    best attempt: if the per-query reconnect defect were back the
-    speedup would collapse toward 1.0x on *every* attempt, whereas a
-    noisy neighbor on a loaded single-core runner can sink any one
-    timing sample.
-    """
-    graph = ctx.dataset()
-    method = ctx.method("DIJ")
-    # Replicate the workload so each timed pass is ~100 requests — long
-    # enough that a single-core box's scheduling jitter cannot fake (or
-    # hide) a 1.3x throughput difference.
-    queries = list(ctx.workload(query_range=KEEPALIVE_QUERY_RANGE)) * 5
-    persistent = redial = None
-    speedup = 0.0
-    for _ in range(3):
-        persistent = run_http_loadtest(method, queries, ctx.signer.verify,
-                                       passes=3)
-        redial = run_http_loadtest(method, queries, ctx.signer.verify,
-                                   passes=3, keep_alive=False)
-        assert persistent.all_verified and redial.all_verified
-        speedup = persistent.warm.qps / redial.warm.qps
-        if speedup >= MIN_KEEPALIVE_SPEEDUP:
-            break
-    assert speedup >= MIN_KEEPALIVE_SPEEDUP, (
-        f"persistent connections serve {persistent.warm.qps:.0f} QPS vs "
-        f"{redial.warm.qps:.0f} QPS dial-per-frame — only {speedup:.2f}x "
-        f"(gate {MIN_KEEPALIVE_SPEEDUP}x); the per-query reconnect "
-        f"defect is back"
-    )
-    results.add(
-        "persistent_connection_speedup", method="DIJ",
-        dataset=DEFAULT_DATASET, scale=DEFAULT_SCALE, nodes=graph.num_nodes,
-        query_range=KEEPALIVE_QUERY_RANGE, requests=len(queries),
-        persistent_warm_qps=persistent.warm.qps,
-        redial_warm_qps=redial.warm.qps,
-        speedup=speedup, gate=MIN_KEEPALIVE_SPEEDUP,
-    )
-    emit(
-        f"Persistent-connection serving — warm wire QPS, DIJ "
-        f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, "
-        f"{len(queries)} requests/pass)",
-        ["client", "warm QPS", "speedup"],
-        [["keep-alive", persistent.warm.qps, f"{speedup:.2f}x"],
-         ["dial-per-frame", redial.warm.qps, "1.00x"]],
     )

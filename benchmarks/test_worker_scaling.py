@@ -33,6 +33,8 @@ from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_SCALE, emit
 from repro.bench.serving import run_worker_loadtest
 from repro.store import save_method
 
+pytestmark = pytest.mark.perf
+
 WORKER_COUNTS = (1, 2)
 
 #: Required warm-QPS advantage of 2 workers over 1 (multi-core only;

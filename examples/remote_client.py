@@ -24,7 +24,7 @@ from repro import DataOwner, ProofServer, RemoteClient
 from repro.api.transport import HttpTransport
 from repro.bench.reporting import format_table
 from repro.graph import road_network
-from repro.service.http import ProofHttpServer
+from repro.service.aio import AsyncProofHttpServer
 from repro.workload import generate_workload
 from repro.workload.datasets import normalize_weights
 from repro.workload.updates import UPDATE_WEIGHT, generate_update_workload
@@ -40,7 +40,7 @@ def main() -> None:
     server = ProofServer(method, cache_size=256)
     dispatcher = server.dispatcher(update_signer=owner.signer)
 
-    with ProofHttpServer(dispatcher) as http_server:
+    with AsyncProofHttpServer(dispatcher) as http_server:
         print(f"Provider: serving frames on {http_server.url}/rpc")
         client = RemoteClient(
             HttpTransport(http_server.url),

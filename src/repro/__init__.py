@@ -44,9 +44,9 @@ from repro.core import (
 from repro.crypto import RsaSigner
 from repro.graph import SpatialGraph, grid_network, road_network
 from repro.service import (
+    AsyncProofHttpServer,
     BurstResult,
     ProofCache,
-    ProofHttpServer,
     ProofRequest,
     ProofServer,
     ServedResponse,
@@ -83,7 +83,7 @@ __all__ = [
     "HypMethod",
     "RsaSigner",
     "ProofServer",
-    "ProofHttpServer",
+    "AsyncProofHttpServer",
     "Dispatcher",
     "RemoteClient",
     "RemoteResult",

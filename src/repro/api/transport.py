@@ -8,8 +8,8 @@ protocol layer never looks inside one, so the same
   straight to a local :class:`~repro.api.dispatcher.Dispatcher`.  This
   is what "three parties in one Python process" becomes under the wire
   API: the same bytes cross the same boundary, minus the socket.
-* :class:`HttpTransport` — POSTs frames to a
-  :class:`~repro.service.http.ProofHttpServer` (or anything speaking
+* :class:`HttpTransport` — POSTs frames to an
+  :class:`~repro.service.aio.AsyncProofHttpServer` (or anything speaking
   the same one-endpoint contract) using only the standard library.
   The connection is **persistent**: frames after the first reuse the
   established HTTP/1.1 keep-alive connection, which is what the server
@@ -85,8 +85,7 @@ class HttpTransport(Transport):
     Connection handling:
 
     * the first ``roundtrip`` dials; later ones reuse the connection
-      (HTTP/1.1 keep-alive, matching the server's advertised
-      ``protocol_version``);
+      (HTTP/1.1 keep-alive);
     * a transport failure on a **reused** connection — the server
       restarted, idled us out, or exhausted its keep-alive budget — is
       retried exactly once on a fresh connection.  A failure on a
@@ -94,16 +93,12 @@ class HttpTransport(Transport):
       retrying a dead endpoint only doubles the timeout;
     * ``close()`` drops the held connection; the next call redials, so
       a closed transport remains usable.
-    * ``keep_alive=False`` restores one-connection-per-frame behaviour
-      — the measurement baseline the persistent path is gated against,
-      not something production clients should choose.
 
     Not thread-safe: one connection means one in-flight request.  Use
     :class:`PooledHttpTransport` from multi-threaded drivers.
     """
 
-    def __init__(self, base_url: str, *, timeout: float = 30.0,
-                 keep_alive: bool = True) -> None:
+    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         split = urlsplit(self.base_url)
         if split.scheme != "http" or split.hostname is None:
@@ -114,7 +109,6 @@ class HttpTransport(Transport):
         self._port = split.port if split.port is not None else 80
         self._path_prefix = split.path
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self._conn: "http.client.HTTPConnection | None" = None
 
     @property
@@ -164,16 +158,6 @@ class HttpTransport(Transport):
 
     def roundtrip(self, frame: bytes) -> bytes:
         frame = bytes(frame)
-        if not self.keep_alive:
-            conn = self._connect()
-            try:
-                return self._request(conn, frame)
-            except (http.client.HTTPException, OSError) as exc:
-                raise ProtocolError(
-                    f"transport failure against {self.endpoint}: {exc}"
-                ) from exc
-            finally:
-                conn.close()
         fresh = self._conn is None
         if fresh:
             self._conn = self._connect()
@@ -216,11 +200,9 @@ class PooledHttpTransport(Transport):
     the worker-scaling benchmark drives.
     """
 
-    def __init__(self, base_url: str, *, timeout: float = 30.0,
-                 keep_alive: bool = True) -> None:
+    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self._local = threading.local()
         self._lock = threading.Lock()
         self._transports: "list[HttpTransport]" = []
@@ -233,8 +215,7 @@ class PooledHttpTransport(Transport):
     def _transport(self) -> HttpTransport:
         transport = getattr(self._local, "transport", None)
         if transport is None:
-            transport = HttpTransport(self.base_url, timeout=self.timeout,
-                                      keep_alive=self.keep_alive)
+            transport = HttpTransport(self.base_url, timeout=self.timeout)
             self._local.transport = transport
             with self._lock:
                 self._transports.append(transport)

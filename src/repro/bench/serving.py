@@ -15,7 +15,7 @@ also exercises incremental re-authentication, versioned cache
 invalidation and the client's freshness floor end to end.
 
 With ``run_http_loadtest`` the same workload instead crosses a real
-socket: an in-process :class:`~repro.service.http.ProofHttpServer` is
+socket: an in-process :class:`~repro.service.aio.AsyncProofHttpServer` is
 booted on an ephemeral port and a bytes-only
 :class:`~repro.api.client.RemoteClient` drives it, measuring wire-level
 QPS and bytes-on-wire against the standalone proof sizes the paper
@@ -307,14 +307,12 @@ def run_http_loadtest(
     updates_per_pass: int = 0,
     update_signer: "Signer | None" = None,
     update_seed: int = 2010,
-    keep_alive: bool = True,
     batch_size: int = 0,
     async_clients: int = 0,
-    async_frontend: bool = False,
 ) -> HttpLoadtestReport:
     """Replay *queries* over real HTTP, verifying every wire response.
 
-    Boots a :class:`~repro.service.http.ProofHttpServer` on an
+    Boots a :class:`~repro.service.aio.AsyncProofHttpServer` on an
     ephemeral localhost port around the method's
     :class:`~repro.service.server.ProofServer`, then drives the full
     workload through a :class:`~repro.api.client.RemoteClient` —
@@ -325,20 +323,13 @@ def run_http_loadtest(
     from each push's reported version, so a stale replay would fail
     the run exactly as it would fail a real client.
 
-    ``keep_alive=False`` dials a fresh connection per frame — the
-    pre-persistent-transport behaviour, kept as the measurement
-    baseline the persistent path is gated against.  ``batch_size > 0``
-    replays the workload as multiproof BATCH frames of that many
-    queries instead of per-query QUERY frames (every recovered response
-    still individually verified).
+    ``batch_size > 0`` replays the workload as multiproof BATCH frames
+    of that many queries instead of per-query QUERY frames (every
+    recovered response still individually verified).
 
     ``async_clients > 0`` swaps the single driver for an
     :class:`~repro.bench.aioclient.AsyncClientPool` of that many
-    persistent event-loop clients (``keep_alive`` is then implied), and
-    ``async_frontend=True`` serves through
-    :class:`~repro.service.aio.AsyncProofHttpServer` instead of the
-    threaded frontend — the two switches compose, so the same workload
-    measures any frontend × driver pairing.
+    persistent event-loop clients.
     """
     import contextlib
 
@@ -346,7 +337,6 @@ def run_http_loadtest(
     from repro.api.transport import HttpTransport
     from repro.bench.aioclient import AsyncClientPool
     from repro.service.aio import AsyncProofHttpServer
-    from repro.service.http import ProofHttpServer
 
     if passes < 2:
         raise ServiceError(f"need a cold and a warm pass; got passes={passes}")
@@ -360,17 +350,12 @@ def run_http_loadtest(
         raise ServiceError(f"batch_size must be >= 0, got {batch_size}")
     if async_clients < 0:
         raise ServiceError(f"async_clients must be >= 0, got {async_clients}")
-    if async_clients and not keep_alive:
-        raise ServiceError(
-            "async clients hold persistent connections; --no-keepalive "
-            "only applies to the single-connection driver")
 
     server = ProofServer(method, cache_size=cache_size)
     dispatcher = server.dispatcher(update_signer=update_signer)
-    server_cls = AsyncProofHttpServer if async_frontend else ProofHttpServer
     results: list[HttpLoadtestPass] = []
     with contextlib.ExitStack() as stack:
-        http_server = stack.enter_context(server_cls(dispatcher))
+        http_server = stack.enter_context(AsyncProofHttpServer(dispatcher))
         if async_clients:
             # Generous per-request timeout: with hundreds of in-flight
             # requests on an oversubscribed box, honest queueing delay
@@ -379,8 +364,7 @@ def run_http_loadtest(
                 http_server.url, verify_signature, clients=async_clients,
                 timeout=120.0))
         else:
-            transport = stack.enter_context(
-                HttpTransport(http_server.url, keep_alive=keep_alive))
+            transport = stack.enter_context(HttpTransport(http_server.url))
             client = RemoteClient(transport, verify_signature)
         hello = client.hello()
         if hello.method != method.name:
@@ -703,7 +687,7 @@ def run_router_loadtest(
     :class:`~repro.service.workers.WorkerPool` and a
     :class:`~repro.service.router.ShardRouter` fronts them over pooled
     HTTP transports behind a real
-    :class:`~repro.service.http.ProofHttpServer`.  Client threads then
+    :class:`~repro.service.aio.AsyncProofHttpServer`.  Client threads then
     fire raw query frames exactly as :func:`run_worker_loadtest` does,
     so k=1 and k=2 numbers are comparable router-to-router (k=1 pays
     the same proxy hop).  When *verify_signature* is given, one
@@ -720,7 +704,7 @@ def run_router_loadtest(
     from repro.api.client import RemoteClient
     from repro.api.envelope import MSG_QUERY_OK, QueryRequest, decode_frame
     from repro.api.transport import HttpTransport, PooledHttpTransport
-    from repro.service.http import ProofHttpServer
+    from repro.service.aio import AsyncProofHttpServer
     from repro.service.router import ShardRouter
     from repro.service.workers import WorkerPool
     from repro.shard import build_shards, save_manifest
@@ -774,7 +758,7 @@ def run_router_loadtest(
         ]
         router = stack.enter_context(
             ShardRouter(build.manifest, shard_transports, graph))
-        http_server = stack.enter_context(ProofHttpServer(router))
+        http_server = stack.enter_context(AsyncProofHttpServer(router))
         url = http_server.url
         transports = [stack.enter_context(HttpTransport(url))
                       for _ in range(client_threads)]

@@ -4,7 +4,7 @@ This is where the :mod:`repro.workload.traffic` simulator meets the
 real servers.  :func:`run_slo_soak` replays a scenario's phases —
 warmup → steady → burst → update-storm — through a pool of client
 *processes* (or threads, for fast tests) against either an in-process
-:class:`~repro.service.http.ProofHttpServer` or a pre-forked
+:class:`~repro.service.aio.AsyncProofHttpServer` or a pre-forked
 :class:`~repro.service.workers.WorkerPool`, and reports per phase:
 
 * client-observed latency percentiles (p50/p95/p99) from the *merged
@@ -699,12 +699,11 @@ def run_slo_soak(
     workers: int = 1,
     url: "str | None" = None,
     graph=None,
-    frontend: str = "threaded",
 ) -> SloReport:
     """Run *scenario* against a live serving stack; report per phase.
 
     Without *artifact_path* the soak boots an in-process
-    :class:`~repro.service.http.ProofHttpServer` over a fresh
+    :class:`~repro.service.aio.AsyncProofHttpServer` over a fresh
     :class:`~repro.service.server.ProofServer` for *method* — update
     events are honoured when *update_signer* is given, and the server's
     per-phase metrics windows land in each report.  With
@@ -731,11 +730,6 @@ def run_slo_soak(
     (point it at a single-box frontend; composite router replies would
     need an out-of-band manifest).  ``time_scale`` stretches (>1) or
     compresses (<1) every arrival timestamp.
-
-    ``frontend="async"`` serves through the event-loop frontend
-    (:class:`~repro.service.aio.AsyncProofHttpServer`) instead of the
-    threaded one — inline and worker-pool modes only; an external
-    *url*'s frontend is not this harness's to choose.
     """
     from repro.api.client import RemoteClient
     from repro.api.transport import HttpTransport
@@ -745,13 +739,6 @@ def run_slo_soak(
         raise ServiceError(f"clients must be >= 1, got {clients}")
     if client_mode not in ("process", "thread", "async"):
         raise ServiceError(f"unknown client_mode {client_mode!r}")
-    if frontend not in ("threaded", "async"):
-        raise ServiceError(
-            f"frontend must be 'threaded' or 'async', got {frontend!r}")
-    if frontend == "async" and url is not None:
-        raise ServiceError(
-            "an external endpoint's frontend is its own; frontend "
-            "selection only applies when the soak boots the server")
     if client_mode == "process" and key_path is None:
         raise ServiceError("process clients need key_path to verify with")
     if client_mode in ("thread", "async") and verify_signature is None:
@@ -836,7 +823,7 @@ def run_slo_soak(
         from repro.service.workers import WorkerPool
 
         with WorkerPool(artifact_path, workers=workers,
-                        cache_size=cache_size, frontend=frontend) as pool:
+                        cache_size=cache_size) as pool:
             reports, freshness, floor = drive(pool.url, None)
             url = pool.url
             server_metrics = fetch_http_metrics(url)
@@ -852,14 +839,11 @@ def run_slo_soak(
         )
 
     from repro.service.aio import AsyncProofHttpServer
-    from repro.service.http import ProofHttpServer
     from repro.service.server import ProofServer
 
-    server_cls = AsyncProofHttpServer if frontend == "async" \
-        else ProofHttpServer
     server = ProofServer(method, cache_size=cache_size)
     dispatcher = server.dispatcher(update_signer=update_signer)
-    with server_cls(dispatcher) as http_server:
+    with AsyncProofHttpServer(dispatcher) as http_server:
         url = http_server.url
         reports, freshness, floor = drive(url, server)
         server_metrics = fetch_http_metrics(url)

@@ -377,12 +377,10 @@ def _cmd_serve_workers(args: argparse.Namespace) -> int:
     """``serve --artifact --http --workers N``: the pre-forked pool."""
     from repro.service.workers import WorkerPool
 
-    frontend = "async" if args.async_frontend else "threaded"
     pool = WorkerPool(args.artifact, workers=args.workers, host=args.host,
-                      port=args.http, cache_size=args.cache_size,
-                      frontend=frontend)
+                      port=args.http, cache_size=args.cache_size)
     pool.start()
-    print(f"{args.workers} {frontend} workers serving {args.artifact} on "
+    print(f"{args.workers} workers serving {args.artifact} on "
           f"{pool.url} (SO_REUSEPORT, cache {args.cache_size} per worker); "
           f"POST frames to {pool.url}/rpc, Ctrl-C to stop", flush=True)
     try:
@@ -411,7 +409,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro.api.transport import InProcessTransport, PooledHttpTransport
-    from repro.service.http import ProofHttpServer
+    from repro.service.aio import AsyncProofHttpServer
     from repro.service.router import ShardRouter
     from repro.shard import load_manifest
     from repro.store import load_method
@@ -454,14 +452,8 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
             source = f"embedded workers from {paths}"
         router = stack.enter_context(
             ShardRouter(manifest, transports, graph))
-        if args.async_frontend:
-            from repro.service.aio import AsyncProofHttpServer
-
-            http_server = AsyncProofHttpServer(router, host=args.host,
-                                               port=args.http)
-        else:
-            http_server = ProofHttpServer(router, host=args.host,
-                                          port=args.http)
+        http_server = AsyncProofHttpServer(router, host=args.host,
+                                           port=args.http)
         print(f"{manifest.method} shard router on {http_server.url}: "
               f"{manifest.num_shards} shards "
               f"({manifest.num_boundary_nodes} boundary nodes, "
@@ -481,7 +473,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     """``serve --http``: the wire-protocol frontend, until interrupted."""
-    from repro.service.http import ProofHttpServer
+    from repro.service.aio import AsyncProofHttpServer
 
     if args.workers > 1:
         if not args.artifact:
@@ -521,21 +513,14 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         )
     update_signer = owner.signer if args.allow_updates else None
     dispatcher = server.dispatcher(update_signer=update_signer)
-    if args.async_frontend:
-        from repro.service.aio import AsyncProofHttpServer
-
-        http_server = AsyncProofHttpServer(dispatcher, host=args.host,
-                                           port=args.http)
-    else:
-        http_server = ProofHttpServer(dispatcher, host=args.host,
-                                      port=args.http)
+    http_server = AsyncProofHttpServer(dispatcher, host=args.host,
+                                       port=args.http)
     pushes = ("enabled — trusted networks only" if args.allow_updates
               else "disabled")
     source = f"artifact {args.artifact}" if owner is None else \
         f"build {build_seconds:.2f}s"
-    frontend = "async frontend" if args.async_frontend else "threaded frontend"
     print(f"{method.name} proof service on {http_server.url} "
-          f"({source}, {frontend}, cache {args.cache_size}, "
+          f"({source}, cache {args.cache_size}, "
           f"update pushes {pushes}); "
           f"POST frames to {http_server.url}/rpc, Ctrl-C to stop",
           flush=True)
@@ -558,9 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "add --router")
     if args.http is not None:
         return _cmd_serve_http(args)
-    if args.async_frontend:
-        raise ServiceError(
-            "--async selects the HTTP event-loop frontend; add --http PORT")
     owner, method, build_seconds = _serving_method(args)
     if args.save_key:
         if owner is None:
@@ -708,11 +690,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
         raise ServiceError(
             "--scenario sizes its client pool with --clients; add "
             "--client-mode async for coroutine clients")
-    if args.async_frontend and args.url:
-        raise ServiceError(
-            "--async selects the frontend of the server this soak boots; "
-            "an external --url endpoint's frontend is its own")
-    frontend = "async" if args.async_frontend else "threaded"
     scenario = get_scenario(args.scenario)
     if args.events_scale != 1.0:
         scenario = scenario.scaled(args.events_scale)
@@ -753,7 +730,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
             clients=clients, client_mode=args.client_mode, seed=args.seed,
             time_scale=args.time_scale, cache_size=args.cache_size,
             artifact_path=args.artifact, workers=args.workers,
-            frontend=frontend,
         )
         source = f"artifact {args.artifact}, {args.workers} workers"
     else:
@@ -780,7 +756,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
             update_signer=owner.signer, clients=clients,
             client_mode=args.client_mode, seed=args.seed,
             time_scale=args.time_scale, cache_size=args.cache_size,
-            frontend=frontend,
         )
         if not args.save_key:
             os.unlink(key_path)
@@ -837,16 +812,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 "add --http"
             )
         return _cmd_loadtest_workers(args)
-    if (args.async_clients or args.async_frontend) and not args.http:
+    if args.async_clients and not args.http:
         raise ServiceError(
-            "--async/--async-clients drive the wire path; add --http")
+            "--async-clients drives the wire path; add --http")
     owner, method, build_seconds = _published_method(args)
     if args.save_key:
         save_public_key(owner.signer, args.save_key)
         print(f"wrote owner public key to {args.save_key}")
     if args.http and args.workers > 1:
         print("note: --workers applies to the in-process pool only; "
-              "HTTP concurrency comes from the threaded frontend",
+              "HTTP concurrency comes from the frontend's event loop",
               file=sys.stderr)
     if args.workload:
         queries = _read_workload_file(args.workload)
@@ -859,19 +834,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             method, queries, owner.signer.verify,
             passes=args.passes, cache_size=args.cache_size,
             updates_per_pass=args.updates, update_signer=owner.signer,
-            update_seed=args.seed,
-            keep_alive=not args.no_keepalive, batch_size=args.batch_size,
+            update_seed=args.seed, batch_size=args.batch_size,
             async_clients=args.async_clients,
-            async_frontend=args.async_frontend,
         )
-        frontend = "async" if args.async_frontend else "threaded"
         driver = (f"{args.async_clients} async clients"
                   if args.async_clients else "1 driver connection")
         print(format_table(
             list(HttpLoadtestReport.TABLE_HEADERS), report.table_rows(),
             title=(f"{args.method} HTTP load test: {len(queries)} queries x "
                    f"{args.passes} passes on {args.graph} via {report.url} "
-                   f"({frontend} frontend, {driver}, "
+                   f"({driver}, "
                    f"build {build_seconds:.2f}s)"),
         ))
         print(f"\nwarm/cold wire speedup: {report.speedup:.1f}x, "
@@ -1163,11 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "of pre-forked SO_REUSEPORT worker processes")
         p.add_argument("--no-coalesce", action="store_true",
                        help="answer bursts per query instead of batching")
-        p.add_argument("--async", dest="async_frontend", action="store_true",
-                       help="with --http: serve through the asyncio "
-                            "event-loop frontend instead of the "
-                            "thread-per-connection one (same wire protocol; "
-                            "lifts the concurrent-connection ceiling)")
         p.add_argument("--save-key",
                        help="write the owner's public key file (for "
                             "`repro-spv verify` / RemoteClient users)")
@@ -1243,10 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--http", action="store_true",
                     help="drive the workload over a real localhost HTTP "
                          "socket through RemoteClient (wire-level metrics)")
-    lt.add_argument("--no-keepalive", action="store_true",
-                    help="with --http: dial a fresh connection per frame "
-                         "instead of reusing one persistent connection "
-                         "(the measurement baseline)")
     lt.add_argument("--batch-size", type=int, default=0,
                     help="with --http: send queries as multiproof BATCH "
                          "frames of this many queries instead of per-query "

@@ -20,7 +20,6 @@ Typical use::
 
 from repro.service.aio import AsyncProofHttpServer
 from repro.service.cache import CacheEntry, CacheStats, ProofCache
-from repro.service.http import ProofHttpServer
 from repro.service.metrics import (
     MetricsSnapshot,
     ServerMetrics,
@@ -40,7 +39,6 @@ from repro.service.workers import WorkerPool
 
 __all__ = [
     "ProofServer",
-    "ProofHttpServer",
     "AsyncProofHttpServer",
     "ProofRequest",
     "UpdateRequest",

@@ -1,20 +1,28 @@
-"""Asyncio HTTP frontend: the same wire contract, one event loop.
+"""The HTTP frontend: protocol frames over POST, one event loop.
 
-:class:`AsyncProofHttpServer` speaks exactly the protocol of the
-threaded :class:`~repro.service.http.ProofHttpServer` — ``POST /rpc``
-with one request frame in, one reply frame out (status 200 even for
-protocol-level errors, which ride *inside* the frame), ``GET /healthz``
-and ``GET /metrics`` — but replaces the thread-per-connection model
-with a single event loop multiplexing every connection:
+The wire contract is deliberately minimal so that any HTTP stack can
+implement it:
+
+* ``POST /rpc`` — body is one request frame, response body is one
+  reply frame (``application/octet-stream``, status 200 even for
+  protocol-level errors: those ride *inside* the frame, typed by
+  :mod:`repro.api.codes`);
+* ``GET /healthz`` — liveness probe, returns ``ok``;
+* ``GET /metrics`` — the current metrics window as a JSON object
+  (served when the dispatcher offers ``metrics_json()``; same keys as
+  the METRICS wire frame, for scrapers that speak HTTP but not RSPV).
+
+:class:`AsyncProofHttpServer` serves that contract from a single event
+loop multiplexing every connection:
 
 * **keep-alive with pipelined frames** — a client may write several
   requests back to back without waiting for replies; responses come
   back in order on the same connection;
 * **typed timeouts** — a connection that stalls mid-request (slow-loris
   body, short body) is answered with an
-  :data:`~repro.api.codes.E_REQUEST_TIMEOUT` error frame and closed,
-  exactly like the threaded frontend; an *idle* keep-alive peer is
-  silently closed after ``handler_timeout``;
+  :data:`~repro.api.codes.E_REQUEST_TIMEOUT` error frame and closed;
+  an *idle* keep-alive peer is silently closed after
+  ``handler_timeout``;
 * **bounded connection budget** — beyond ``max_connections`` concurrent
   peers, new connections are still answered but shed with
   ``Connection: close``, so a flood degrades to one-shot service
@@ -25,17 +33,18 @@ with a single event loop multiplexing every connection:
   computation overlaps socket I/O for thousands of idle-ish peers
   instead of serializing behind the loop.
 
-Why an event loop at all: the threaded frontend burns a thread (stack,
-scheduler churn) per connection, which caps realistic concurrency at a
-few hundred keep-alive peers.  Here per-connection state is one
-coroutine, so C=1000+ held connections are routine — the regime the
-paper's untrusted-but-scalable provider is meant for.
+Why an event loop: a thread per connection (stack, scheduler churn)
+caps realistic concurrency at a few hundred keep-alive peers.  Here
+per-connection state is one coroutine, so C=1000+ held connections are
+routine — the regime the paper's untrusted-but-scalable provider is
+meant for.
 
-The public surface mirrors ``ProofHttpServer`` (``url``/``host``/
-``port``/``bound_host``, ``start()``/``serve_forever()``/``close()``,
-context manager, ``reuse_port`` for ``SO_REUSEPORT`` worker pools) so
-the two frontends are drop-in interchangeable everywhere a dispatcher
-is served.
+The server binds ``port=0`` to an ephemeral port, which is what the
+tests, the load tester and the CI smoke job use to avoid port
+collisions.  This module imports nothing of the serving stack (only the
+error layer and the envelope's typed error frames): it serves whatever
+object offers ``dispatch(bytes) -> bytes``, keeping the frontend a pure
+transport.
 """
 
 from __future__ import annotations
@@ -49,14 +58,30 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.api import codes
 from repro.api.envelope import error_frame
 from repro.errors import ServiceError
-from repro.service.http import (
-    DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_HANDLER_TIMEOUT,
-    DEFAULT_MAX_KEEPALIVE_REQUESTS,
-    MAX_REQUEST_BYTES,
-    connectable_host,
-    format_netloc,
-)
+
+#: Largest request body the frontend will read, in bytes.  Frames are
+#: tiny (requests are a few dozen bytes; update batches a few KB), so
+#: anything huge is garbage or abuse — reject before allocating.
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
+#: The longest a connection may wait for the next request line, the
+#: rest of a header block or the rest of a body.  Long-lived keep-alive
+#: clients send within milliseconds; anything slower is idle or a
+#: slow-loris.
+DEFAULT_HANDLER_TIMEOUT = 30.0
+
+#: Requests served per connection before the server closes it
+#: (``Connection: close``).  Bounding keep-alive bounds how long any
+#: one client can hold a connection slot; well-behaved clients
+#: (:class:`~repro.api.transport.HttpTransport`) redial transparently.
+DEFAULT_MAX_KEEPALIVE_REQUESTS = 1000
+
+#: How long :meth:`AsyncProofHttpServer.close` waits for requests that
+#: are already being handled to finish before giving up on them.  Idle
+#: keep-alive connections are *not* waited for — only connections whose
+#: request line has arrived and whose response is still being produced
+#: or written.
+DEFAULT_DRAIN_TIMEOUT = 5.0
 
 #: Concurrent connections served with keep-alive before new peers are
 #: shed with ``Connection: close``.  The loop can *hold* far more, but
@@ -77,6 +102,30 @@ _REASONS = {200: "OK", 404: "Not Found", 411: "Length Required",
             413: "Payload Too Large", 501: "Not Implemented"}
 
 
+def connectable_host(bound_host: str) -> str:
+    """A host clients can dial, given the interface the server bound.
+
+    Binding the wildcard address (``0.0.0.0``, ``::``) listens on every
+    interface, but *connecting* to the wildcard is at best
+    platform-dependent and at worst a refused connection — an URL built
+    from it is unusable.  Loopback is the one address guaranteed to
+    reach a wildcard listener, so that is what client-facing accessors
+    advertise.
+    """
+    if bound_host in ("", "0.0.0.0"):
+        return "127.0.0.1"
+    if bound_host in ("::", "0:0:0:0:0:0:0:0"):
+        return "::1"
+    return bound_host
+
+
+def format_netloc(host: str, port: int) -> str:
+    """``host:port`` with IPv6 literals bracketed, as URLs require."""
+    if ":" in host:
+        return f"[{host}]:{port}"
+    return f"{host}:{port}"
+
+
 def _default_dispatch_workers() -> int:
     """Executor size: enough to overlap proof work, not a thread swarm."""
     return max(2, min(8, os.cpu_count() or 1))
@@ -91,7 +140,7 @@ class _Garbage(Exception):
 
 
 class AsyncProofHttpServer:
-    """An asyncio frontend around a frame dispatcher.
+    """The asyncio HTTP frontend around a frame dispatcher.
 
     >>> server = AsyncProofHttpServer(dispatcher, port=0)  # doctest: +SKIP
     >>> with server:                                       # doctest: +SKIP
@@ -102,8 +151,16 @@ class AsyncProofHttpServer:
     embedded mode tests and load drivers use); :meth:`serve_forever`
     blocks the caller until :meth:`close` (the CLI mode).  The listening
     socket is bound in the constructor, so ``port`` is resolved (and
-    ``url`` usable) before the loop ever runs — same contract as the
-    threaded frontend.
+    ``url`` usable) before the loop ever runs.  ``reuse_port=True``
+    joins an ``SO_REUSEPORT`` group so sibling worker processes can
+    share the port.
+
+    Long-lived connections are bounded on three axes:
+    ``handler_timeout`` caps how long one connection may stall (between
+    requests or mid-request), ``max_keepalive_requests`` caps how many
+    requests one connection may issue before being closed (``0``
+    disables the bound), and ``max_connections`` caps how many peers
+    are served with keep-alive at once.
     """
 
     def __init__(self, dispatcher, *, host: str = "127.0.0.1",
@@ -166,6 +223,9 @@ class AsyncProofHttpServer:
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         sock = socket.socket(family, socket.SOCK_STREAM)
         try:
+            # A restarted server must be able to rebind its port while
+            # the previous run's connections sit in TIME_WAIT.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             if reuse_port:
                 if not hasattr(socket, "SO_REUSEPORT"):
                     raise ServiceError(
@@ -202,7 +262,12 @@ class AsyncProofHttpServer:
 
     @property
     def url(self) -> str:
-        """Base URL, connectable verbatim (see ``ProofHttpServer.url``)."""
+        """Base URL for :class:`~repro.api.transport.HttpTransport`.
+
+        Always connectable: wildcard binds advertise loopback and IPv6
+        hosts are bracketed, so the value can be pasted into a client
+        (or a browser) verbatim.
+        """
         return f"http://{format_netloc(self.host, self.port)}"
 
     # ------------------------------------------------------------------
@@ -239,7 +304,14 @@ class AsyncProofHttpServer:
             thread = self._thread
 
     def close(self) -> None:
-        """Stop serving: drain busy connections (bounded), drop idle ones."""
+        """Stop serving and release the listening socket.
+
+        Requests whose handling has already begun are *drained*: close
+        waits (up to ``drain_timeout``) until their responses have been
+        flushed, so a client that was mid-exchange on a pipelined
+        connection gets its reply instead of an aborted socket.  Idle
+        keep-alive connections are not waited for.
+        """
         self._closed = True
         thread, self._thread = self._thread, None
         loop, stop = self._loop, self._stop
@@ -304,9 +376,9 @@ class AsyncProofHttpServer:
     async def _drain_tasks(self) -> None:
         """Connection shutdown: cancel idle peers, drain busy ones.
 
-        Mirrors the threaded frontend's close(): a response already
-        being produced gets up to ``drain_timeout`` to reach its client;
-        a connection merely held open is dropped immediately.
+        A response already being produced gets up to ``drain_timeout``
+        to reach its client; a connection merely held open is dropped
+        immediately.
         """
         for task in list(self._tasks):
             if task not in self._busy and not task.done():
@@ -522,11 +594,10 @@ class AsyncProofHttpServer:
     async def _send_garbage(send, detail: str) -> None:
         """Non-HTTP bytes on the socket: a typed error frame, then close.
 
-        The threaded stdlib frontend answers garbage with an HTML 400;
-        here the reply is the protocol's own
-        :data:`~repro.api.codes.E_MALFORMED_FRAME` error frame — a
-        kept-alive RSPV client that desyncs its stream gets a typed
-        diagnosis it can actually decode.
+        The reply is the protocol's own
+        :data:`~repro.api.codes.E_MALFORMED_FRAME` error frame, not an
+        HTML 400 — a kept-alive RSPV client that desyncs its stream
+        gets a typed diagnosis it can actually decode.
         """
         try:
             await send(200, error_frame(codes.E_MALFORMED_FRAME, detail),

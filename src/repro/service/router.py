@@ -87,9 +87,10 @@ class ShardRouter:
 
     ``transports[s]`` carries frames to shard *s*'s worker (anything
     with ``roundtrip(bytes) -> bytes``, e.g.
-    :class:`~repro.api.transport.PooledHttpTransport` — the router
-    serves from a threaded frontend, so per-shard transports must be
-    thread-safe).  ``routing_graph`` is the full graph the manifest
+    :class:`~repro.api.transport.PooledHttpTransport` — ``dispatch`` is
+    called from the frontend's executor threads, several at once, and
+    one HTTP connection carries one in-flight request, so per-shard
+    transports must be thread-safe).  ``routing_graph`` is the full graph the manifest
     partitions; it powers planning only.  ``manifest_bytes`` should be
     the owner-produced encoding when available so clients get the
     signed bytes verbatim.

@@ -49,10 +49,9 @@ DEFAULT_STOP_TIMEOUT = 10.0
 
 
 def _worker_main(index: int, artifact_path: str, host: str, port: int,
-                 cache_size: int, frontend: str, events) -> None:
+                 cache_size: int, events) -> None:
     """One worker process: map the artifact, serve until SIGTERM."""
     from repro.service.aio import AsyncProofHttpServer
-    from repro.service.http import ProofHttpServer
     from repro.service.server import ProofServer
 
     # The parent owns Ctrl-C; workers exit on the explicit SIGTERM so a
@@ -60,13 +59,11 @@ def _worker_main(index: int, artifact_path: str, host: str, port: int,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    server_cls = (AsyncProofHttpServer if frontend == "async"
-                  else ProofHttpServer)
     try:
         server = ProofServer.from_artifact(artifact_path,
                                            cache_size=cache_size)
-        http_server = server_cls(server.dispatcher(), host=host,
-                                 port=port, reuse_port=True)
+        http_server = AsyncProofHttpServer(server.dispatcher(), host=host,
+                                           port=port, reuse_port=True)
     except Exception as exc:  # noqa: BLE001 — report, don't stack-trace
         events.put(("error", index, f"{type(exc).__name__}: {exc}"))
         return
@@ -89,13 +86,9 @@ class WorkerPool:
     def __init__(self, artifact_path: str, *, workers: int,
                  host: str = "127.0.0.1", port: int = 0,
                  cache_size: int = DEFAULT_CAPACITY,
-                 start_timeout: float = DEFAULT_START_TIMEOUT,
-                 frontend: str = "threaded") -> None:
+                 start_timeout: float = DEFAULT_START_TIMEOUT) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if frontend not in ("threaded", "async"):
-            raise ServiceError(
-                f"frontend must be 'threaded' or 'async', got {frontend!r}")
         if not hasattr(socket, "SO_REUSEPORT"):
             raise ServiceError(
                 "this platform has no SO_REUSEPORT; run a single worker"
@@ -113,7 +106,6 @@ class WorkerPool:
         self.port = port
         self.cache_size = cache_size
         self.start_timeout = start_timeout
-        self.frontend = frontend
         self._processes: list = []
         self._events = None
         self._reservation: "socket.socket | None" = None
@@ -127,7 +119,7 @@ class WorkerPool:
     def url(self) -> str:
         """Base URL of the shared listener group (always connectable:
         wildcard binds advertise loopback, IPv6 hosts are bracketed)."""
-        from repro.service.http import connectable_host, format_netloc
+        from repro.service.aio import connectable_host, format_netloc
 
         return f"http://{format_netloc(connectable_host(self.host), self.port)}"
 
@@ -161,7 +153,7 @@ class WorkerPool:
             process = context.Process(
                 target=_worker_main,
                 args=(index, self.artifact_path, self.host, self.port,
-                      self.cache_size, self.frontend, self._events),
+                      self.cache_size, self._events),
                 name=f"repro-worker-{index}",
                 daemon=True,
             )

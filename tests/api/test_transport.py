@@ -1,7 +1,7 @@
 """HTTP transport behaviour: persistence, reconnect, pooling.
 
 These tests count *server-side accepted connections* — the ground truth
-for connection reuse — by wrapping the listener's ``get_request``.  The
+for connection reuse — by wrapping the server's connection handler.  The
 defect this layer fixes was precisely a client that redialed per frame
 while believing it was load-testing the server, so the assertions here
 are about how many TCP connections the workload costs, not just whether
@@ -17,21 +17,20 @@ import pytest
 from repro.api.client import RemoteClient
 from repro.api.transport import HttpTransport, PooledHttpTransport
 from repro.errors import ProtocolError
-from repro.service.http import ProofHttpServer
+from repro.service.aio import AsyncProofHttpServer
 
 
 def counting_server(dispatcher, **kwargs):
-    """A ProofHttpServer that records every accepted connection."""
-    server = ProofHttpServer(dispatcher, **kwargs)
+    """A server (not yet started) that records every accepted connection."""
+    server = AsyncProofHttpServer(dispatcher, **kwargs)
     accepted = []
-    original = server._httpd.get_request
+    original = server._handle_connection
 
-    def get_request():
-        result = original()
-        accepted.append(result[1])
-        return result
+    async def handle_connection(reader, writer):
+        accepted.append(writer.get_extra_info("peername"))
+        await original(reader, writer)
 
-    server._httpd.get_request = get_request
+    server._handle_connection = handle_connection
     return server, accepted
 
 
@@ -44,17 +43,6 @@ class TestPersistentConnection:
             for vs, vt in workload:
                 assert client.query(vs, vt).ok
         assert len(accepted) == 1
-
-    def test_per_request_mode_dials_per_frame(self, dispatcher, signer,
-                                              workload):
-        server, accepted = counting_server(dispatcher)
-        with server, HttpTransport(server.url,
-                                   keep_alive=False) as transport:
-            client = RemoteClient(transport, signer.verify)
-            for vs, vt in workload[:3]:
-                assert client.query(vs, vt).ok
-        # Every frame is its own connection in this mode.
-        assert len(accepted) >= 3
 
     def test_closed_transport_redials_and_stays_usable(
             self, dispatcher, signer, workload):
@@ -72,13 +60,13 @@ class TestPersistentConnection:
     def test_reconnects_after_server_restart(self, server, signer, workload):
         vs, vt = workload[0]
         dispatcher = server.dispatcher()
-        first = ProofHttpServer(dispatcher).start()
+        first = AsyncProofHttpServer(dispatcher).start()
         port = first.port
         transport = HttpTransport(first.url)
         client = RemoteClient(transport, signer.verify)
         assert client.query(vs, vt).ok
         first.close()
-        second = ProofHttpServer(dispatcher, port=port).start()
+        second = AsyncProofHttpServer(dispatcher, port=port).start()
         try:
             # The held connection is now stale; the transport must
             # retry once on a fresh dial, invisibly to the caller.
@@ -88,7 +76,7 @@ class TestPersistentConnection:
             second.close()
 
     def test_fresh_dial_failure_is_not_retried(self, dispatcher, signer):
-        server = ProofHttpServer(dispatcher).start()
+        server = AsyncProofHttpServer(dispatcher).start()
         url = server.url
         server.close()
         transport = HttpTransport(url, timeout=2.0)

@@ -18,7 +18,7 @@ import pytest
 from repro.api.client import RemoteClient
 from repro.api.transport import HttpTransport, PooledHttpTransport
 from repro.core.framework import distances_close
-from repro.service.http import ProofHttpServer
+from repro.service.aio import AsyncProofHttpServer
 from repro.service.router import ShardRouter
 from repro.service.server import ProofServer
 from repro.shard import load_manifest, save_manifest
@@ -43,7 +43,7 @@ def stack(road300, build3, signer, tmp_path_factory):
         for path in shard_paths:
             server = ProofServer(load_method(path), cache_size=64)
             workers.append(resources.enter_context(
-                ProofHttpServer(server.dispatcher())))
+                AsyncProofHttpServer(server.dispatcher())))
         transports = [
             resources.enter_context(PooledHttpTransport(worker.url))
             for worker in workers
@@ -52,7 +52,7 @@ def stack(road300, build3, signer, tmp_path_factory):
         router = resources.enter_context(
             ShardRouter(manifest, transports, road300,
                         manifest_bytes=manifest_path.read_bytes()[4:]))
-        front = resources.enter_context(ProofHttpServer(router))
+        front = resources.enter_context(AsyncProofHttpServer(router))
         transport = resources.enter_context(HttpTransport(front.url))
         yield {
             "client": RemoteClient(transport, signer.verify),

@@ -207,12 +207,12 @@ class TestScenarioLoadtest:
 
 class TestServeHttp:
     def test_prints_url_and_shuts_down(self, graph_file, capsys, monkeypatch):
-        from repro.service.http import ProofHttpServer
+        from repro.service.aio import AsyncProofHttpServer
 
         def immediate_interrupt(self):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ProofHttpServer, "serve_forever",
+        monkeypatch.setattr(AsyncProofHttpServer, "serve_forever",
                             immediate_interrupt)
         code = main(["serve", str(graph_file), "--method", "DIJ",
                      "--insecure", "--http", "0"])
@@ -223,7 +223,7 @@ class TestServeHttp:
 
     def test_update_pushes_disabled_by_default(self, graph_file, capsys,
                                                monkeypatch):
-        from repro.service.http import ProofHttpServer
+        from repro.service.aio import AsyncProofHttpServer
 
         captured = {}
 
@@ -231,7 +231,8 @@ class TestServeHttp:
             captured["signer"] = self.dispatcher.update_signer
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ProofHttpServer, "serve_forever", grab_dispatcher)
+        monkeypatch.setattr(AsyncProofHttpServer, "serve_forever",
+                            grab_dispatcher)
         code = main(["serve", str(graph_file), "--method", "DIJ",
                      "--insecure", "--http", "0"])
         out = capsys.readouterr().out
@@ -249,9 +250,9 @@ class TestServeHttp:
     def test_save_key_writes_public_key(self, graph_file, tmp_path, capsys,
                                         monkeypatch):
         from repro.crypto.signer import NullSigner, load_public_key
-        from repro.service.http import ProofHttpServer
+        from repro.service.aio import AsyncProofHttpServer
 
-        monkeypatch.setattr(ProofHttpServer, "serve_forever",
+        monkeypatch.setattr(AsyncProofHttpServer, "serve_forever",
                             lambda self: (_ for _ in ()).throw(KeyboardInterrupt))
         key_path = tmp_path / "owner.pub"
         code = main(["serve", str(graph_file), "--method", "DIJ",
@@ -354,7 +355,7 @@ class TestFetch:
         from repro.core.dij import DijMethod
         from repro.crypto.signer import NullSigner, save_public_key
         from repro.graph.io import read_graph
-        from repro.service.http import ProofHttpServer
+        from repro.service.aio import AsyncProofHttpServer
         from repro.service.server import ProofServer
         from repro.workload.queries import generate_workload
 
@@ -365,7 +366,7 @@ class TestFetch:
         key = tmp_path / "owner.pub"
         save_public_key(signer, str(key))
         server = ProofServer(method)
-        with ProofHttpServer(server.dispatcher()) as http_server:
+        with AsyncProofHttpServer(server.dispatcher()) as http_server:
             code = main(["fetch", http_server.url, str(vs), str(vt),
                          "--out", str(tmp_path / "r.bin"),
                          "--descriptor-out", str(tmp_path / "d.bin"),
@@ -383,7 +384,7 @@ class TestFetch:
         from repro.core.dij import DijMethod
         from repro.crypto.signer import NullSigner
         from repro.graph.io import read_graph
-        from repro.service.http import ProofHttpServer
+        from repro.service.aio import AsyncProofHttpServer
         from repro.service.server import ProofServer
         from repro.workload.queries import generate_workload
 
@@ -391,7 +392,7 @@ class TestFetch:
         method = DijMethod.build(graph, NullSigner())
         vs, vt = list(generate_workload(graph, 1000.0, count=1, seed=4))[0]
         server = ProofServer(method)
-        with ProofHttpServer(server.dispatcher()) as http_server:
+        with AsyncProofHttpServer(server.dispatcher()) as http_server:
             code = main(["fetch", http_server.url, str(vs), str(vt),
                          "--out", str(tmp_path / "r.bin")])
         out = capsys.readouterr().out

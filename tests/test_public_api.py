@@ -53,7 +53,7 @@ class TestTopLevel:
         "repro.service.cache",
         "repro.service.metrics",
         "repro.service.server",
-        "repro.service.http",
+        "repro.service.aio",
         "repro.service.workers",
         "repro.service.router",
         "repro.shard",
