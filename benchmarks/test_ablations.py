@@ -7,6 +7,8 @@ reproduction surfaced:
 
 * landmark selection strategy (random vs farthest);
 * the cost of HYP's cell-directory ADS (our soundness fix);
+* the leaf order of HYP's hyper-edge tree (Fig. 10's question, asked of
+  the distance tree instead of the network tree);
 * the real RSA signer vs the keyed-hash stub (crypto cost isolation);
 * accuracy of the proof-size estimation model (the paper's future work).
 """
@@ -15,7 +17,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import DEFAULT_RANGE, emit
+from benchmarks.conftest import DEFAULT_FANOUT, DEFAULT_RANGE, emit
 from repro.bench.harness import run_workload
 from repro.core.estimate import ProofSizeModel
 from repro.core.ldm import LdmMethod
@@ -123,6 +125,73 @@ def test_ablation_directory_overhead(ctx, results, benchmark):
 
     vs, vt = workload.queries[0]
     benchmark(method.answer, vs, vt)
+
+
+def test_ablation_hyperedge_leaf_order(results):
+    """Cover digests per query under three orders of the same leaves.
+
+    ``id`` is the upper triangle over borders by node id, ``cell-major``
+    the same triangle over borders sorted ``(cell, id)``, ``tiled`` the
+    cell-pair tiles HYP uses.  Pure tree-shape arithmetic over the
+    ``steady-hyp`` perfbench pool (DE 1/4, 100 cells, 512 pairs): the
+    gate is on digests, so it cannot flake on a loaded box.
+    """
+    import numpy as np
+
+    from perfbench.workloads import POOL_SEED, WORKLOADS, distinct_pairs
+    from repro.hiti.hyperedges import TileLayout, triangle_size
+    from repro.hiti.partition import GridPartition
+    from repro.merkle.multiproof import cover_indices
+
+    workload = WORKLOADS["steady-hyp"]
+    graph = workload.graph()
+    partition = GridPartition(graph, workload.build["num_cells"])
+    borders = partition.all_borders()
+    border_cells = [partition.cell(b) for b in borders]
+    n = len(borders)
+    num_leaves = triangle_size(n)
+    fanout = DEFAULT_FANOUT
+
+    def triangle(i, j):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+    by_id = np.arange(n)
+    by_cell = np.empty(n, dtype=np.int64)
+    by_cell[np.lexsort((borders, border_cells))] = by_id
+    layout = TileLayout(border_cells)
+    orders = {
+        "id": triangle,
+        "cell-major": lambda i, j: triangle(by_cell[i], by_cell[j]),
+        "tiled": lambda i, j: layout.leaf(np.minimum(i, j), np.maximum(i, j)),
+    }
+    position_of = {b: k for k, b in enumerate(borders)}
+    digests = {name: [] for name in orders}
+    for source, target in distinct_pairs(graph, workload.pool, POOL_SEED):
+        cell_s, cell_t = partition.cell(source), partition.cell(target)
+        rows = [position_of[b] for b in partition.borders_of(cell_s)]
+        cols = [position_of[b] for b in partition.borders_of(cell_t)]
+        if cell_s == cell_t:
+            i, j = np.triu_indices(len(rows), 1)
+            i, j = np.take(rows, i), np.take(rows, j)
+        else:
+            i, j = (axis.ravel() for axis in np.meshgrid(rows, cols))
+        if not i.size:
+            continue
+        for name, leaf in orders.items():
+            leaves = leaf(i, j).tolist()
+            digests[name].append(len(cover_indices(num_leaves, fanout, leaves)))
+    mean = {name: sum(counts) / len(counts) for name, counts in digests.items()}
+    emit(f"Ablation — HYP hyper-edge leaf order ({n} borders, "
+         f"{num_leaves} leaves, {len(digests['id'])} queries)",
+         ["leaf order", "mean cover digests / query"],
+         [[name, mean[name]] for name in orders])
+    for name in orders:
+        results.add("ablation-hyperedge-order", order=name,
+                    mean_cover_digests=mean[name])
+    assert mean["tiled"] <= mean["cell-major"] <= mean["id"]
+    assert mean["tiled"] <= mean["id"] / 4
+    assert mean["tiled"] <= 25
 
 
 def test_ablation_signer_cost(ctx, results, benchmark):

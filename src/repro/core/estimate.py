@@ -244,8 +244,9 @@ class ProofSizeModel:
         disclosed = 2 * cell_nodes + intermediate
         total_borders = self.num_nodes * self.hyp_border_fraction
         hyper_leaves = max(2.0, total_borders * (total_borders - 1) / 2)
+        # The query's hyper-edges are one tile: a single leaf run.
         hyper_cover = self.digest * cover_digests(
-            cross_pairs, cross_pairs, int(hyper_leaves), self.fanout
+            cross_pairs, 1, int(hyper_leaves), self.fanout
         )
         return (disclosed * self.phi_bytes
                 + cross_pairs * _DISTANCE_TUPLE_BYTES

@@ -18,7 +18,7 @@ The proof has two parts, combined into one response:
 
 A third tiny ADS, the *cell directory*, maps each cell to its sorted
 member list so the client can detect withheld cell members (see
-DESIGN.md §3 — the paper leaves this completeness check implicit).
+docs/architecture.md — the paper leaves this completeness check implicit).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.core.proofs import (
     TreeConfig,
     TreeSection,
 )
+from repro.crypto.hashing import get_hash
 from repro.crypto.signer import Signer
 from repro.errors import ArtifactError, EncodingError, GraphError, MethodError
 from repro.graph.graph import GraphMutation, SpatialGraph
@@ -64,7 +65,7 @@ from repro.graph.tuples import (
     triangle_leaf_digests,
 )
 from repro.hiti.coarse import build_coarse_graph
-from repro.hiti.hyperedges import HyperEdgeSet, compute_hyperedges, triangle_index
+from repro.hiti.hyperedges import HyperEdgeSet, TileLayout, compute_hyperedges
 from repro.hiti.partition import GridPartition, GridSpec
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import multi_source_distances
@@ -91,6 +92,19 @@ def _make_tuple_factory(graph: SpatialGraph, partition: GridPartition):
     return tuple_factory
 
 
+def _tile_layout(partition: GridPartition, hyper: HyperEdgeSet) -> TileLayout:
+    return TileLayout([partition.cell(b) for b in hyper.borders])
+
+
+def _build_distance_tree(hyper: HyperEdgeSet, layout: TileLayout,
+                         fanout: int, hash_fn) -> MerkleTree:
+    """Hash the hyper-edge tuples in id order, store them in tile order."""
+    hash_fn = get_hash(hash_fn)
+    digests = triangle_leaf_digests(hyper.borders, hyper.distances, hash_fn)
+    return MerkleTree(leaf_digests=layout.permute(digests, hash_fn.digest_size),
+                      fanout=fanout, hash_fn=hash_fn)
+
+
 @register_method
 class HypMethod(VerificationMethod):
     """Hyper-graph verification over a 2-level HiTi grid."""
@@ -99,6 +113,7 @@ class HypMethod(VerificationMethod):
 
     def __init__(self, graph: SpatialGraph, bundle: NetworkTreeBundle,
                  partition: GridPartition, hyper: HyperEdgeSet,
+                 layout: TileLayout,
                  distance_tree: MerkleTree, directory_tree: MerkleTree,
                  directory_payloads: "dict[int, tuple[int, bytes]]",
                  descriptor: SignedDescriptor) -> None:
@@ -107,6 +122,7 @@ class HypMethod(VerificationMethod):
         self._bundle = bundle
         self._partition = partition
         self._hyper = hyper
+        self._layout = layout
         self._distance_tree = distance_tree
         self._directory_tree = directory_tree
         #: cell id -> (leaf position, payload)
@@ -124,11 +140,8 @@ class HypMethod(VerificationMethod):
         start = time.perf_counter()
         partition = GridPartition(graph, num_cells)
         hyper = compute_hyperedges(graph, partition.all_borders())
-        distance_tree = MerkleTree(
-            leaf_digests=triangle_leaf_digests(hyper.borders, hyper.distances,
-                                               hash_name),
-            fanout=fanout, hash_fn=hash_name,
-        )
+        layout = _tile_layout(partition, hyper)
+        distance_tree = _build_distance_tree(hyper, layout, fanout, hash_name)
         directory_payloads: dict[int, tuple[int, bytes]] = {}
         payload_list: list[bytes] = []
         for position, cell in enumerate(partition.occupied_cells):
@@ -160,7 +173,7 @@ class HypMethod(VerificationMethod):
             ),
             signer,
         )
-        method = cls(graph, bundle, partition, hyper, distance_tree,
+        method = cls(graph, bundle, partition, hyper, layout, distance_tree,
                      directory_tree, directory_payloads, descriptor)
         method.construction_seconds = construction
         method.algo_sp = algo_sp
@@ -186,7 +199,8 @@ class HypMethod(VerificationMethod):
         # the dominant construction cost — need to travel.  The (B, B)
         # hyper-edge matrix is re-sliced from them on load with the
         # exact symmetrization the build uses, so it stays bit-identical
-        # without its own section.
+        # without its own section; so is the tile layout, from the
+        # partition.
         state.arrays["hyp/source_rows"] = self._hyper.source_rows
         state.blobs["distance/tree"] = self._distance_tree.dump_state()
         state.blobs["directory/tree"] = self._directory_tree.dump_state()
@@ -231,7 +245,8 @@ class HypMethod(VerificationMethod):
                 f"{len(directory_payloads)} occupied cells"
             )
         bundle = load_bundle(state, _make_tuple_factory(graph, partition))
-        return cls(graph, bundle, partition, hyper, distance_tree,
+        return cls(graph, bundle, partition, hyper,
+                   _tile_layout(partition, hyper), distance_tree,
                    directory_tree, directory_payloads, state.descriptor)
 
     # ------------------------------------------------------------------
@@ -293,13 +308,11 @@ class HypMethod(VerificationMethod):
                 if flag != self._partition.border_flags[node_id]
             }
             hyper = compute_hyperedges(graph, partition.all_borders())
-            distance_tree = MerkleTree(
-                leaf_digests=triangle_leaf_digests(
-                    hyper.borders, hyper.distances, hash_fn),
-                fanout=fanout, hash_fn=hash_fn,
-            )
+            layout = _tile_layout(partition, hyper)
+            distance_tree = _build_distance_tree(hyper, layout, fanout, hash_fn)
             self._partition = partition
             self._hyper = hyper
+            self._layout = layout
             self._distance_tree = distance_tree
             bundle = self._bundle
             bundle.set_tuple_factory(_make_tuple_factory(graph, partition))
@@ -327,28 +340,22 @@ class HypMethod(VerificationMethod):
                 hyper.source_rows[affected] = new_rows
                 sliced = hyper.source_rows[:, border_cols]
                 symmetric = np.minimum(sliced, sliced.T)
-                changed: list[tuple[int, bytes]] = []
-                n_borders = len(hyper.borders)
                 moved_rows, moved_cols = np.nonzero(
-                    hyper.distances != symmetric)
-                for i, j in zip(moved_rows.tolist(), moved_cols.tolist()):
-                    if i >= j:
-                        continue
-                    changed.append((
-                        triangle_index(i, j, n_borders),
-                        DistanceTuple(hyper.borders[i], hyper.borders[j],
-                                      float(symmetric[i, j])).encode(),
-                    ))
+                    np.triu(hyper.distances != symmetric, 1))
+                changed = {
+                    leaf: DistanceTuple(hyper.borders[i], hyper.borders[j],
+                                        float(symmetric[i, j])).encode()
+                    for leaf, i, j in zip(
+                        self._layout.leaf(moved_rows, moved_cols).tolist(),
+                        moved_rows.tolist(), moved_cols.tolist())
+                }
                 hyper.distances = symmetric
                 if incremental_patch_wins(len(changed), self._distance_tree):
-                    self._distance_tree.update_leaves(dict(changed))
+                    self._distance_tree.update_leaves(changed)
                     leaves_patched += len(changed)
                 else:
-                    self._distance_tree = MerkleTree(
-                        leaf_digests=triangle_leaf_digests(
-                            hyper.borders, symmetric, hash_fn),
-                        fanout=fanout, hash_fn=hash_fn,
-                    )
+                    self._distance_tree = _build_distance_tree(
+                        hyper, self._layout, fanout, hash_fn)
                     trees_rebuilt += 1
                     mode = "partial-rebuild"
             patched, rebuilt = self._bundle.refresh_nodes(
@@ -403,20 +410,25 @@ class HypMethod(VerificationMethod):
         network_nodes = members | set(path.nodes)
         network_section = self._bundle.section_for(network_nodes)
 
-        borders_s = self._partition.borders_of(cell_s)
-        borders_t = self._partition.borders_of(cell_t)
-        pairs = self.expected_pairs(borders_s, borders_t, cell_s == cell_t)
-        positions = sorted(self._hyper.pair_index(a, b) for a, b in pairs)
-        pair_at = {self._hyper.pair_index(a, b): (a, b) for a, b in pairs}
-        payloads = [
-            DistanceTuple(*pair_at[pos],
-                          self._hyper.weight(*pair_at[pos])).encode()
-            for pos in positions
-        ]
+        # The query's hyper-edges are exactly one tile of the distance
+        # tree; walking it in tile order yields the leaf run's payloads.
+        low, high = sorted((cell_s, cell_t))
+        borders_low = self._partition.borders_of(low)
+        if low == high:
+            pairs = [(a, b) for k, a in enumerate(borders_low)
+                     for b in borders_low[k + 1:]]
+        else:
+            borders_high = self._partition.borders_of(high)
+            pairs = [(a, b) if a < b else (b, a)
+                     for a in borders_low for b in borders_high]
         sections = {NETWORK_TREE: network_section}
-        if positions:
+        if pairs:
+            weight = self._hyper.weight
+            start = self._layout.tile_start_of(low, high)
+            positions = list(range(start, start + len(pairs)))
             sections[DISTANCE_TREE] = TreeSection(
-                DISTANCE_TREE, positions, payloads,
+                DISTANCE_TREE, positions,
+                [DistanceTuple(a, b, weight(a, b)).encode() for a, b in pairs],
                 self._distance_tree.prove(positions),
             )
         dir_cells = sorted({cell_s, cell_t})

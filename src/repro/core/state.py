@@ -42,7 +42,8 @@ class MethodState:
     ``graph`` is the provider's copy of the network (live on dump, a
     rehydrated :class:`~repro.graph.graph.SpatialGraph` fast-forwarded
     to ``graph_version`` on load).  ``arrays`` holds numpy sections
-    (zero-copy mmap views on load), ``blobs`` raw byte sections.
+    (zero-copy mmap views on load), ``blobs`` raw byte sections
+    (``bytes`` on dump, views of the mapped file on load).
     ``build_params`` carries the pinned rebuild arguments,
     ``publish_params`` the user-facing ones — exactly the split
     :meth:`~repro.core.method.VerificationMethod.build` records.
@@ -56,7 +57,7 @@ class MethodState:
     publish_params: dict
     algo_sp: str
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    blobs: dict[str, bytes] = field(default_factory=dict)
+    blobs: "dict[str, bytes | memoryview]" = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def array(self, name: str, *, dtype=None,
@@ -76,7 +77,7 @@ class MethodState:
             )
         return arr
 
-    def blob(self, name: str) -> bytes:
+    def blob(self, name: str) -> "bytes | memoryview":
         """Fetch a byte-blob section."""
         data = self.blobs.get(name)
         if data is None:
@@ -99,7 +100,8 @@ def join_payloads(payloads: "list[bytes]") -> "tuple[bytes, np.ndarray]":
     return b"".join(payloads), offsets
 
 
-def split_payloads(blob: bytes, offsets: np.ndarray) -> "list[bytes]":
+def split_payloads(blob: "bytes | memoryview",
+                   offsets: np.ndarray) -> "list[bytes]":
     """Inverse of :func:`join_payloads`, with strict bounds checking."""
     if offsets.ndim != 1 or offsets.size == 0:
         raise ArtifactError("payload offset table must be a non-empty vector")
@@ -108,9 +110,9 @@ def split_payloads(blob: bytes, offsets: np.ndarray) -> "list[bytes]":
         raise ArtifactError(
             "payload offsets are not a monotone cover of the payload blob"
         )
-    blob = bytes(blob)
     bounds = ends.tolist()
-    return [blob[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+    return [bytes(blob[bounds[i]:bounds[i + 1]])
+            for i in range(len(bounds) - 1)]
 
 
 def dump_bundle(state: MethodState, bundle: "NetworkTreeBundle",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.encoding import Decoder, Encoder
-from repro.errors import EncodingError
+from repro.errors import EncodingError, GraphError
 from repro.graph.graph import SpatialGraph
 
 
@@ -219,6 +219,9 @@ def triangle_leaf_digests(ids: "list[int]", matrix, hash_fn) -> bytes:
     prefixes = [encode_uvarint(node_id) for node_id in ids]
     n = len(ids)
     ids_arr = np.asarray(ids, dtype=np.int64)
+    if np.any(np.diff(ids_arr) <= 0):
+        # The segment search below would silently hash the wrong bytes.
+        raise GraphError("triangle_leaf_digests needs strictly ascending ids")
     #: varint length per id — non-decreasing because ids are ascending.
     plens = np.array([len(p) for p in prefixes], dtype=np.int64)
     rows: list[bytes] = []
@@ -281,7 +284,7 @@ def iter_triangle_payloads(ids: "list[int]", matrix):
 class CellDirectoryTuple:
     """HYP cell directory entry: ``<cell id, sorted member node ids>``.
 
-    This is the soundness-completing ADS described in DESIGN.md §3: it
+    This is the soundness-completing ADS described in docs/architecture.md: it
     lets a client confirm that the provider disclosed *every* node of
     the source/target cells in the coarse proof.
     """

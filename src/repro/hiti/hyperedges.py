@@ -2,10 +2,10 @@
 
 Following the paper's footnote 1, the owner materializes a hyper-edge
 ``E*(b1, b2)`` with weight ``W*(b1, b2) = dist(b1, b2)`` for **every**
-unordered pair of border nodes.  The pairs are laid out in the
-canonical upper-triangle order of the sorted border list, which gives
-each pair a computable index in the distance Merkle B-tree without
-storing a key array.
+unordered pair of border nodes.  The distance Merkle tree stores them
+grouped by cell pair (:class:`TileLayout`), so the |Bs|×|Bt| tuples one
+query discloses are a single contiguous leaf run, and each pair's leaf
+index stays computable without storing a key array.
 """
 
 from __future__ import annotations
@@ -29,8 +29,74 @@ def triangle_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
+class TileLayout:
+    """Leaf order of HYP's distance tree: one tile per unordered cell pair.
+
+    Tiles follow ``(ci, cj)`` order over ``ci <= cj``.  An off-diagonal
+    tile is row-major over ``borders_of(ci) × borders_of(cj)``; a
+    diagonal tile is the upper triangle of ``borders_of(ci)``.  The
+    layout is a pure function of the border nodes' cells —
+    ``border_cells[i]`` is the cell of the i-th border in ascending id
+    order — so a loader re-derives it from the partition.
+    """
+
+    __slots__ = ("rank_of", "cell_rank", "rank_in_cell", "counts",
+                 "tile_start")
+
+    def __init__(self, border_cells: "list[int]") -> None:
+        cells, rank = np.unique(np.asarray(border_cells, dtype=np.int64),
+                                return_inverse=True)
+        n = len(rank)
+        counts = np.bincount(rank, minlength=len(cells))
+        rank_in_cell = np.empty(n, dtype=np.int64)
+        rank_in_cell[np.argsort(rank, kind="stable")] = (
+            np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+        sizes = np.triu(np.outer(counts, counts), 1)
+        np.fill_diagonal(sizes, counts * (counts - 1) // 2)
+        upper = np.triu_indices(len(cells))
+        ends = np.cumsum(sizes[upper])
+        tile_start = np.zeros_like(sizes)
+        tile_start[upper] = ends - sizes[upper]
+        tile_start += np.triu(tile_start, 1).T  # symmetric: look up either way
+        # int32 halves the cost of the build-time permutation; every
+        # intermediate of ``leaf`` stays below (n + 2)².
+        dtype = np.int32 if (n + 2) ** 2 <= np.iinfo(np.int32).max \
+            else np.int64
+        #: cell id -> tile row/column (cells with at least one border node)
+        self.rank_of = {cell: k for k, cell in enumerate(cells.tolist())}
+        self.cell_rank = rank.astype(dtype)
+        self.rank_in_cell = rank_in_cell.astype(dtype)
+        self.counts = counts.astype(dtype)
+        self.tile_start = tile_start.astype(dtype)
+
+    def leaf(self, i, j):
+        """Leaf index of border positions ``i < j`` (broadcasting arrays)."""
+        ci, cj = self.cell_rank[i], self.cell_rank[j]
+        ri, rj = self.rank_in_cell[i], self.rank_in_cell[j]
+        counts = self.counts
+        # ``i < j`` puts ``ri < rj`` inside one cell: the row-major slot
+        # minus the (ri + 1)(ri + 2)/2 slots at or below the diagonal.
+        return (self.tile_start[ci, cj]
+                + np.where(ci > cj, rj * counts[ci] + ri, ri * counts[cj] + rj)
+                - (ci == cj) * ((ri + 1) * (ri + 2) // 2))
+
+    def tile_start_of(self, cell_a: int, cell_b: int) -> int:
+        """First leaf of the tile of two cells that both have border nodes."""
+        return int(self.tile_start[self.rank_of[cell_a], self.rank_of[cell_b]])
+
+    def permute(self, digests: bytes, digest_size: int) -> bytes:
+        """Triangle-order (ascending id) leaf digests re-laid in tile order."""
+        n = len(self.cell_rank)
+        source = np.frombuffer(digests, dtype=f"V{digest_size}")
+        row, col = np.arange(n)[:, None], np.arange(n)[None, :]
+        tiled = np.empty_like(source)
+        # Row-major over ``row < col`` is exactly the triangle order.
+        tiled[self.leaf(row, col)[row < col]] = source
+        return tiled.tobytes()
+
+
 class HyperEdgeSet:
-    """All-pairs border distances with triangle indexing.
+    """All-pairs border distances keyed by ascending border id.
 
     ``distances[i, j]`` is the exact graph distance between
     ``borders[i]`` and ``borders[j]``.  ``source_rows`` optionally
@@ -70,22 +136,6 @@ class HyperEdgeSet:
             return float(self.distances[self.position_of[a], self.position_of[b]])
         except KeyError as exc:
             raise GraphError(f"node {exc.args[0]} is not a border node") from None
-
-    def pair_index(self, a: int, b: int) -> int:
-        """Leaf index of the hyper-edge tuple for ``{a, b}``."""
-        i, j = self.position_of[a], self.position_of[b]
-        if i > j:
-            i, j = j, i
-        return triangle_index(i, j, len(self.borders))
-
-    def iter_pairs(self):
-        """Yield ``(a, b, W*(a, b))`` in triangle (leaf) order."""
-        borders = self.borders
-        n = len(borders)
-        for i in range(n):
-            row = self.distances[i]
-            for j in range(i + 1, n):
-                yield borders[i], borders[j], float(row[j])
 
 
 def compute_hyperedges(graph: SpatialGraph, borders: "list[int]") -> HyperEdgeSet:

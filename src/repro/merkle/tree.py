@@ -175,7 +175,7 @@ class MerkleTree:
     @classmethod
     def load_state(
         cls,
-        data: bytes,
+        data: "bytes | memoryview",
         *,
         num_leaves: int,
         fanout: int,
@@ -197,11 +197,12 @@ class MerkleTree:
                 f"level blob is {len(data)} bytes; a {num_leaves}-leaf "
                 f"fanout-{fanout} tree needs {sum(sizes) * d}"
             )
-        data = bytes(data)
+        # Each level is copied straight out of *data* — handed a
+        # memoryview of a mapped artifact, that is the only copy made.
         levels: list[bytes] = []
         pos = 0
         for size in sizes:
-            levels.append(data[pos:pos + size * d])
+            levels.append(bytes(data[pos:pos + size * d]))
             pos += size * d
         tree = cls.__new__(cls)
         tree.hash_fn = hash_fn

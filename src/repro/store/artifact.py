@@ -104,7 +104,7 @@ def load_method(path: str, *, expect_method: "str | None" = None,
         arrays={name: reader.array(name) for name, info in
                 reader.sections.items()
                 if info.kind != KIND_BYTES and not name.startswith("graph/")},
-        blobs={name: reader.bytes(name) for name, info in
+        blobs={name: reader.view(name) for name, info in
                reader.sections.items() if info.kind == KIND_BYTES},
     )
     method = cls.load_state(state)

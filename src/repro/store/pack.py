@@ -50,8 +50,10 @@ from repro.errors import ArtifactError, EncodingError
 #: wire protocol's frame magic).
 ARTIFACT_MAGIC = b"RSPVPK\x00\x01"
 
-#: Container format version; bump on breaking layout changes.
-ARTIFACT_VERSION = 1
+#: Container format version; bump on breaking layout changes.  2: HYP's
+#: distance tree stores its leaves by cell pair, so the proofs a
+#: version-1 pack would serve point at the wrong leaves.
+ARTIFACT_VERSION = 2
 
 #: Section alignment: one cache line covers every numpy dtype this
 #: package stores, and keeps mapped views alignment-safe.
@@ -194,11 +196,12 @@ class ArtifactWriter:
         self.build_params_blob = encode_params(build_params)
         self.publish_params_blob = encode_params(publish_params)
         self.descriptor_bytes = bytes(descriptor_bytes)
-        self._sections: list[tuple[str, str, tuple[int, ...], bytes]] = []
+        #: (name, kind, shape, flat bytes-like payload)
+        self._sections: list[tuple[str, str, tuple[int, ...], object]] = []
         self._names: set[str] = set()
 
     def _add(self, name: str, kind: str, shape: tuple[int, ...],
-             data: bytes) -> None:
+             data) -> None:
         if name in self._names:
             raise ArtifactError(f"duplicate section {name!r}")
         self._names.add(name)
@@ -210,7 +213,11 @@ class ArtifactWriter:
         self._add(name, KIND_BYTES, (len(data),), data)
 
     def add_array(self, name: str, array: np.ndarray) -> None:
-        """Add a numpy section (stored C-contiguous, little-endian)."""
+        """Add a numpy section (stored C-contiguous, little-endian).
+
+        An array already in that form is hashed and written in place,
+        not copied: leave it unchanged until :meth:`write` returns.
+        """
         array = np.ascontiguousarray(array)
         kind = array.dtype.newbyteorder("<").str if array.dtype.byteorder == ">" \
             else array.dtype.str
@@ -218,8 +225,9 @@ class ArtifactWriter:
             raise ArtifactError(
                 f"section {name!r}: dtype {array.dtype} is not packable"
             )
-        data = np.ascontiguousarray(array, dtype=np.dtype(kind)).tobytes()
-        self._add(name, kind, tuple(int(s) for s in array.shape), data)
+        data = np.ascontiguousarray(array, dtype=np.dtype(kind))
+        self._add(name, kind, tuple(int(s) for s in array.shape),
+                  data.reshape(-1).view(np.uint8))
 
     # ------------------------------------------------------------------
     def _header(self, infos: "list[SectionInfo]") -> bytes:
@@ -299,6 +307,7 @@ class ArtifactReader:
     def __init__(self, path: str, *, verify: bool = True,
                  mmap_mode: "str | None" = "c") -> None:
         self.path = path
+        self._views: list[memoryview] = []
         try:
             with open(path, "rb") as infile:
                 if mmap_mode is None:
@@ -436,12 +445,18 @@ class ArtifactReader:
             raise ArtifactError(f"artifact has no section {name!r}")
         return info
 
-    def bytes(self, name: str) -> bytes:
-        """A byte-blob section's content (copied out of the map)."""
+    def view(self, name: str) -> memoryview:
+        """A byte-blob section as a zero-copy view of the buffer.
+
+        Consumers copy out what they keep; :meth:`close` releases the
+        view itself.
+        """
         info = self._info(name)
         if info.kind != KIND_BYTES:
             raise ArtifactError(f"section {name!r} is an array, not bytes")
-        return bytes(self._buffer[info.offset:info.offset + info.length])
+        view = memoryview(self._buffer)[info.offset:info.offset + info.length]
+        self._views.append(view)
+        return view
 
     def array(self, name: str) -> np.ndarray:
         """A numpy section as a view of the mapped file (zero-copy)."""
@@ -461,6 +476,9 @@ class ArtifactReader:
 
     def close(self) -> None:
         """Release the mapping.  Invalidates any arrays handed out."""
+        for view in self._views:
+            view.release()
+        self._views.clear()
         if isinstance(self._buffer, mmap.mmap):
             self._buffer.close()
         self._buffer = b""

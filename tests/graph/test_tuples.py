@@ -163,6 +163,17 @@ class TestTrianglePayloadBatch:
         ]
         assert got == want
 
+    @pytest.mark.parametrize("ids", [
+        [128, 3, 90],      # e.g. borders sorted by (cell, id)
+        [3, 90, 90],
+    ])
+    def test_triangle_leaf_digests_refuse_unsorted_ids(self, ids):
+        from repro.errors import GraphError
+        from repro.graph.tuples import triangle_leaf_digests
+
+        with pytest.raises(GraphError, match="ascending"):
+            triangle_leaf_digests(ids, self._ids_and_matrix(ids), "sha1")
+
     @pytest.mark.parametrize("hash_name", ["sha1", "sha256"])
     def test_triangle_leaf_digests_match_leaf_digest(self, hash_name):
         from repro.graph.tuples import iter_triangle_payloads, triangle_leaf_digests

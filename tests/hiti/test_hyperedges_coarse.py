@@ -9,6 +9,7 @@ from repro.graph.tuples import HypTuple
 from repro.hiti.coarse import build_coarse_graph
 from repro.hiti.hyperedges import (
     HyperEdgeSet,
+    TileLayout,
     compute_hyperedges,
     triangle_index,
     triangle_size,
@@ -54,6 +55,75 @@ class TestTriangleIndexing:
             triangle_index(0, 5, 5)
 
 
+def tile_walk(border_cells):
+    """Border-position pairs ``(i, j)``, ``i < j``, in documented leaf order.
+
+    The loop form of the layout: tiles in ``(ci, cj)`` order, row-major
+    inside an off-diagonal tile, upper triangle inside a diagonal one.
+    """
+    members = {}
+    for position, cell in enumerate(border_cells):
+        members.setdefault(cell, []).append(position)
+    cells = sorted(members)
+    for k, ci in enumerate(cells):
+        for cj in cells[k:]:
+            for row, i in enumerate(members[ci]):
+                columns = members[cj] if ci != cj else members[ci][row + 1:]
+                for j in columns:
+                    yield min(i, j), max(i, j)
+
+
+def grid_cells(num_nodes, num_cells, seed):
+    graph = road_network(num_nodes, seed=seed)
+    partition = GridPartition(graph, num_cells)
+    return [partition.cell(b) for b in partition.all_borders()]
+
+
+class TestTileLayout:
+    CASES = {
+        # cell 1 of 0..3 is empty, cell 2 holds exactly one border node
+        "empty-and-singleton": [3, 0, 2, 0, 3, 3, 0],
+        "one-cell": [5, 5, 5, 5],
+        "all-singletons": [4, 1, 3, 0],
+        "two-borders": [1, 0],
+        "grid-2x2": grid_cells(120, 4, seed=5),
+        "grid-5x5": grid_cells(260, 25, seed=23),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_leaf_is_the_tile_walk(self, name):
+        border_cells = self.CASES[name]
+        layout = TileLayout(border_cells)
+        walk = list(tile_walk(border_cells))
+        assert len(walk) == triangle_size(len(border_cells))
+        rows, cols = (np.array(axis) for axis in zip(*walk))
+        # Bijection onto range(num_pairs), in exactly the walk's order.
+        assert layout.leaf(rows, cols).tolist() == list(range(len(walk)))
+
+    def test_tile_start_is_symmetric_and_skips_borderless_cells(self):
+        border_cells = self.CASES["empty-and-singleton"]
+        layout = TileLayout(border_cells)
+        assert sorted(layout.rank_of) == [0, 2, 3]
+        walk = list(tile_walk(border_cells))
+        first = walk.index((0, 2))  # cells 2 x 3: border 2 with border 0
+        assert layout.tile_start_of(2, 3) == first
+        assert layout.tile_start_of(3, 2) == first
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_permute_moves_triangle_order_to_tile_order(self, name):
+        border_cells = self.CASES[name]
+        n = len(border_cells)
+        width = 3
+        digest_of = {
+            (i, j): bytes([i, j, 0xAA]) for i in range(n) for j in range(i + 1, n)
+        }
+        triangle = b"".join(digest_of[i, j] for i in range(n)
+                            for j in range(i + 1, n))
+        tiled = TileLayout(border_cells).permute(triangle, width)
+        assert tiled == b"".join(digest_of[pair]
+                                 for pair in tile_walk(border_cells))
+
+
 class TestHyperEdges:
     def test_weights_are_exact_distances(self, road, hyper):
         borders = hyper.borders
@@ -65,13 +135,6 @@ class TestHyperEdges:
     def test_symmetry(self, hyper):
         a, b = hyper.borders[0], hyper.borders[-1]
         assert hyper.weight(a, b) == hyper.weight(b, a)
-
-    def test_pair_index_consistent_with_iteration(self, hyper):
-        for leaf, (a, b, w) in enumerate(hyper.iter_pairs()):
-            assert hyper.pair_index(a, b) == leaf
-            assert hyper.pair_index(b, a) == leaf
-            if leaf > 200:
-                break
 
     def test_num_pairs(self, hyper):
         assert hyper.num_pairs == triangle_size(hyper.num_borders)

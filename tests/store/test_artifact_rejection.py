@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ArtifactError
 from repro.store import load_method
-from repro.store.pack import ARTIFACT_MAGIC
+from repro.store.pack import ARTIFACT_MAGIC, ARTIFACT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +80,22 @@ class TestWrongVersionsAndFiles:
         with pytest.raises(ArtifactError):
             load_method(path)
 
-    def test_future_format_version(self, artifact_bytes, tmp_path):
+    @pytest.mark.parametrize("version", [
+        1,                     # packed before HYP's tile layout: stale leaves
+        ARTIFACT_VERSION + 1,
+    ])
+    def test_other_format_versions(self, artifact_bytes, tmp_path, version):
         # The varint after the magic is the container format version;
-        # the current version encodes as one byte, so bumping that byte
-        # crafts a well-formed future-version artifact.
+        # it encodes as one byte, so swapping that byte crafts an
+        # otherwise well-formed artifact of another version.
         magic_len = len(ARTIFACT_MAGIC)
-        assert artifact_bytes[magic_len] == 1
-        data = (artifact_bytes[:magic_len] + b"\x02"
+        assert artifact_bytes[magic_len] == ARTIFACT_VERSION
+        data = (artifact_bytes[:magic_len] + bytes([version])
                 + artifact_bytes[magic_len + 1:])
-        _expect_rejection(tmp_path, data, "future-version")
+        path = tmp_path / f"v{version}.rspv"
+        path.write_bytes(data)
+        with pytest.raises(ArtifactError, match="format version"):
+            load_method(str(path))
 
     def test_random_noise_fuzz(self, tmp_path):
         rng = random.Random(7)

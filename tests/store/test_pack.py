@@ -74,7 +74,7 @@ class TestPackLayout:
         assert reader.algo_sp == "dijkstra"
         assert reader.build_params == {"fanout": 2}
         assert reader.descriptor_bytes == b"descriptor-bytes"
-        assert reader.bytes("blob/a") == b"hello world"
+        assert reader.view("blob/a") == b"hello world"
         np.testing.assert_array_equal(
             reader.array("arr/f"),
             np.arange(12, dtype=np.float64).reshape(3, 4))
@@ -110,6 +110,37 @@ class TestPackLayout:
         arr = ArtifactReader(path, mmap_mode=None).array("m")
         arr[0] = 5  # must not raise
 
+    @pytest.mark.parametrize("mmap_mode", ["c", None])
+    def test_close_releases_the_views_it_handed_out(self, tmp_path, mmap_mode):
+        writer = _writer()
+        writer.add_bytes("blob", b"0123456789")
+        path = str(tmp_path / "t.rspv")
+        writer.write(path)
+        reader = ArtifactReader(path, mmap_mode=mmap_mode)
+        view = reader.view("blob")
+        assert view[2:5] == b"234" and bytes(view) == b"0123456789"
+        reader.close()  # a live export would make mmap.close() raise
+        with pytest.raises(ValueError):
+            view[0]
+
+    def test_arrays_are_written_in_place_in_every_layout(self, tmp_path):
+        arrays = {
+            "be": np.arange(6, dtype=">f8").reshape(2, 3),
+            "strided": np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::2],
+            "empty": np.zeros((0, 4), dtype=np.float64),
+        }
+        writer = _writer()
+        for name, array in arrays.items():
+            writer.add_array(name, array)
+        path = str(tmp_path / "t.rspv")
+        writer.write(path)
+        reader = ArtifactReader(path)
+        for name, array in arrays.items():
+            got = reader.array(name)
+            assert got.shape == array.shape
+            assert got.dtype == array.dtype.newbyteorder("<")
+            np.testing.assert_array_equal(got, array)
+
     def test_duplicate_section_refused(self):
         writer = _writer()
         writer.add_bytes("a", b"x")
@@ -122,7 +153,7 @@ class TestPackLayout:
         writer.write(path)
         reader = ArtifactReader(path)
         with pytest.raises(ArtifactError):
-            reader.bytes("nope")
+            reader.view("nope")
         with pytest.raises(ArtifactError):
             reader.array("nope")
 
