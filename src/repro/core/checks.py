@@ -1,17 +1,18 @@
 """Shared client-side verification steps and owner-side tree building.
 
 Every method's ``verify`` runs the same skeleton: check the descriptor
-signature, reconstruct each Merkle root from ΓS + ΓT, decode the
-extended tuples, and validate the reported path against authenticated
-adjacency.  Those steps live here; method files contain only the
-method-specific shortest path reasoning.
+signature, decode each section's extended tuples into columns
+(:func:`repro.graph.tuples.decode_columns`), reconstruct each Merkle
+root from ΓS + ΓT, and validate the reported path against
+authenticated adjacency.  Those steps live here; method files contain
+only the method-specific shortest path reasoning.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-from bisect import bisect_left
-from typing import Callable, Mapping, Type
+from typing import Callable
 
 from repro.api import codes
 from repro.core.framework import VerificationResult, distances_close
@@ -19,7 +20,7 @@ from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, Tre
 from repro.crypto.signer import Signer
 from repro.errors import EncodingError, MerkleError
 from repro.graph.graph import SpatialGraph
-from repro.graph.tuples import BaseTuple
+from repro.graph.tuples import BaseTuple, TupleColumns
 from repro.merkle.tree import MerkleTree, reconstruct_root
 from repro.order import order_nodes
 
@@ -90,43 +91,11 @@ def verify_section_root(
     return None
 
 
-def decode_tuples(section: TreeSection, tuple_cls: Type[BaseTuple]) -> dict[int, BaseTuple]:
-    """Decode a section's payloads as extended tuples, keyed by node id.
-
-    Raises :class:`EncodingError` on malformed payloads or duplicate
-    node ids (a provider must never present two tuples for one node).
-    """
-    tuples: dict[int, BaseTuple] = {}
-    for payload in section.payloads:
-        tup = tuple_cls.decode(payload)
-        if tup.node_id in tuples:
-            raise EncodingError(f"duplicate extended tuple for node {tup.node_id}")
-        tuples[tup.node_id] = tup
-    return tuples
-
-
-def adjacency_weight(tup: BaseTuple, neighbor: int) -> "float | None":
-    """Edge weight listed in Φ for *neighbor*, or ``None`` when absent.
-
-    O(log degree): canonical tuples keep Φ sorted by neighbor id, so a
-    bisect replaces the old linear scan — long reported paths through
-    high-degree hubs verify in O(path · log degree).  For adversarial
-    payloads that violate the canonical order the probe may miss an
-    entry, which can only *reject* such a response (never accept a
-    weight that is not present), so soundness is unaffected.
-    """
-    adjacency = tup.adjacency
-    pos = bisect_left(adjacency, (neighbor,))
-    if pos < len(adjacency) and adjacency[pos][0] == neighbor:
-        return adjacency[pos][1]
-    return None
-
-
 def check_reported_path(
     source: int,
     target: int,
     response: QueryResponse,
-    tuples: Mapping[int, BaseTuple],
+    columns: TupleColumns,
 ) -> "VerificationResult | None":
     """Validate the reported path against authenticated adjacency.
 
@@ -146,18 +115,18 @@ def check_reported_path(
         return VerificationResult.failure(codes.PATH_CYCLE, "reported path repeats a node")
     cost = 0.0
     for u, v in zip(nodes, nodes[1:]):
-        tup = tuples.get(u)
-        if tup is None:
+        row = columns.row_of(u)
+        if row < 0:
             return VerificationResult.failure(
                 codes.PATH_NODE_MISSING, f"no authenticated tuple for path node {u}"
             )
-        w = adjacency_weight(tup, v)
+        w = columns.edge_weight(row, v)
         if w is None:
             return VerificationResult.failure(
                 codes.PHANTOM_EDGE, f"edge ({u}, {v}) is not in the authenticated graph"
             )
         cost += w
-    if nodes[-1] not in tuples:
+    if columns.row_of(nodes[-1]) < 0:
         return VerificationResult.failure(
             codes.PATH_NODE_MISSING, f"no authenticated tuple for path node {nodes[-1]}"
         )
@@ -167,6 +136,47 @@ def check_reported_path(
             f"authenticated path cost {cost} != reported {response.path_cost}",
         )
     return None
+
+
+def search_disclosed(
+    indptr: "list[int]",
+    nbrs: "list[int]",
+    weights: "list[float]",
+    source: int,
+    target: int,
+    margin: float,
+) -> "tuple[float | None, int | None]":
+    """Heap Dijkstra from row *source* until row *target* settles.
+
+    The graph is CSR over rows in ascending node id order, so equal
+    distances pop in id order; ``nbrs[k] == -1`` marks a neighbour that
+    was not disclosed.  Returns ``(distance, None)`` on success and
+    ``(None, None)`` when the target is unreachable.  An edge that
+    reaches an undisclosed node within *margin* ends the search with
+    ``(tentative distance, k)``: Lemma 1 requires the whole ball of
+    radius ``dist(vs, vt)``, while relaxations beyond it may
+    legitimately leave the proof.
+    """
+    done = [False] * (len(indptr) - 1)
+    best = [float("inf")] * len(done)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == target:
+            return d, None
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbrs[k]
+            nd = d + weights[k]
+            if v < 0:
+                if nd <= margin:
+                    return nd, k
+            elif not done[v] and nd < best[v]:
+                best[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return None, None
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,11 @@ is what defeats the tuple-dropping attack described in the paper.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    decode_tuples,
     resign_descriptor,
+    search_disclosed,
     sign_descriptor,
     verify_descriptor,
     verify_section_root,
@@ -28,7 +26,7 @@ from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, Tre
 from repro.crypto.signer import Signer
 from repro.errors import EncodingError, NoPathError
 from repro.graph.graph import GraphMutation, SpatialGraph
-from repro.graph.tuples import BaseTuple
+from repro.graph.tuples import BaseTuple, decode_columns
 from repro.shortestpath.kernel import indexed_ball, indexed_dijkstra
 from repro.shortestpath.path import Path
 
@@ -151,69 +149,41 @@ class DijMethod(VerificationMethod):
             return failure
         try:
             section = response.section(NETWORK_TREE)
-            tuples = decode_tuples(section, BaseTuple)
+            columns = decode_columns(section.payloads)
         except EncodingError as exc:
             return VerificationResult.failure("malformed-proof", str(exc))
         failure = verify_section_root(response.descriptor, section)
         if failure is not None:
             return failure
-        failure = check_reported_path(source, target, response, tuples)
+        failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure
 
+        # Lemma 1: the search is only valid if every node it needs —
+        # reachable within the reported distance — was disclosed.
         reported = response.path_cost
-        verdict = _client_dijkstra(source, target, reported, tuples)
-        if isinstance(verdict, VerificationResult):
-            return verdict
-        computed = verdict
+        start = columns.row_of(source)
+        if start < 0:
+            return VerificationResult.failure("source-missing",
+                                              f"no tuple for source node {source}")
+        computed, gap = search_disclosed(
+            *columns.search_lists(), start, columns.row_of(target),
+            reported * (1 + REL_TOL) + 1e-9)
+        if gap is not None:
+            return VerificationResult.failure(
+                "incomplete-subgraph",
+                f"node {columns.nbr_ids[gap]} at distance {computed} <= "
+                f"{reported} was not disclosed",
+            )
+        if computed is None:
+            return VerificationResult.failure(
+                "target-unreachable",
+                f"target {target} is unreachable in the disclosed subgraph",
+            )
         if not distances_close(computed, reported):
             return VerificationResult.failure(
                 "not-optimal",
                 f"subgraph shortest distance {computed} != reported {reported}",
             )
-        return VerificationResult.success(distance=computed, subgraph_nodes=len(tuples))
-
-
-def _client_dijkstra(source: int, target: int, reported: float,
-                     tuples: "dict[int, BaseTuple]") -> "float | VerificationResult":
-    """Validity-checked Dijkstra over the disclosed subgraph (Lemma 1).
-
-    The proof is invalid (and the function returns a failure) if a node
-    the search needs — reachable within the reported distance — has no
-    disclosed tuple.  Relaxations beyond the reported distance may
-    legitimately point at undisclosed nodes (Lemma 1 only covers the
-    ball of radius ``dist(vs, vt)``).
-    """
-    if source not in tuples:
-        return VerificationResult.failure("source-missing",
-                                          f"no tuple for source node {source}")
-    margin = reported * (1 + REL_TOL) + 1e-9
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    best = {source: 0.0}
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        if u == target:
-            return d
-        for v, w in tuples[u].adjacency:
-            if v in dist:
-                continue
-            nd = d + w
-            if v not in tuples:
-                if nd <= margin:
-                    return VerificationResult.failure(
-                        "incomplete-subgraph",
-                        f"node {v} at distance {nd} <= {reported} was not disclosed",
-                    )
-                continue  # legitimately outside the Lemma-1 ball
-            known = best.get(v)
-            if known is None or nd < known:
-                best[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return VerificationResult.failure(
-        "target-unreachable",
-        f"target {target} is unreachable in the disclosed subgraph",
-    )
+        return VerificationResult.success(distance=computed,
+                                          subgraph_nodes=len(columns))

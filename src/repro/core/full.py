@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    decode_tuples,
     incremental_patch_wins,
     resign_descriptor,
     sign_descriptor,
@@ -54,7 +53,12 @@ from repro.errors import (
     NoPathError,
 )
 from repro.graph.graph import GraphMutation, SpatialGraph
-from repro.graph.tuples import BaseTuple, DistanceTuple, triangle_leaf_digests
+from repro.graph.tuples import (
+    BaseTuple,
+    DistanceTuple,
+    decode_columns,
+    triangle_leaf_digests,
+)
 from repro.hiti.hyperedges import triangle_index
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import all_pairs_distances, multi_source_distances
@@ -329,7 +333,7 @@ class FullMethod(VerificationMethod):
         try:
             net_section = response.section(NETWORK_TREE)
             dist_section = response.section(DISTANCE_TREE)
-            tuples = decode_tuples(net_section, BaseTuple)
+            columns = decode_columns(net_section.payloads)
             if len(dist_section.payloads) != 1:
                 return VerificationResult.failure(
                     "malformed-proof",
@@ -348,7 +352,7 @@ class FullMethod(VerificationMethod):
                 f"distance tuple covers ({dist_tuple.a}, {dist_tuple.b}), "
                 f"query was ({source}, {target})",
             )
-        failure = check_reported_path(source, target, response, tuples)
+        failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure
         if not distances_close(dist_tuple.distance, response.path_cost):

@@ -30,9 +30,9 @@ import numpy as np
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    decode_tuples,
     incremental_patch_wins,
     resign_descriptor,
+    search_disclosed,
     sign_descriptor,
     verify_descriptor,
     verify_section_root,
@@ -62,14 +62,14 @@ from repro.graph.tuples import (
     CellDirectoryTuple,
     DistanceTuple,
     HypTuple,
+    decode_columns,
+    decode_distance_columns,
     triangle_leaf_digests,
 )
-from repro.hiti.coarse import build_coarse_graph
 from repro.hiti.hyperedges import HyperEdgeSet, TileLayout, compute_hyperedges
 from repro.hiti.partition import GridPartition, GridSpec
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import multi_source_distances
-from repro.shortestpath.dijkstra import dijkstra
 from repro.shortestpath.path import Path
 
 
@@ -380,22 +380,6 @@ class HypMethod(VerificationMethod):
         return mode, leaves_patched, trees_rebuilt
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def expected_pairs(borders_s: "list[int]", borders_t: "list[int]",
-                       same_cell: bool) -> "set[tuple[int, int]]":
-        """The hyper-edge pairs a proof must disclose (unordered, a < b)."""
-        pairs: set[tuple[int, int]] = set()
-        if same_cell:
-            borders = sorted(set(borders_s))
-            for i, a in enumerate(borders):
-                for b in borders[i + 1:]:
-                    pairs.add((a, b))
-        else:
-            for a in borders_s:
-                for b in borders_t:
-                    pairs.add((min(a, b), max(a, b)))
-        return pairs
-
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
         if forced_path is None:
@@ -461,12 +445,12 @@ class HypMethod(VerificationMethod):
             GridSpec.decode(response.descriptor.params)  # structural sanity
             net_section = response.section(NETWORK_TREE)
             dir_section = response.section(DIRECTORY_TREE)
-            tuples = decode_tuples(net_section, HypTuple)
+            columns = decode_columns(net_section.payloads, HypTuple)
             directories = [CellDirectoryTuple.decode(p) for p in dir_section.payloads]
-            hyper_tuples: list[DistanceTuple] = []
+            hyper_a = hyper_b = hyper_w = np.empty(0)
             if DISTANCE_TREE in response.sections:
-                dist_section = response.section(DISTANCE_TREE)
-                hyper_tuples = [DistanceTuple.decode(p) for p in dist_section.payloads]
+                hyper_a, hyper_b, hyper_w = decode_distance_columns(
+                    response.section(DISTANCE_TREE).payloads)
         except EncodingError as exc:
             return VerificationResult.failure("malformed-proof", str(exc))
 
@@ -475,12 +459,13 @@ class HypMethod(VerificationMethod):
             if failure is not None:
                 return failure
 
-        if source not in tuples or target not in tuples:
+        start, goal = columns.row_of(source), columns.row_of(target)
+        if start < 0 or goal < 0:
             return VerificationResult.failure(
                 "endpoint-missing", "no authenticated tuple for source or target"
             )
-        cell_s = tuples[source].cell_id
-        cell_t = tuples[target].cell_id
+        ids, cell = columns.ids, columns.tail["cell_id"]
+        cell_s, cell_t = int(cell[start]), int(cell[goal])
 
         # --- cell directory completeness -----------------------------
         directory_cells = {d.cell_id for d in directories}
@@ -490,14 +475,9 @@ class HypMethod(VerificationMethod):
                 f"directories cover cells {sorted(directory_cells)}, "
                 f"expected {sorted({cell_s, cell_t})}",
             )
-        cell_members: dict[int, set[int]] = {}
         for directory in directories:
-            cell_members[directory.cell_id] = set(directory.member_ids)
-            provided = {
-                node_id for node_id, tup in tuples.items()
-                if tup.cell_id == directory.cell_id
-            }
-            if provided != set(directory.member_ids):
+            provided = ids[cell == directory.cell_id].tolist()  # ascending
+            if provided != sorted(set(directory.member_ids)):
                 return VerificationResult.failure(
                     "incomplete-cell",
                     f"cell {directory.cell_id}: disclosed members do not match "
@@ -505,44 +485,65 @@ class HypMethod(VerificationMethod):
                 )
 
         # --- hyper-edge completeness ----------------------------------
-        borders_s = sorted(v for v in cell_members[cell_s] if tuples[v].is_border)
-        borders_t = sorted(v for v in cell_members[cell_t] if tuples[v].is_border)
-        expected = cls.expected_pairs(borders_s, borders_t, cell_s == cell_t)
-        weight_of: dict[tuple[int, int], float] = {}
-        for tup in hyper_tuples:
-            key = (min(tup.a, tup.b), max(tup.a, tup.b))
-            if key in weight_of:
-                return VerificationResult.failure(
-                    "malformed-proof", f"duplicate hyper-edge tuple for {key}"
-                )
-            weight_of[key] = tup.distance
-        missing = expected - set(weight_of)
+        # Border rows ascend by id, so ``low < high`` holds row-wise too.
+        border = columns.tail["is_border"]
+        borders_s = np.flatnonzero(border & (cell == cell_s))
+        if cell_s == cell_t:
+            i, j = np.triu_indices(len(borders_s), 1)
+            low, high = borders_s[i], borders_s[j]
+        else:
+            borders_t = np.flatnonzero(border & (cell == cell_t))
+            a = np.repeat(borders_s, len(borders_t))
+            b = np.tile(borders_t, len(borders_s))
+            low, high = np.minimum(a, b), np.maximum(a, b)
+        expected = list(zip(ids[low].tolist(), ids[high].tolist()))
+        weight_of = dict(zip(
+            zip(np.minimum(hyper_a, hyper_b).tolist(),
+                np.maximum(hyper_a, hyper_b).tolist()),
+            hyper_w.tolist(),
+        ))
+        if len(weight_of) != len(hyper_w):
+            return VerificationResult.failure(
+                "malformed-proof", "duplicate hyper-edge tuple for one pair"
+            )
+        missing = [pair for pair in expected if pair not in weight_of]
         if missing:
             return VerificationResult.failure(
                 "incomplete-hyperedges",
                 f"{len(missing)} required hyper-edges are undisclosed "
-                f"(e.g. {sorted(missing)[0]})",
+                f"(e.g. {min(missing)})",
             )
 
         # --- coarse graph search (Theorem 2) --------------------------
-        cell_tuples = {
-            node_id: tup for node_id, tup in tuples.items()
-            if tup.cell_id in (cell_s, cell_t)
-        }
-        coarse = build_coarse_graph(
-            cell_tuples,
-            [(a, b, weight_of[(a, b)]) for a, b in expected],
-        )
-        result = dijkstra(coarse, source, target=target)
-        if target not in result.dist:
+        # G_coarse: the two cells' nodes, every real edge with both ends
+        # among them (read once, from its lower endpoint's Φ) and the
+        # required hyper-edges; edges that leave the cells are what the
+        # hyper-edges stand for.  Parallel edges need no merging — the
+        # search takes the cheaper one — and none is undisclosed, so the
+        # search's completeness margin is moot.
+        in_cells = (cell == cell_s) | (cell == cell_t)
+        tail = np.repeat(np.arange(len(columns)), np.diff(columns.indptr))
+        head = columns.nbrs
+        real = in_cells[tail] & (head > tail) & in_cells[head]
+        tail = np.concatenate((tail[real], low))
+        head = np.concatenate((head[real], high))
+        weight = np.concatenate((columns.weights[real],
+                                 [weight_of[pair] for pair in expected]))
+        tail, head = np.concatenate((tail, head)), np.concatenate((head, tail))
+        order = np.argsort(tail, kind="stable")
+        indptr = np.searchsorted(tail[order], np.arange(len(columns) + 1))
+        coarse_distance, _ = search_disclosed(
+            indptr.tolist(), head[order].tolist(),
+            np.concatenate((weight, weight))[order].tolist(),
+            start, goal, 0.0)
+        if coarse_distance is None:
             return VerificationResult.failure(
                 "target-unreachable",
                 "target is unreachable in the coarse proof graph",
             )
-        coarse_distance = result.dist[target]
 
         # --- fine proof: the reported path itself ----------------------
-        failure = check_reported_path(source, target, response, tuples)
+        failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure
         if not distances_close(coarse_distance, response.path_cost):
@@ -553,6 +554,6 @@ class HypMethod(VerificationMethod):
             )
         return VerificationResult.success(
             distance=coarse_distance,
-            coarse_nodes=coarse.num_nodes,
+            coarse_nodes=int(in_cells.sum()),
             hyper_edges=len(expected),
         )

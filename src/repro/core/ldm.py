@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    decode_tuples,
     resign_descriptor,
     sign_descriptor,
     verify_descriptor,
@@ -51,14 +50,13 @@ from repro.crypto.signer import Signer
 from repro.encoding import Decoder, Encoder, encode_uvarint, pack_codes_rows
 from repro.errors import ArtifactError, EncodingError, GraphError
 from repro.graph.graph import GraphMutation, SpatialGraph
-from repro.graph.tuples import LdmTuple
+from repro.graph.tuples import LdmTuple, TupleColumns, decode_columns, unpack_codes
 from repro.landmarks.compression import (
     CompressedVectors,
     apply_compression_plan,
     compress_exact_greedy,
     compress_leader,
     compression_plan,
-    lemma4_lower_bound,
 )
 from repro.landmarks.quantization import QuantizationSpec, quantize_vectors
 from repro.landmarks.selection import select_landmarks
@@ -542,17 +540,17 @@ class LdmMethod(VerificationMethod):
         try:
             params = LdmParams.decode(response.descriptor.params)
             section = response.section(NETWORK_TREE)
-            tuples = decode_tuples(section, LdmTuple)
+            columns = decode_columns(section.payloads, LdmTuple)
         except EncodingError as exc:
             return VerificationResult.failure("malformed-proof", str(exc))
         failure = verify_section_root(response.descriptor, section)
         if failure is not None:
             return failure
-        failure = check_reported_path(source, target, response, tuples)
+        failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure
 
-        verdict = _client_astar(source, target, response.path_cost, tuples, params)
+        verdict = _search_cone(source, target, response.path_cost, columns, params)
         if isinstance(verdict, VerificationResult):
             return verdict
         if not distances_close(verdict, response.path_cost):
@@ -560,102 +558,91 @@ class LdmMethod(VerificationMethod):
                 "not-optimal",
                 f"subgraph A* distance {verdict} != reported {response.path_cost}",
             )
-        return VerificationResult.success(distance=verdict, subgraph_nodes=len(tuples))
+        return VerificationResult.success(distance=verdict, subgraph_nodes=len(columns))
 
 
-class _BoundEvaluator:
-    """Client-side Lemma 4 bound over decoded tuples (with caching)."""
+def _bounds_to(target: int, columns: TupleColumns,
+               params: LdmParams) -> "tuple[np.ndarray, np.ndarray]":
+    """Lemma 4 bound from every row to row *target*, and which rows
+    have one at all.
 
-    def __init__(self, tuples: "dict[int, LdmTuple]", params: LdmParams) -> None:
-        self._tuples = tuples
-        self._params = params
-        self._effective: dict[int, tuple[np.ndarray, int]] = {}
-
-    def effective(self, node_id: int) -> "tuple[np.ndarray, int] | None":
-        """``(representative codes, ε units)`` or None if unresolvable."""
-        cached = self._effective.get(node_id)
-        if cached is not None:
-            return cached
-        tup = self._tuples.get(node_id)
-        if tup is None:
-            return None
-        # The bits field only travels with code-carrying tuples (compressed
-        # tuples hold a reference, not codes), so it is checked on whichever
-        # tuple actually supplies the vector.
-        if tup.is_compressed:
-            rep = self._tuples.get(tup.ref_id)
-            if rep is None or rep.is_compressed or rep.bits != self._params.bits:
-                return None
-            resolved = (np.asarray(rep.codes, dtype=np.int64), tup.eps_units)
-        else:
-            if tup.bits != self._params.bits:
-                return None
-            resolved = (np.asarray(tup.codes, dtype=np.int64), 0)
-        self._effective[node_id] = resolved
-        return resolved
-
-    def lower_bound(self, u_eff: "tuple[np.ndarray, int]",
-                    v_eff: "tuple[np.ndarray, int]") -> float:
-        """Lemma 4 bound between two resolved nodes."""
-        return lemma4_lower_bound(u_eff[0], u_eff[1], v_eff[0], v_eff[1],
-                                  self._params.lam)
+    A node's vector lives on its representative — itself, or θ when it
+    is compressed — and is usable only if that row is disclosed,
+    carries codes, and carries them at the signed width (the bits field
+    travels with the codes, so it is checked on the row that supplies
+    them) and at the target's length.  Same float arithmetic as
+    ``lemma4_lower_bound``, one pass.
+    """
+    tail = columns.tail
+    rep = np.where(tail["compressed"], columns.rows_of(tail["ref_id"]),
+                   np.arange(len(columns)))
+    width = int(tail["code_count"][rep[target]])
+    carrier = (~tail["compressed"] & (tail["bits"] == params.bits)
+               & (tail["code_count"] == width))
+    rows = np.flatnonzero(carrier)
+    codes = np.zeros((len(columns), width), dtype=np.int64)
+    codes[rows] = unpack_codes(tail, rows, params.bits, width)
+    units = np.abs(codes[rep] - codes[rep[target]]).max(axis=1, initial=0)
+    loose = np.maximum(0.0, params.lam * (units - 1))
+    eps = tail["eps_units"]
+    return (np.maximum(0.0, loose - params.lam * (eps + eps[target])),
+            (rep >= 0) & carrier[rep])
 
 
-def _client_astar(source: int, target: int, reported: float,
-                  tuples: "dict[int, LdmTuple]",
-                  params: LdmParams) -> "float | VerificationResult":
+def _search_cone(source: int, target: int, reported: float,
+                 columns: TupleColumns,
+                 params: LdmParams) -> "float | VerificationResult":
     """Validity-checked A* (with re-opening) over the disclosed subgraph."""
-    if source not in tuples:
+    start, goal = columns.row_of(source), columns.row_of(target)
+    if start < 0:
         return VerificationResult.failure("source-missing",
                                           f"no tuple for source node {source}")
-    if target not in tuples:
+    if goal < 0:
         return VerificationResult.failure("target-missing",
                                           f"no tuple for target node {target}")
-    bounds = _BoundEvaluator(tuples, params)
-    target_eff = bounds.effective(target)
-    if target_eff is None:
-        return VerificationResult.failure(
-            "missing-representative", f"cannot resolve vector of target {target}"
-        )
+    bound, resolvable = _bounds_to(goal, columns, params)
+    for row, name in ((goal, "target"), (start, "source")):
+        if not resolvable[row]:
+            return VerificationResult.failure(
+                "missing-representative",
+                f"cannot resolve vector of {name} {columns.ids[row]}")
     margin = reported + REL_TOL * reported + ABS_TOL
+    bound, resolvable = bound.tolist(), resolvable.tolist()
+    indptr, nbrs, weights = columns.search_lists()
 
-    source_eff = bounds.effective(source)
-    if source_eff is None:
-        return VerificationResult.failure(
-            "missing-representative", f"cannot resolve vector of source {source}"
-        )
-    best: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, float, int]] = [
-        (bounds.lower_bound(source_eff, target_eff), 0.0, source)
-    ]
+    best = [float("inf")] * len(columns)
+    best[start] = 0.0
+    # Rows are in node id order, so ties pop in id order.
+    heap: list[tuple[float, float, int]] = [(bound[start], 0.0, start)]
     while heap:
         key, g, u = heapq.heappop(heap)
-        if g > best.get(u, float("inf")):
+        if g > best[u]:
             continue  # superseded by a re-opening
-        if u == target:
+        if u == goal:
             return g
         if key > margin:
             return VerificationResult.failure(
                 "not-optimal",
                 f"every remaining route exceeds the reported distance {reported}",
             )
-        for v, w in tuples[u].adjacency:
-            nd = g + w
-            if v not in tuples:
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbrs[k]
+            nd = g + weights[k]
+            if v < 0:
                 return VerificationResult.failure(
                     "incomplete-subgraph",
-                    f"neighbor {v} of expanded node {u} was not disclosed",
+                    f"neighbor {columns.nbr_ids[k]} of expanded node "
+                    f"{columns.ids[u]} was not disclosed",
                 )
-            if nd >= best.get(v, float("inf")):
+            if nd >= best[v]:
                 continue
-            v_eff = bounds.effective(v)
-            if v_eff is None:
+            if not resolvable[v]:
                 return VerificationResult.failure(
                     "missing-representative",
-                    f"cannot resolve vector of node {v}",
+                    f"cannot resolve vector of node {columns.ids[v]}",
                 )
             best[v] = nd
-            heapq.heappush(heap, (nd + bounds.lower_bound(v_eff, target_eff), nd, v))
+            heapq.heappush(heap, (nd + bound[v], nd, v))
     return VerificationResult.failure(
         "target-unreachable",
         f"target {target} is unreachable in the disclosed subgraph",

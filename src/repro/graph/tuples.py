@@ -18,8 +18,11 @@ same digests.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.encoding import Decoder, Encoder
 from repro.errors import EncodingError, GraphError
@@ -73,6 +76,11 @@ class BaseTuple:
         tup = cls(*cls._decode_header(dec))
         dec.expect_end()
         return tup
+
+    @staticmethod
+    def _decode_tail_columns(reader: "_LockStep") -> "dict[str, np.ndarray]":
+        """Columnar form of whatever :meth:`decode` reads after the header."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,32 @@ class LdmTuple(BaseTuple):
         dec.expect_end()
         return tup
 
+    @staticmethod
+    def _decode_tail_columns(reader: "_LockStep") -> "dict[str, np.ndarray]":
+        """``compressed`` flag; ``ref_id`` / ``eps_units`` on compressed
+        rows; ``bits`` / ``code_count`` / ``code_at`` (bitstream offset
+        into ``buf``, for :func:`unpack_codes`) on the others; zero
+        where absent."""
+        compressed = reader.flag()
+        columns = {name: np.zeros(len(compressed), dtype=np.int64)
+                   for name in ("ref_id", "eps_units", "bits", "code_count", "code_at")}
+        rows = np.flatnonzero(compressed)
+        columns["ref_id"][rows] = reader.uint(rows)
+        columns["eps_units"][rows] = reader.uint(rows)
+        rows = np.flatnonzero(~compressed)
+        bits = reader.uint(rows)
+        if np.count_nonzero((bits < 1) | (bits > 64)):
+            raise EncodingError("bits must be in [1, 64]")
+        count = reader.uint(rows)
+        room = np.maximum(reader.end[rows] - reader.pos[rows], -1)
+        if np.count_nonzero(count > 8 * room // bits):
+            raise EncodingError("code count exceeds the bytes remaining")
+        columns["bits"][rows], columns["code_count"][rows] = bits, count
+        columns["code_at"][rows] = reader.pos[rows]
+        reader.pos[rows] += (count * bits + 7) // 8
+        columns["compressed"], columns["buf"] = compressed, reader.buf
+        return columns
+
 
 @dataclass(frozen=True)
 class HypTuple(BaseTuple):
@@ -157,6 +191,193 @@ class HypTuple(BaseTuple):
                   cell_id=dec.read_uint(), is_border=dec.read_bool())
         dec.expect_end()
         return tup
+
+    @staticmethod
+    def _decode_tail_columns(reader: "_LockStep") -> "dict[str, np.ndarray]":
+        return {"cell_id": reader.uint(), "is_border": reader.flag()}
+
+
+_ALL_ROWS = slice(None)
+_BYTES_OF_F64 = np.arange(8)
+
+
+class _LockStep:
+    """One cursor per payload over the payloads' concatenation.
+
+    Every read is one vectorised step over the selected rows.  A
+    truncated payload reads on into its successor and is caught when
+    the decoder compares each cursor with its payload's end; counts are
+    checked against the bytes present before anything is sized from
+    them, which keeps an overrun shorter than the longest payload —
+    the zero pad that keeps the last payload's reads in bounds.
+    """
+
+    __slots__ = ("buf", "pos", "end")
+
+    def __init__(self, payloads: "Sequence[bytes]") -> None:
+        if not payloads:
+            raise EncodingError("empty section")
+        lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
+        self.end = lengths.cumsum()
+        self.pos = self.end - lengths
+        pad = bytes(int(lengths.max()) + 64)
+        self.buf = np.frombuffer(b"".join(payloads) + pad, dtype=np.uint8)
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Row ``i`` becomes the payload that was row ``order[i]``."""
+        self.pos, self.end = self.pos[order], self.end[order]
+
+    def uint(self, rows: "np.ndarray | slice" = _ALL_ROWS) -> np.ndarray:
+        """LEB128 varints below 2**63 (all an owner can encode)."""
+        at = self.pos[rows]
+        byte = self.buf[at]
+        value = (byte & 0x7F).astype(np.int64)
+        longer = byte >= 0x80
+        size = longer + 1
+        more = longer.nonzero()[0]
+        for shift in range(7, 70, 7):
+            if not more.size:
+                break
+            if shift == 63:
+                raise EncodingError("varint does not fit 63 bits")
+            byte = self.buf[at[more] + shift // 7]
+            value[more] |= (byte & 0x7F).astype(np.int64) << shift
+            more = more[byte >= 0x80]
+            size[more] += 1
+        self.pos[rows] = at + size
+        return value
+
+    def f64(self, rows: "np.ndarray | slice" = _ALL_ROWS) -> np.ndarray:
+        at = self.pos[rows]
+        value = self.buf[at[:, None] + _BYTES_OF_F64].view(">f8")[:, 0]
+        self.pos[rows] = at + 8
+        return value
+
+    def flag(self) -> np.ndarray:
+        byte = self.buf[self.pos]
+        if np.count_nonzero(byte > 1):
+            raise EncodingError("invalid boolean byte")
+        self.pos += 1
+        return byte.astype(bool)
+
+
+class TupleColumns:
+    """One section's Φ tuples as arrays, rows in ascending node id order.
+
+    ``indptr`` / ``nbr_ids`` / ``weights`` are the adjacency lists in
+    CSR form (each row's neighbours in payload order, which is id order
+    for an owner's tuple).  ``tail`` holds the method's extra columns.  Coordinates are skipped: no verifier reads
+    them.
+    """
+
+    __slots__ = ("ids", "indptr", "nbr_ids", "weights", "tail",
+                 "_ids", "_indptr", "_nbr_ids", "_weights")
+
+    def __init__(self, ids, indptr, nbr_ids, weights, tail) -> None:
+        self.ids, self.indptr = ids, indptr
+        self.nbr_ids, self.weights = nbr_ids, weights
+        self.tail = tail
+        # List forms, for the per-node Python steps (path walk, heap
+        # searches): indexing a list beats indexing an array.
+        self._ids, self._indptr = ids.tolist(), indptr.tolist()
+        self._nbr_ids, self._weights = nbr_ids.tolist(), weights.tolist()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def nbrs(self) -> np.ndarray:
+        """Row of every ``nbr_ids`` entry, ``-1`` for an undisclosed one
+        (computed per use: each verifier reads it at most once)."""
+        return self.rows_of(self.nbr_ids)
+
+    def rows_of(self, node_ids: np.ndarray) -> np.ndarray:
+        """Row of each id, ``-1`` where the section has no such node."""
+        at = np.minimum(np.searchsorted(self.ids, node_ids), len(self.ids) - 1)
+        return np.where(self.ids[at] == node_ids, at, -1)
+
+    def row_of(self, node_id: int) -> int:
+        """Scalar :meth:`rows_of` for ids of any size (a reported path
+        is untrusted and may name integers no array holds)."""
+        at = bisect_left(self._ids, node_id)
+        return at if at < len(self._ids) and self._ids[at] == node_id else -1
+
+    def edge_weight(self, row: int, neighbor: int) -> "float | None":
+        """Weight Φ(row) lists for *neighbor*, ``None`` when absent.
+
+        O(log degree) bisect over the canonical (id-sorted) adjacency.
+        On a payload that violates the order the probe may miss an
+        entry, which can only *reject* the response — never accept a
+        weight that is not present.
+        """
+        stop = self._indptr[row + 1]
+        at = bisect_left(self._nbr_ids, neighbor, self._indptr[row], stop)
+        if at < stop and self._nbr_ids[at] == neighbor:
+            return self._weights[at]
+        return None
+
+    def search_lists(self) -> "tuple[list[int], list[int], list[float]]":
+        """``(indptr, nbrs, weights)`` as the lists a heap search walks."""
+        return self._indptr, self.nbrs.tolist(), self._weights
+
+
+def decode_columns(payloads: "Sequence[bytes]",
+                   tuple_cls: "type[BaseTuple]" = BaseTuple) -> TupleColumns:
+    """Decode a section's Φ payloads in lock-step, straight into arrays.
+
+    Accepts what ``tuple_cls.decode`` accepts payload by payload and
+    raises :class:`EncodingError` where it does (truncation, trailing
+    bytes, a bad boolean, an adjacency count the payload cannot hold),
+    and on duplicate node ids — a provider must never present two
+    tuples for one node.
+    """
+    reader = _LockStep(payloads)
+    ids = reader.uint()
+    order = ids.argsort(kind="stable")
+    ids = ids[order]
+    if np.count_nonzero(ids[1:] == ids[:-1]):
+        raise EncodingError("duplicate extended tuple for one node id")
+    reader.reorder(order)
+    reader.pos += 16  # x, y
+    count = reader.uint()
+    # An adjacency entry is at least 9 bytes (id varint + f64 weight).
+    if np.count_nonzero(count > (reader.end - reader.pos) // 9):
+        raise EncodingError("adjacency count exceeds the bytes remaining")
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    count.cumsum(out=indptr[1:])
+    nbr_ids = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1], dtype=np.float64)
+    for slot in range(int(count.max())):
+        rows = (count > slot).nonzero()[0]
+        slots = indptr[rows] + slot
+        nbr_ids[slots] = reader.uint(rows)
+        weights[slots] = reader.f64(rows)
+    tail = tuple_cls._decode_tail_columns(reader)
+    if np.count_nonzero(reader.pos != reader.end):
+        raise EncodingError("truncated payload or trailing bytes")
+    return TupleColumns(ids, indptr, nbr_ids, weights, tail)
+
+
+def decode_distance_columns(
+    payloads: "Sequence[bytes]",
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(a, b, distance)`` columns of a section of distance tuples."""
+    reader = _LockStep(payloads)
+    columns = reader.uint(), reader.uint(), reader.f64()
+    if np.count_nonzero(reader.pos != reader.end):
+        raise EncodingError("truncated payload or trailing bytes")
+    return columns
+
+
+def unpack_codes(tail: "dict[str, np.ndarray]", rows: np.ndarray,
+                 bits: int, count: int) -> np.ndarray:
+    """``(len(rows), count)`` landmark codes of the uncompressed *rows*
+    of an LDM *tail*, all of which carry *count* codes of *bits* bits —
+    every row's bitstream unpacked in one pass."""
+    at = tail["code_at"][rows, None] + np.arange((count * bits + 7) // 8)
+    stream = np.unpackbits(tail["buf"][at], axis=1)[:, :count * bits]
+    place = np.left_shift(1, np.arange(bits - 1, -1, -1), dtype=np.int64)
+    return stream.reshape(len(rows), count, bits) @ place
 
 
 @dataclass(frozen=True, order=True)
@@ -209,8 +430,6 @@ def triangle_leaf_digests(ids: "list[int]", matrix, hash_fn) -> bytes:
     one NumPy buffer holds the whole segment and each leaf costs a
     single slice and hash call, no per-leaf concatenation.
     """
-    import numpy as np
-
     from repro.crypto.hashing import get_hash
     from repro.encoding import encode_uvarint
     from repro.merkle.tree import _LEAF_TAG
@@ -265,8 +484,6 @@ def iter_triangle_payloads(ids: "list[int]", matrix):
     Python work is a single bytes concatenation.  Output is
     byte-identical to calling :meth:`DistanceTuple.encode` per pair.
     """
-    import numpy as np
-
     from repro.encoding import encode_uvarint
 
     prefixes = [encode_uvarint(node_id) for node_id in ids]

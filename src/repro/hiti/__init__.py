@@ -9,12 +9,10 @@ Following the paper's footnote 1, hyper-edges are materialized for
 
 from repro.hiti.partition import GridPartition, GridSpec
 from repro.hiti.hyperedges import HyperEdgeSet, compute_hyperedges
-from repro.hiti.coarse import build_coarse_graph
 
 __all__ = [
     "GridSpec",
     "GridPartition",
     "HyperEdgeSet",
     "compute_hyperedges",
-    "build_coarse_graph",
 ]

@@ -364,8 +364,10 @@ def reconstruct_root(
     ------
     MerkleError
         If the proof is structurally incomplete (a needed digest is
-        missing) or malformed.  A *wrong* root is not detected here —
-        the caller compares the returned root against the signed one.
+        missing), malformed, or not a cover — it carries a duplicate
+        entry or one the reconstruction never uses.  A *wrong* root is
+        not detected here — the caller compares the returned root
+        against the signed one.
     """
     if num_leaves <= 0:
         raise MerkleError("num_leaves must be positive")
@@ -378,34 +380,40 @@ def reconstruct_root(
     if indices[0] < 0 or indices[-1] >= num_leaves:
         raise MerkleError("disclosed leaf index out of range")
 
-    digest_of: dict[tuple[int, int], bytes] = {}
-    for entry in entries:
-        digest_of[(entry.level, entry.index)] = entry.digest
+    sizes = MerkleTree.level_sizes(num_leaves, fanout)
 
-    # Level sizes, bottom-up.
-    sizes = [num_leaves]
-    while sizes[-1] > 1:
-        sizes.append((sizes[-1] + fanout - 1) // fanout)
+    # ΓT by level, each level in index order (an honest cover already
+    # is, so the sort is a scan).  The root's level takes no entries.
+    given: list[list[tuple[int, bytes]]] = [[] for _ in sizes[:-1]]
+    for entry in entries:
+        if not 0 <= entry.level < len(given) or entry.index < 0:
+            raise MerkleError(
+                f"hash entry at impossible position "
+                f"(level={entry.level}, index={entry.index})"
+            )
+        given[entry.level].append((entry.index, entry.digest))
 
     # Iterative bottom-up frontier sweep, mirroring the iterative
-    # ``MerkleTree.prove``: ``computed`` holds the digests recomputed at
-    # the current level for every entry whose subtree contains a
-    # disclosed leaf; sibling digests come from the proof entries.  A
-    # missing sibling means the proof is structurally incomplete.
+    # ``MerkleTree.prove``: ``frontier`` / ``digests`` are the indices
+    # and recomputed digests, at the current level, of every entry whose
+    # subtree contains a disclosed leaf; the siblings come from that
+    # level's proof entries, consumed in step.  A missing sibling means
+    # the proof is structurally incomplete; an entry the sweep never
+    # asks for — a duplicate, a digest for a node it recomputes, padding
+    # — means it is not a cover, and is refused just the same.
     factory = hash_fn.factory
-    computed: dict[int, bytes] = {
-        index: factory(_LEAF_TAG + disclosed_leaves[index]).digest()
-        for index in indices
-    }
     frontier = indices
-    for level in range(1, len(sizes)):
-        child_size = sizes[level - 1]
-        child_level = level - 1
+    digests = [factory(_LEAF_TAG + disclosed_leaves[index]).digest()
+               for index in indices]
+    for child_level, siblings in enumerate(given):
+        siblings.sort()
+        siblings.append((-1, b""))  # sentinels: no index is negative,
+        frontier.append(-1)         # so neither cursor needs a bound
+        child_size = sizes[child_level]
         parents: list[int] = []
-        next_computed: dict[int, bytes] = {}
-        count = len(frontier)
-        i = 0
-        while i < count:
+        parent_digests: list[bytes] = []
+        i = j = 0
+        while frontier[i] >= 0:
             parent = frontier[i] // fanout
             parents.append(parent)
             lo = parent * fanout
@@ -414,19 +422,22 @@ def reconstruct_root(
                 hi = child_size
             parts = [_NODE_TAG]
             for child in range(lo, hi):
-                if i < count and frontier[i] == child:
+                if frontier[i] == child:
+                    parts.append(digests[i])
                     i += 1
-                if child in computed:
-                    parts.append(computed[child])
-                    continue
-                try:
-                    parts.append(digest_of[(child_level, child)])
-                except KeyError:
+                elif siblings[j][0] == child:
+                    parts.append(siblings[j][1])
+                    j += 1
+                else:
                     raise MerkleError(
                         f"integrity proof is missing hash entry "
                         f"(level={child_level}, index={child})"
-                    ) from None
-            next_computed[parent] = hash_fn.digest(*parts)
-        computed = next_computed
-        frontier = parents
-    return computed[0]
+                    )
+            parent_digests.append(factory(b"".join(parts)).digest())
+        if siblings[j][0] >= 0:
+            raise MerkleError(
+                f"integrity proof carries a duplicate or unused hash entry "
+                f"(level={child_level}, index={siblings[j][0]})"
+            )
+        frontier, digests = parents, parent_digests
+    return digests[0]

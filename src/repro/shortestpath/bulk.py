@@ -4,7 +4,7 @@ The data owner's hint construction is distance-heavy: FULL needs all
 pairs, LDM needs one single-source tree per landmark, HYP one per
 border node.  All three funnel through these two functions so that the
 construction-time *ratios* reported by the benchmarks reflect the same
-backend (DESIGN.md §3).
+backend (docs/architecture.md, "Performance").
 
 Both functions run over :meth:`SpatialGraph.to_index`'s CSR arrays.
 With SciPy present (the normal case) the C ``csgraph`` routines consume

@@ -3,8 +3,8 @@
 This is the textbook ``O(|V|^3)`` algorithm the paper prescribes for
 FULL.  It is used directly on small graphs and in tests; at benchmark
 scale the owner uses :func:`repro.shortestpath.bulk.all_pairs_distances`
-(SciPy) instead, which computes identical values faster — see DESIGN.md
-§3 for why that substitution is legitimate.
+(SciPy) instead, which computes identical values faster — see
+docs/architecture.md, "Performance: the compiled-layout fast path".
 """
 
 from __future__ import annotations

@@ -4,9 +4,7 @@ import pytest
 
 from repro.core.checks import (
     NetworkTreeBundle,
-    adjacency_weight,
     check_reported_path,
-    decode_tuples,
     sign_descriptor,
     verify_descriptor,
     verify_section_root,
@@ -14,7 +12,7 @@ from repro.core.checks import (
 from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeConfig, TreeSection
 from repro.crypto.signer import NullSigner
 from repro.errors import EncodingError
-from repro.graph.tuples import BaseTuple
+from repro.graph.tuples import BaseTuple, decode_columns
 
 
 @pytest.fixture()
@@ -109,44 +107,54 @@ class TestVerifySectionRoot:
         assert failure is not None and failure.reason == "malformed-proof"
 
 
+def columns_of(*tuples):
+    return decode_columns([tup.encode() for tup in tuples])
+
+
 class TestDecodeTuples:
     def test_roundtrip(self, bundle, diamond):
         section = bundle.section_for(diamond.node_ids())
-        tuples = decode_tuples(section, BaseTuple)
-        assert sorted(tuples) == diamond.node_ids()
+        columns = decode_columns(section.payloads)
+        assert columns.ids.tolist() == diamond.node_ids()
 
     def test_duplicate_rejected(self, bundle):
         section = bundle.section_for([0])
         section.positions.append(99)
         section.payloads.append(section.payloads[0])
         with pytest.raises(EncodingError):
-            decode_tuples(section, BaseTuple)
+            decode_columns(section.payloads)
 
     def test_adjacency_weight(self, diamond):
-        tup = BaseTuple.from_graph(diamond, 0)
-        assert adjacency_weight(tup, 1) == 1.0
-        assert adjacency_weight(tup, 3) is None
+        columns = columns_of(BaseTuple.from_graph(diamond, 0))
+        assert columns.edge_weight(0, 1) == 1.0
+        assert columns.edge_weight(0, 3) is None
 
     def test_adjacency_weight_probes_every_position(self):
         # The bisect probe must find first/middle/last neighbors and
-        # reject ids falling before, between, and after the entries.
-        tup = BaseTuple(0, 0.0, 0.0, ((2, 1.0), (5, 2.0), (9, 3.0)))
-        assert [adjacency_weight(tup, v) for v in (2, 5, 9)] == [1.0, 2.0, 3.0]
-        assert all(adjacency_weight(tup, v) is None for v in (0, 3, 7, 10))
-        assert adjacency_weight(BaseTuple(0, 0.0, 0.0, ()), 1) is None
+        # reject ids falling before, between, and after the entries —
+        # without straying into the next row's adjacency.
+        columns = columns_of(
+            BaseTuple(0, 0.0, 0.0, ((2, 1.0), (5, 2.0), (9, 3.0))),
+            BaseTuple(1, 0.0, 0.0, ()),
+            BaseTuple(2, 0.0, 0.0, ((3, 4.0), (10, 5.0))),
+        )
+        assert [columns.edge_weight(0, v) for v in (2, 5, 9)] == [1.0, 2.0, 3.0]
+        assert all(columns.edge_weight(0, v) is None for v in (0, 3, 7, 10))
+        assert columns.edge_weight(1, 3) is None
+        assert columns.edge_weight(2, 10) == 5.0
 
     def test_adjacency_weight_never_fabricates_on_unsorted_payload(self):
         # A malicious provider may violate the canonical sort; the probe
         # may then miss entries (rejecting the response) but must never
         # return a weight for a neighbor that is absent.
-        tup = BaseTuple(0, 0.0, 0.0, ((9, 3.0), (2, 1.0), (5, 2.0)))
+        columns = columns_of(BaseTuple(0, 0.0, 0.0, ((9, 3.0), (2, 1.0), (5, 2.0))))
         for v in (0, 1, 3, 4, 6, 7, 8, 10):
-            assert adjacency_weight(tup, v) is None
+            assert columns.edge_weight(0, v) is None
 
 
 class TestCheckReportedPath:
     def tuples_for(self, bundle, nodes):
-        return decode_tuples(bundle.section_for(nodes), BaseTuple)
+        return decode_columns(bundle.section_for(nodes).payloads)
 
     def test_valid_path(self, bundle, descriptor, diamond):
         desc, _ = descriptor
@@ -202,3 +210,27 @@ class TestCheckReportedPath:
         tuples = self.tuples_for(bundle, diamond.node_ids())
         failure = check_reported_path(0, 3, response, tuples)
         assert failure is not None and failure.reason == "empty-path"
+
+
+class TestPaddedProofs:
+    """ΓT must be exactly a cover: junk or repeated entries used to be
+    ignored, so a reply padded with them verified."""
+
+    @pytest.mark.parametrize("name, tree", [
+        ("DIJ", "network"), ("LDM", "network"),
+        ("FULL", "distance"), ("HYP", "distance"), ("HYP", "directory"),
+    ])
+    def test_padded_reply_rejected(self, name, tree, methods, workload, signer):
+        from repro.merkle.proof import MerkleProofEntry
+
+        method = methods[name]
+        vs, vt = workload.queries[0]
+        honest = method.answer(vs, vt)
+        assert method.verify(vs, vt, honest, signer.verify).ok
+        top = honest.descriptor.tree(tree).num_leaves  # far above any level
+        junk = [MerkleProofEntry(top + i, i, bytes(20)) for i in range(100)]
+        for padding in (junk, honest.section(tree).entries[:1]):
+            padded = QueryResponse.decode(honest.encode())
+            padded.section(tree).entries.extend(padding)
+            result = method.verify(vs, vt, padded, signer.verify)
+            assert (result.ok, result.reason) == (False, "malformed-proof")

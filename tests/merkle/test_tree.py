@@ -197,6 +197,31 @@ class TestTamperDetection:
             reconstruct_root(12, 2, "sha1", {2: ps[3]}, entries_for_2) != tree.root
         )
 
+    @pytest.mark.parametrize("fanout", [2, 3, 8])
+    def test_only_a_cover_reconstructs(self, fanout):
+        # Entries the sweep never asks for used to be ignored (and a
+        # repeated coordinate silently overwritten): a padded proof
+        # verified.  Anything but exactly the cover is refused now.
+        ps = payloads(40)
+        tree = MerkleTree(ps, fanout=fanout)
+        leaves = {i: ps[i] for i in (3, 4, 17)}
+        entries = tree.prove(list(leaves))
+        assert reconstruct_root(40, fanout, "sha1", leaves,
+                                list(reversed(entries))) == tree.root
+        top = tree.num_levels - 1
+        for extra in (
+            entries[0],                                          # duplicate
+            MerkleProofEntry(entries[0].level, entries[0].index, b"x" * 20),
+            MerkleProofEntry(0, 3, tree.digest_at(0, 3)),        # recomputed node
+            MerkleProofEntry(0, 30, tree.digest_at(0, 30)),      # inside a covered subtree
+            MerkleProofEntry(top, 0, tree.root),                 # the root itself
+            MerkleProofEntry(top + 5, 0, b"x" * 20),             # no such level
+            MerkleProofEntry(0, 10**30, b"x" * 20),              # no such index
+            MerkleProofEntry(0, -1, b"x" * 20),
+        ):
+            with pytest.raises(MerkleError):
+                reconstruct_root(40, fanout, "sha1", leaves, entries + [extra])
+
     def test_reconstruct_validates_inputs(self):
         with pytest.raises(MerkleError):
             reconstruct_root(0, 2, "sha1", {0: b"x"}, [])
