@@ -23,6 +23,8 @@ hold signing keys) leaves it unset and answers pushes with
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.api import codes
 from repro.api.envelope import (
     BatchItem,
@@ -45,7 +47,12 @@ from repro.api.envelope import (
     error_frame,
 )
 from repro.crypto.signer import Signer
-from repro.errors import ProtocolError, ReproError, UnsupportedVersionError
+from repro.errors import (
+    ProtocolError,
+    ReproError,
+    UnknownMessageError,
+    UnsupportedVersionError,
+)
 from repro.service.server import ProofServer, UpdateRequest
 
 
@@ -67,6 +74,17 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def dispatch(self, frame_bytes: bytes) -> bytes:
         """Handle one request frame; always returns a reply frame."""
+        ready = self.begin(frame_bytes)
+        return ready if isinstance(ready, bytes) else ready()
+
+    def begin(self, frame_bytes: bytes):
+        """The half of :meth:`dispatch` that never waits.
+
+        Returns the reply frame if it is ready without blocking (a
+        malformed frame, ``HELLO``, a ``QUERY`` the cache holds while no
+        update is active or queued), else the rest of the work as a
+        callable returning it — which an event loop hands to a thread.
+        """
         try:
             frame = decode_frame(frame_bytes,
                                  accept_versions=self.accept_versions)
@@ -77,17 +95,30 @@ class Dispatcher:
         try:
             message = decode_message(frame)
         except ProtocolError as exc:
-            code = (codes.E_UNKNOWN_MESSAGE if "unknown message type" in str(exc)
+            code = (codes.E_UNKNOWN_MESSAGE
+                    if isinstance(exc, UnknownMessageError)
                     else codes.E_MALFORMED_FRAME)
             return error_frame(code, str(exc), version=frame.version)
+        if isinstance(message, HelloRequest):
+            return self._reply(self.handle, message, frame.version)
+        if isinstance(message, QueryRequest):
+            ready = self._reply(partial(self._handle_query, cached_only=True),
+                                message, frame.version)
+            if ready is not None:
+                return ready
+        return partial(self._reply, self.handle, message, frame.version)
+
+    @staticmethod
+    def _reply(handle, message, version: int) -> "bytes | None":
+        """*handle*'s reply to *message* as a frame (its ``None`` as is)."""
         try:
-            reply = self.handle(message)
+            reply = handle(message)
         except ReproError as exc:  # a handler's own typed failure
             reply = ErrorMessage(codes.E_BAD_REQUEST, str(exc))
         except Exception as exc:  # noqa: BLE001 — a server must not crash
             reply = ErrorMessage(codes.E_INTERNAL,
                                  f"{type(exc).__name__}: {exc}")
-        return reply.to_frame(version=frame.version)
+        return None if reply is None else reply.to_frame(version=version)
 
     # ------------------------------------------------------------------
     def handle(self, message):
@@ -115,11 +146,17 @@ class Dispatcher:
             descriptor_version=self.server.descriptor_version,
         )
 
-    def _handle_query(self, message: QueryRequest):
-        served = self.server.answer(message.source, message.target)
+    def _handle_query(self, message: QueryRequest, *,
+                      cached_only: bool = False):
+        """The query's reply; ``None`` if *cached_only* and it is not."""
+        answer = (self.server.answer_cached if cached_only
+                  else self.server.answer)
+        served = answer(message.source, message.target)
+        if served is None:
+            return None
         if not served.ok:
             return ErrorMessage(codes.E_QUERY_FAILED, served.error)
-        return QueryReply(served.response.encode(), cached=served.cached)
+        return QueryReply(served.encoded, cached=served.cached)
 
     def _handle_batch(self, message: BatchQueryRequest):
         served = self.server.answer_many(list(message.pairs))
@@ -128,7 +165,7 @@ class Dispatcher:
             if reply is not None:
                 return reply
         items = tuple(
-            BatchItem(item.response.encode(), item.cached) if item.ok
+            BatchItem(item.encoded, item.cached) if item.ok
             else BatchItem(None, False, codes.E_QUERY_FAILED, item.error)
             for item in served
         )

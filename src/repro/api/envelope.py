@@ -39,7 +39,12 @@ from typing import ClassVar, Sequence
 
 from repro.api.codes import WIRE_ERRORS
 from repro.encoding import Decoder, Encoder
-from repro.errors import EncodingError, ProtocolError, UnsupportedVersionError
+from repro.errors import (
+    EncodingError,
+    ProtocolError,
+    UnknownMessageError,
+    UnsupportedVersionError,
+)
 
 #: Leading frame bytes: "Repro Shortest Path Verification".
 MAGIC = b"RSPV"
@@ -686,12 +691,13 @@ MESSAGE_TYPES = {
 def decode_message(frame: Frame) -> Message:
     """Decode a frame's payload per its message type.
 
-    Raises :class:`ProtocolError` for unknown types or malformed
-    payloads.
+    Raises :class:`UnknownMessageError` for unknown types and plain
+    :class:`ProtocolError` for malformed payloads.
     """
     cls = MESSAGE_TYPES.get(frame.msg_type)
     if cls is None:
-        raise ProtocolError(f"unknown message type 0x{frame.msg_type:02x}")
+        raise UnknownMessageError(
+            f"unknown message type 0x{frame.msg_type:02x}")
     return cls.decode(frame.payload)
 
 

@@ -320,21 +320,29 @@ class AsyncTransport:
             + frame
         )
         await writer.drain()
-        status_line = await asyncio.wait_for(reader.readline(), self.timeout)
-        if not status_line:
-            raise ConnectionError("server closed the connection")
+        # One deadline for the whole reply: a wait per header line costs
+        # more than parsing it.
+        status, will_close, body = await asyncio.wait_for(
+            self._read_reply(reader), self.timeout)
+        if will_close:
+            # Keep-alive budget exhausted or shutdown: redial next call
+            # instead of tripping the stale-retry path.
+            await self._drop()
+        if status != 200:
+            raise ProtocolError(f"HTTP {status} from {self.endpoint}")
+        return body
+
+    @staticmethod
+    async def _read_reply(reader) -> "tuple[int, bool, bytes]":
+        """``(status, server will close, body)`` of the next reply."""
+        head = await reader.readuntil(b"\r\n\r\n")
+        status_line, *lines = head[:-4].split(b"\r\n")
         parts = status_line.split(None, 2)
         if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
             raise ConnectionError(f"not an HTTP reply: {status_line[:40]!r}")
-        status = int(parts[1])
         length = None
         will_close = parts[0] == b"HTTP/1.0"
-        while True:
-            line = await asyncio.wait_for(reader.readline(), self.timeout)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionError("server closed mid-headers")
+        for line in lines:
             name, sep, value = line.partition(b":")
             if not sep:
                 raise ConnectionError(f"malformed header: {line[:40]!r}")
@@ -345,15 +353,7 @@ class AsyncTransport:
                 will_close = value.strip().lower() == b"close"
         if length is None:
             raise ConnectionError("reply without Content-Length")
-        body = await asyncio.wait_for(reader.readexactly(length),
-                                      self.timeout)
-        if will_close:
-            # Keep-alive budget exhausted or shutdown: redial next call
-            # instead of tripping the stale-retry path.
-            await self._drop()
-        if status != 200:
-            raise ProtocolError(f"HTTP {status} from {self.endpoint}")
-        return body
+        return int(parts[1]), will_close, await reader.readexactly(length)
 
     async def roundtrip(self, frame: bytes) -> bytes:
         """Deliver a request frame, return the reply frame."""
@@ -366,7 +366,7 @@ class AsyncTransport:
         except ProtocolError:
             raise
         except (OSError, EOFError, ValueError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError) as exc:
+                asyncio.LimitOverrunError) as exc:
             await self._drop()
             if fresh:
                 raise ProtocolError(
@@ -379,7 +379,7 @@ class AsyncTransport:
         except ProtocolError:
             raise
         except (OSError, EOFError, ValueError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError) as exc:
+                asyncio.LimitOverrunError) as exc:
             await self._drop()
             raise ProtocolError(
                 f"transport failure against {self.endpoint} "

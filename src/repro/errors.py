@@ -52,6 +52,10 @@ class UnsupportedVersionError(ProtocolError):
         self.accepted = tuple(accepted)
 
 
+class UnknownMessageError(ProtocolError):
+    """A well-formed frame whose message type this endpoint does not know."""
+
+
 class MerkleError(ReproError):
     """Invalid Merkle tree operation or malformed Merkle proof."""
 

@@ -13,31 +13,31 @@ implement it:
   the METRICS wire frame, for scrapers that speak HTTP but not RSPV).
 
 :class:`AsyncProofHttpServer` serves that contract from a single event
-loop multiplexing every connection:
+loop.  Each connection is a buffered :class:`asyncio.Protocol` — a byte
+buffer, a parser state, one deadline; no coroutine, task or per-read
+timer — so C=1000+ held peers are routine (the regime the paper's
+untrusted-but-scalable provider is meant for):
 
-* **keep-alive with pipelined frames** — a client may write several
-  requests back to back without waiting for replies; responses come
-  back in order on the same connection;
+* **one parse per request** — the request line is validated when its
+  own line ends, the head parsed in one pass when its blank line is in,
+  the body sliced out when ``Content-Length`` bytes are buffered.
+  Pipelined requests are answered in order; a peer that pipelines far
+  ahead, or does not read its replies, is paused, not buffered for;
 * **typed timeouts** — a connection that stalls mid-request (slow-loris
-  body, short body) is answered with an
-  :data:`~repro.api.codes.E_REQUEST_TIMEOUT` error frame and closed;
-  an *idle* keep-alive peer is silently closed after
-  ``handler_timeout``;
+  head or body, short body) is answered with an
+  :data:`~repro.api.codes.E_REQUEST_TIMEOUT` error frame and closed; an
+  *idle* peer is silently closed after ``handler_timeout``; non-HTTP
+  bytes get an :data:`~repro.api.codes.E_MALFORMED_FRAME` frame;
 * **bounded connection budget** — beyond ``max_connections`` concurrent
   peers, new connections are still answered but shed with
   ``Connection: close``, so a flood degrades to one-shot service
   instead of unbounded per-connection state;
-* **offloaded proof work** — ``dispatcher.dispatch`` runs on a sized
-  :class:`~concurrent.futures.ThreadPoolExecutor` via
-  ``run_in_executor``, so the (numpy/hashlib, GIL-releasing) proof
-  computation overlaps socket I/O for thousands of idle-ish peers
-  instead of serializing behind the loop.
-
-Why an event loop: a thread per connection (stack, scheduler churn)
-caps realistic concurrency at a few hundred keep-alive peers.  Here
-per-connection state is one coroutine, so C=1000+ held connections are
-routine — the regime the paper's untrusted-but-scalable provider is
-meant for.
+* **replies where they land** — a dispatcher offering ``begin(frame)``
+  answers on the loop what needs no waiting (``HELLO``, a cached
+  ``QUERY``, a bad frame); the rest, and every frame of a dispatcher
+  offering only ``dispatch``, runs on a sized
+  :class:`~concurrent.futures.ThreadPoolExecutor`, so the
+  (numpy/hashlib, GIL-releasing) proof work overlaps socket I/O.
 
 The server binds ``port=0`` to an ephemeral port, which is what the
 tests, the load tester and the CI smoke job use to avoid port
@@ -50,10 +50,13 @@ transport.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import re
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro.api import codes
 from repro.api.envelope import error_frame
@@ -92,14 +95,15 @@ DEFAULT_MAX_CONNECTIONS = 4096
 #: once) must queue in the kernel instead of seeing ECONNREFUSED.
 DEFAULT_BACKLOG = 1024
 
-#: Upper bound on one header line / the stream reader's buffer chunk.
+#: Upper bound on one request line, and on what a peer may pipeline
+#: behind a running request before its reads are paused.
 _READ_LIMIT = 64 * 1024
 
 #: Upper bound on the total header block of one request.
 _MAX_HEADER_BYTES = 64 * 1024
 
-_REASONS = {200: "OK", 404: "Not Found", 411: "Length Required",
-            413: "Payload Too Large", 501: "Not Implemented"}
+_REASONS = {200: b"OK", 404: b"Not Found", 411: b"Length Required",
+            413: b"Payload Too Large", 501: b"Not Implemented"}
 
 
 def connectable_host(bound_host: str) -> str:
@@ -131,13 +135,261 @@ def _default_dispatch_workers() -> int:
     return max(2, min(8, os.cpu_count() or 1))
 
 
-class _Garbage(Exception):
-    """The connection's byte stream is not HTTP; answer typed, close."""
+#: Connection states.  Below ``_ANSWERING`` the parser owns the buffer;
+#: from it on, bytes that arrive only accumulate.
+_IDLE, _HEAD, _BODY, _ANSWERING, _CLOSING = range(5)
 
-    def __init__(self, detail: str) -> None:
-        super().__init__(detail)
-        self.detail = detail
+#: The blank line that ends a request head (bare LFs tolerated).
+_HEAD_END = re.compile(rb"\n\r?\n")
 
+
+class _Connection(asyncio.Protocol):
+    """One peer: a byte buffer, a parser state and one deadline.
+
+    *idle* — no request line yet; *head* — a valid request line, headers
+    incomplete; *body* — head parsed, body short; *answering* — the
+    executor holds the request, or the peer is not reading its replies;
+    *closing* — the last reply is flushing.  The deadline restarts when
+    the state changes (never on mere bytes, so a slow-loris cannot feed
+    it); its one timer re-arms itself when it fires early instead of
+    being cancelled and re-created per request.
+    """
+
+    def __init__(self, server: "AsyncProofHttpServer", loop) -> None:
+        self.server = server
+        self.loop = loop
+        self.transport = None
+        self.buffer = bytearray()
+        self.state = _IDLE
+        self.served = 0
+        self._scan = 0            # buffer offset the next search resumes at
+        self._eof = False
+        self._close_after = False  # this request asked for one-shot service
+        self._write_paused = False
+        self._pending = None      # the executor future of a running request
+
+    # -- transport callbacks -------------------------------------------
+    def connection_made(self, transport) -> None:
+        server = self.server
+        self.transport = transport
+        server._connections.add(self)
+        server._accepted += 1
+        # Budget check happens once, at accept: a shed connection gets
+        # full service for its first request, then ``Connection: close``
+        # tells a well-behaved client to back off and redial later.
+        self.shed = len(server._connections) > server.max_connections
+        self._enter(_IDLE)
+        self._timer = self.loop.call_at(self._expires, self._on_deadline)
+
+    def connection_lost(self, exc) -> None:
+        server = self.server
+        self.state = _CLOSING
+        self._timer.cancel()
+        if self._pending is not None:
+            self._pending.cancel()
+        server._connections.discard(self)
+        if not server._connections and server._drained is not None \
+                and not server._drained.done():
+            server._drained.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.state < _ANSWERING:
+            self._pump()
+        elif len(self.buffer) > _READ_LIMIT:
+            # Pipelined far ahead of a running request: stop reading.
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if self.state < _ANSWERING:
+            self._pump()
+        return True  # half-open: replies still owed can be written
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self.state is _ANSWERING and self._pending is None:
+            self._resume()
+
+    # -- the deadline ---------------------------------------------------
+    def _enter(self, state: int) -> None:
+        self.state = state
+        self._expires = self.loop.time() + self.server.handler_timeout
+
+    def _on_deadline(self) -> None:
+        now, state = self.loop.time(), self.state
+        if state is _ANSWERING:
+            self._expires = now + self.server.handler_timeout
+        if now < self._expires:
+            self._timer = self.loop.call_at(self._expires, self._on_deadline)
+        elif state is _IDLE:
+            self.transport.close()  # an idle peer asked nothing: no frame
+        elif state is _HEAD:  # a slow-loris, not an idle peer: typed
+            self._fail(codes.E_REQUEST_TIMEOUT, "request headers stalled")
+        elif state is _BODY:
+            self._fail(codes.E_REQUEST_TIMEOUT,
+                       f"request body stalled: {self._need - self._body_at} "
+                       f"bytes promised")
+
+    # -- parsing --------------------------------------------------------
+    def _pump(self) -> None:
+        """Answer every complete request in the buffer, in order."""
+        buffer = self.buffer
+        while self.state < _ANSWERING:
+            if self.state is _IDLE:
+                end = buffer.find(b"\n", self._scan) + 1
+                if (end or len(buffer)) > _READ_LIMIT:
+                    return self._fail(codes.E_MALFORMED_FRAME,
+                                      "oversized request line")
+                if not end:
+                    self._scan = len(buffer)
+                    break
+                parts = bytes(buffer[:end]).split()
+                if not parts:  # stray CRLF between pipelined requests
+                    del buffer[:end]
+                    self._scan = 0
+                    continue
+                if len(parts) != 3 or not parts[2].upper().startswith(b"HTTP/"):
+                    return self._fail(
+                        codes.E_MALFORMED_FRAME,
+                        f"unparseable request line ({end} bytes)")
+                self._parts, self._line_end, self._scan = parts, end, end - 1
+                self._enter(_HEAD)
+            if self.state is _HEAD:
+                match = _HEAD_END.search(buffer, self._scan)
+                block = (match.start() if match else len(buffer)) \
+                    - self._line_end
+                if block > _MAX_HEADER_BYTES:
+                    return self._fail(codes.E_MALFORMED_FRAME,
+                                      "header block too large")
+                if match is None:
+                    self._scan = max(self._scan, len(buffer) - 2)
+                    break
+                if not self._route(match):
+                    continue
+            if len(buffer) < self._need:
+                break
+            frame = bytes(buffer[self._body_at:self._need])
+            del buffer[:self._need]
+            begin = self.server._begin
+            ready = begin(frame) if begin is not None \
+                else partial(self.server.dispatcher.dispatch, frame)
+            if isinstance(ready, bytes):  # answered where it landed
+                self._send(200, ready)
+            else:
+                # Proof work, or a held update gate: a thread's to wait for.
+                self.state = _ANSWERING
+                self._pending = self.loop.run_in_executor(
+                    self.server._executor, ready)
+                self._pending.add_done_callback(self._on_reply)
+        if self._eof and self.state < _ANSWERING:
+            if self.state is _BODY:
+                self._fail(codes.E_REQUEST_TIMEOUT,
+                           f"short request body: "
+                           f"{len(buffer) - self._body_at} of "
+                           f"{self._need - self._body_at} bytes")
+            else:
+                self.transport.close()  # hung up between requests
+
+    def _route(self, match) -> bool:
+        """Parse the complete head; ``True`` if a ``/rpc`` body follows
+        (anything else is answered here and consumed from the buffer)."""
+        buffer, length, close = self.buffer, b"0", False
+        if match.start() > self._line_end:
+            for line in bytes(buffer[self._line_end:match.start()]).split(b"\n"):
+                name, sep, value = line.partition(b":")
+                if not sep:
+                    self._fail(codes.E_MALFORMED_FRAME, "malformed header line")
+                    return False
+                name = name.strip().lower()
+                if name == b"content-length":
+                    length = value.strip()
+                elif name == b"connection":
+                    close = value.strip().lower() == b"close"
+        verb, path, version = self._parts
+        # HTTP/1.0 peers get one-shot service; an announced close is
+        # honoured after this response.
+        self._close_after = close or not version.endswith(b"1.1")
+        if verb == b"POST" and path == b"/rpc":
+            try:
+                size = int(length)
+            except ValueError:
+                size = 0
+            if 0 < size <= MAX_REQUEST_BYTES:
+                self._body_at = match.end()
+                self._need = self._body_at + size
+                self._enter(_BODY)
+                return True
+        del buffer[:match.end()]
+        metrics_json = getattr(self.server.dispatcher, "metrics_json", None)
+        if verb == b"GET" and path == b"/healthz":
+            self._send(200, b"ok", b"text/plain")
+        elif verb == b"GET" and path == b"/metrics" and metrics_json:
+            self._send(200, json.dumps(metrics_json(),
+                                       sort_keys=True).encode("utf-8"),
+                       b"application/json")
+        elif verb == b"GET" or (verb == b"POST" and path != b"/rpc"):
+            self._send(404, b"not found", b"text/plain")
+        elif verb != b"POST":
+            self._send(501, b"unsupported method", b"text/plain", close=True)
+        elif size <= 0:
+            self._send(411, b"length required", b"text/plain")
+        else:
+            self._send(413, b"request too large", b"text/plain", close=True)
+        return False
+
+    # -- replies --------------------------------------------------------
+    def _on_reply(self, future) -> None:
+        self._pending = None
+        if future.cancelled() or self.state is _CLOSING:
+            return  # the connection was lost while the executor worked
+        try:
+            reply = future.result()
+        except Exception:
+            self.transport.abort()  # a dispatcher must not raise
+            raise
+        self._send(200, reply)
+        if self.state is _IDLE:
+            self._resume()
+
+    def _resume(self) -> None:
+        """Leave *answering*: read again, parse what piled up meanwhile."""
+        self._enter(_IDLE)
+        self.transport.resume_reading()  # a no-op unless paused
+        self._pump()
+
+    def _send(self, status: int, body: bytes,
+              content_type: bytes = b"application/octet-stream",
+              *, close: bool = False) -> None:
+        server = self.server
+        self.served += 1
+        budget = server.max_keepalive_requests
+        close = (close or self._close_after or self.shed
+                 or server._stop.is_set()
+                 or bool(budget and self.served >= budget))
+        # One write per response: headers and body leave in a single
+        # segment (asyncio sets TCP_NODELAY on every stream socket).
+        self.transport.write(
+            b"HTTP/1.1 %d %s\r\nServer: repro-spv-aio/1\r\n"
+            b"Content-Type: %s\r\nContent-Length: %d\r\n%s\r\n"
+            % (status, _REASONS[status], content_type, len(body),
+               b"Connection: close\r\n" if close else b"") + body)
+        self._scan = 0
+        if close:
+            self.state = _CLOSING
+            self.transport.close()  # flushes what was just written first
+        elif self._write_paused:
+            self.state = _ANSWERING  # until the peer reads: resume_writing
+        else:
+            self._enter(_IDLE)
+
+    def _fail(self, code: str, detail: str) -> None:
+        """A typed error frame (not an HTML 400: an RSPV client can
+        decode it), then close — the byte stream is desynced."""
+        self._send(200, error_frame(code, detail), close=True)
 
 class AsyncProofHttpServer:
     """The asyncio HTTP frontend around a frame dispatcher.
@@ -213,9 +465,11 @@ class AsyncProofHttpServer:
         self._stop: "asyncio.Event | None" = None
         self._ready = threading.Event()
         self._startup_error: "BaseException | None" = None
-        self._tasks: "set[asyncio.Task]" = set()
-        self._busy: "set[asyncio.Task]" = set()
-        self._open_connections = 0
+        #: The dispatcher's non-blocking first half, when it offers one.
+        self._begin = getattr(dispatcher, "begin", None)
+        self._connections: "set[_Connection]" = set()
+        self._drained: "asyncio.Future | None" = None
+        self._accepted = 0
         self._closed = False
 
     @staticmethod
@@ -259,6 +513,11 @@ class AsyncProofHttpServer:
     def port(self) -> int:
         """The bound port (resolved even when constructed with 0)."""
         return self._sock.getsockname()[1]
+
+    @property
+    def connections_accepted(self) -> int:
+        """Connections accepted so far (how tests count redials)."""
+        return self._accepted
 
     @property
     def url(self) -> str:
@@ -356,10 +615,11 @@ class AsyncProofHttpServer:
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
         try:
-            server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock,
-                limit=_READ_LIMIT, backlog=self._backlog,
+            server = await loop.create_server(
+                lambda: _Connection(self, loop), sock=self._sock,
+                backlog=self._backlog,
             )
         except BaseException as exc:  # noqa: BLE001 — surfaced via start()
             self._startup_error = exc
@@ -370,237 +630,21 @@ class AsyncProofHttpServer:
             await self._stop.wait()
         finally:
             server.close()
+            await self._drain_connections()
             await server.wait_closed()
-            await self._drain_tasks()
 
-    async def _drain_tasks(self) -> None:
-        """Connection shutdown: cancel idle peers, drain busy ones.
-
-        A response already being produced gets up to ``drain_timeout``
-        to reach its client; a connection merely held open is dropped
-        immediately.
-        """
-        for task in list(self._tasks):
-            if task not in self._busy and not task.done():
-                task.cancel()
-        busy = [task for task in list(self._tasks) if not task.done()]
-        if busy:
-            _done, pending = await asyncio.wait(busy,
-                                                timeout=self.drain_timeout)
-            for task in pending:
-                task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        self._open_connections += 1
-        # Budget check happens once, at accept: a shed connection gets
-        # full service for its first request, then ``Connection: close``
-        # tells a well-behaved client to back off and redial later.
-        shed = self._open_connections > self.max_connections
-        state = {"served": 0, "close": False}
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
+    async def _drain_connections(self) -> None:
+        """Connection shutdown: drop idle peers; a request that has begun
+        (request line in, reply not yet flushed) gets ``drain_timeout``
+        to finish, its reply carrying ``Connection: close``."""
+        for conn in list(self._connections):
+            if conn.state is _IDLE:
+                conn.transport.close()
+        if self._connections:
+            self._drained = asyncio.get_running_loop().create_future()
             try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-
-        async def send(status: int, body: bytes,
-                       content_type: str = "application/octet-stream",
-                       *, force_close: bool = False) -> None:
-            state["served"] += 1
-            budget = self.max_keepalive_requests
-            close = (force_close or shed or self._stop.is_set()
-                     or bool(budget and state["served"] >= budget))
-            head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Server: repro-spv-aio/1\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n")
-            if close:
-                head += "Connection: close\r\n"
-            # One write per response: headers and body leave in a single
-            # segment, so no Nagle/delayed-ACK interaction to disable
-            # beyond TCP_NODELAY above.
-            writer.write(head.encode("latin-1") + b"\r\n" + body)
-            await writer.drain()
-            state["close"] = close
-
-        try:
-            while not self._stop.is_set():
-                try:
-                    line = await asyncio.wait_for(reader.readline(),
-                                                  self.handler_timeout)
-                except (asyncio.TimeoutError, TimeoutError):
-                    break  # idle keep-alive peer (or header slow-loris)
-                except (ValueError, asyncio.LimitOverrunError):
-                    await self._send_garbage(send, "oversized request line")
-                    break
-                if not line:
-                    break  # peer hung up between requests
-                if line.strip() == b"":
-                    continue  # stray CRLF between pipelined requests
-                self._busy.add(task)
-                try:
-                    await self._serve_request(reader, send, line)
-                finally:
-                    self._busy.discard(task)
-                if state["close"]:
-                    break
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass  # the peer vanished, or shutdown cancelled an idle wait
-        except _Garbage:
-            pass  # typed reply already attempted; stream is desynced
-        finally:
-            self._open_connections -= 1
-            self._tasks.discard(task)
-            self._busy.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_request(self, reader, send, request_line: bytes) -> None:
-        """Parse and answer one request; raises ``_Garbage`` on non-HTTP."""
-        parts = request_line.strip().split()
-        if len(parts) != 3 or not parts[2].upper().startswith(b"HTTP/"):
-            await self._send_garbage(
-                send, f"unparseable request line ({len(request_line)} bytes)")
-            raise _Garbage("request line")
-        verb, path, version = (parts[0].decode("latin-1"),
-                               parts[1].decode("latin-1"),
-                               parts[2].decode("latin-1"))
-        headers = await self._read_headers(reader, send)
-        if not version.endswith("1.1") or \
-                headers.get("connection", "").lower() == "close":
-            # HTTP/1.0 peers get one-shot service; an announced close is
-            # honoured after this response.
-            await self._answer(reader, send, verb, path, headers,
-                               force_close=True)
-        else:
-            await self._answer(reader, send, verb, path, headers,
-                               force_close=False)
-
-    async def _read_headers(self, reader, send) -> "dict[str, str]":
-        headers: "dict[str, str]" = {}
-        total = 0
-        while True:
-            try:
-                line = await asyncio.wait_for(reader.readline(),
-                                              self.handler_timeout)
+                await asyncio.wait_for(self._drained, self.drain_timeout)
             except (asyncio.TimeoutError, TimeoutError):
-                # The request line arrived but the header block stalled:
-                # this is a slow-loris, not an idle peer — answer typed.
-                await self._send_timeout(send, "request headers stalled")
-                raise _Garbage("header stall") from None
-            except (ValueError, asyncio.LimitOverrunError):
-                await self._send_garbage(send, "oversized header line")
-                raise _Garbage("header line") from None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:
-                raise ConnectionError("peer closed mid-headers")
-            total += len(line)
-            if total > _MAX_HEADER_BYTES:
-                await self._send_garbage(send, "header block too large")
-                raise _Garbage("header block")
-            name, sep, value = line.partition(b":")
-            if not sep:
-                await self._send_garbage(send, "malformed header line")
-                raise _Garbage("header syntax")
-            headers[name.strip().decode("latin-1").lower()] = \
-                value.strip().decode("latin-1")
-
-    async def _answer(self, reader, send, verb: str, path: str,
-                      headers: "dict[str, str]", *, force_close: bool) -> None:
-        if verb == "GET":
-            await self._do_get(send, path, force_close=force_close)
-            return
-        if verb != "POST":
-            await send(501, b"unsupported method", "text/plain",
-                       force_close=True)
-            return
-        if path != "/rpc":
-            await send(404, b"not found", "text/plain",
-                       force_close=force_close)
-            return
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            await send(411, b"length required", "text/plain",
-                       force_close=force_close)
-            return
-        if length <= 0:
-            await send(411, b"length required", "text/plain",
-                       force_close=force_close)
-            return
-        if length > MAX_REQUEST_BYTES:
-            await send(413, b"request too large", "text/plain",
-                       force_close=True)
-            return
-        try:
-            frame = await asyncio.wait_for(reader.readexactly(length),
-                                           self.handler_timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            # The client advertised more body than it sent within the
-            # window (slow-loris or a died peer): typed frame, then the
-            # connection is dropped — its byte stream is desynced.
-            await self._send_timeout(
-                send, f"request body stalled: {length} bytes promised")
-            raise _Garbage("body stall") from None
-        except asyncio.IncompleteReadError as exc:
-            await self._send_timeout(
-                send, f"short request body: {len(exc.partial)} of "
-                      f"{length} bytes")
-            raise _Garbage("short body") from None
-        # The dispatcher never raises — but it may compute for a while,
-        # so it runs on the executor and the loop keeps serving others.
-        loop = asyncio.get_running_loop()
-        reply = await loop.run_in_executor(
-            self._executor, self.dispatcher.dispatch, frame)
-        await send(200, reply, force_close=force_close)
-
-    async def _do_get(self, send, path: str, *, force_close: bool) -> None:
-        if path == "/healthz":
-            await send(200, b"ok", "text/plain", force_close=force_close)
-        elif path == "/metrics":
-            metrics_json = getattr(self.dispatcher, "metrics_json", None)
-            if metrics_json is None:
-                await send(404, b"not found", "text/plain",
-                           force_close=force_close)
-                return
-            import json
-
-            body = json.dumps(metrics_json(), sort_keys=True).encode("utf-8")
-            await send(200, body, "application/json", force_close=force_close)
-        else:
-            await send(404, b"not found", "text/plain",
-                       force_close=force_close)
-
-    @staticmethod
-    async def _send_timeout(send, detail: str) -> None:
-        try:
-            await send(200, error_frame(codes.E_REQUEST_TIMEOUT, detail),
-                       force_close=True)
-        except (ConnectionError, OSError):
-            pass  # the peer that starved us is often also gone
-
-    @staticmethod
-    async def _send_garbage(send, detail: str) -> None:
-        """Non-HTTP bytes on the socket: a typed error frame, then close.
-
-        The reply is the protocol's own
-        :data:`~repro.api.codes.E_MALFORMED_FRAME` error frame, not an
-        HTML 400 — a kept-alive RSPV client that desyncs its stream
-        gets a typed diagnosis it can actually decode.
-        """
-        try:
-            await send(200, error_frame(codes.E_MALFORMED_FRAME, detail),
-                       force_close=True)
-        except (ConnectionError, OSError):
-            pass
+                for conn in list(self._connections):
+                    conn.transport.abort()
+                await asyncio.sleep(0)  # let the aborts release their sockets

@@ -57,12 +57,24 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheEntry:
-    """A cached response plus its wire size (encoded once, at insert)."""
+    """A cached response, its wire size and, once replayed, its wire bytes.
+
+    Memoised by the first hit, not at insert: a response shares its
+    tuple payloads with the method's bundle, its encoding shares
+    nothing, and most entries of a cold workload are never hit.
+    """
 
     response: QueryResponse
     proof_bytes: int
+    _encoded: "bytes | None" = None
+
+    def encoded(self) -> bytes:
+        """``response.encode()``, computed on the first call only."""
+        if self._encoded is None:
+            self._encoded = self.response.encode()
+        return self._encoded
 
 
 @dataclass
@@ -109,13 +121,19 @@ class ProofCache:
                 state.entries.clear()
             state.version = version
 
-    def get(self, key: CacheKey, version: int) -> "CacheEntry | None":
-        """Look up *key*; ``None`` on miss.  Hits refresh LRU recency."""
+    def get(self, key: CacheKey, version: int, *,
+            count_miss: bool = True) -> "CacheEntry | None":
+        """Look up *key*; ``None`` on miss.  Hits refresh LRU recency.
+
+        ``count_miss=False`` is for a probe whose miss falls through to
+        a counting ``get``, so each request is counted exactly once.
+        """
         with self._lock:
             self._sync_version(version)
             entry = self._state.entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 return None
             self._state.entries.move_to_end(key)
             self.stats.hits += 1

@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+
+#: Latency samples a window keeps for its percentiles (the most recent
+#: ones; the request, hit, miss and byte counters stay exact).
+LATENCY_WINDOW = 65536
 
 
 def percentile(values: "list[float]", q: float) -> float:
@@ -131,16 +136,19 @@ class ServerMetrics:
         the recorded phase history and the label.
         """
         with self._lock:
-            self._started = time.perf_counter()
-            self._latencies: list[float] = []
-            self._hits = 0
-            self._misses = 0
-            self._bytes = 0
-            self._updates = 0
-            self._update_seconds = 0.0
+            self._clear_locked()
             if phases:
                 self._phase = ""
                 self._phases = []
+
+    def _clear_locked(self) -> None:
+        self._started = time.perf_counter()
+        self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
+        self._hits = 0
+        self._misses = 0
+        self._bytes = 0
+        self._updates = 0
+        self._update_seconds = 0.0
 
     # -- phase windowing ------------------------------------------------
     def begin_phase(self, name: str) -> None:
@@ -162,13 +170,7 @@ class ServerMetrics:
             if closing.requests or closing.updates:
                 self._phases.append(closing)
             self._phase = new_label
-            self._started = time.perf_counter()
-            self._latencies = []
-            self._hits = 0
-            self._misses = 0
-            self._bytes = 0
-            self._updates = 0
-            self._update_seconds = 0.0
+            self._clear_locked()
 
     @property
     def phases(self) -> "tuple[MetricsSnapshot, ...]":
@@ -194,9 +196,9 @@ class ServerMetrics:
             self._update_seconds += seconds
 
     def _freeze_locked(self) -> MetricsSnapshot:
-        latencies = list(self._latencies)
+        latencies = sorted(self._latencies)
         return MetricsSnapshot(
-            requests=len(latencies),
+            requests=self._hits + self._misses,
             elapsed_seconds=time.perf_counter() - self._started,
             cache_hits=self._hits,
             cache_misses=self._misses,

@@ -58,6 +58,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     ServiceError,
+    UnknownMessageError,
     UnsupportedVersionError,
 )
 from repro.service.metrics import (
@@ -142,7 +143,8 @@ class ShardRouter:
         try:
             message = decode_message(frame)
         except ProtocolError as exc:
-            code = (codes.E_UNKNOWN_MESSAGE if "unknown message type" in str(exc)
+            code = (codes.E_UNKNOWN_MESSAGE
+                    if isinstance(exc, UnknownMessageError)
                     else codes.E_MALFORMED_FRAME)
             return error_frame(code, str(exc), version=frame.version)
         try:

@@ -85,9 +85,11 @@ class ServedResponse:
     ``cached`` records whether the proof was replayed from the LRU;
     ``serve_seconds`` is the wall time this request cost the server
     (amortized across the batch for coalesced requests);
-    ``proof_bytes`` is the response's standalone wire size.  When the
-    provider could not answer (unknown node, unreachable target),
-    ``response`` is ``None`` and ``error`` carries the reason.
+    ``proof_bytes`` is the response's standalone wire size and
+    ``encoded`` the encoding itself (made once per miss, memoised by a
+    cache entry's first hit).  When the provider could not answer
+    (unknown node, unreachable target), ``response`` and ``encoded``
+    are ``None`` and ``error`` carries the reason.
     """
 
     response: "QueryResponse | None"
@@ -95,6 +97,7 @@ class ServedResponse:
     serve_seconds: float
     proof_bytes: int
     error: "str | None" = None
+    encoded: "bytes | None" = None
 
     @property
     def ok(self) -> bool:
@@ -156,11 +159,24 @@ class ProofServer:
         return self.method.graph.version
 
     def _store(self, source: int, target: int, version: int,
-               response: QueryResponse) -> int:
-        """Cache *response*, returning its encoded size."""
-        proof_bytes = len(response.encode())
-        self.cache.put(self._key(source, target), version, response, proof_bytes)
-        return proof_bytes
+               response: QueryResponse) -> bytes:
+        """Cache *response*, returning its encoding."""
+        encoded = response.encode()
+        self.cache.put(self._key(source, target), version, response,
+                       len(encoded))
+        return encoded
+
+    def _hit(self, start: float, source: int, target: int, version: int,
+             *, count_miss: bool = True) -> "ServedResponse | None":
+        """The metered cache replay for a query, ``None`` on a miss."""
+        entry = self.cache.get(self._key(source, target), version,
+                               count_miss=count_miss)
+        if entry is None:
+            return None
+        elapsed = time.perf_counter() - start
+        self.metrics.record(elapsed, entry.proof_bytes, cached=True)
+        return ServedResponse(entry.response, True, elapsed,
+                              entry.proof_bytes, encoded=entry.encoded())
 
     def _error(self, start: float, exc: ReproError) -> ServedResponse:
         """Meter and envelope a failed request (errors are not cached)."""
@@ -182,20 +198,35 @@ class ProofServer:
         start = time.perf_counter()
         with self._update_gate.read():
             version = self._version()
-            entry = self.cache.get(self._key(source, target), version)
-            if entry is not None:
-                elapsed = time.perf_counter() - start
-                self.metrics.record(elapsed, entry.proof_bytes, cached=True)
-                return ServedResponse(entry.response, True, elapsed,
-                                      entry.proof_bytes)
+            served = self._hit(start, source, target, version)
+            if served is not None:
+                return served
             try:
                 response = self.method.answer(source, target)
             except ReproError as exc:
                 return self._error(start, exc)
-            proof_bytes = self._store(source, target, version, response)
+            encoded = self._store(source, target, version, response)
         elapsed = time.perf_counter() - start
-        self.metrics.record(elapsed, proof_bytes, cached=False)
-        return ServedResponse(response, False, elapsed, proof_bytes)
+        self.metrics.record(elapsed, len(encoded), cached=False)
+        return ServedResponse(response, False, elapsed, len(encoded),
+                              encoded=encoded)
+
+    def answer_cached(self, source: int, target: int
+                      ) -> "ServedResponse | None":
+        """:meth:`answer` if it needs no waiting, else ``None``.
+
+        That is a cache hit while no update holds or awaits the gate.  A
+        ``None`` has counted nothing (no miss, no request): the caller
+        falls back to :meth:`answer`, which counts the request once.
+        """
+        start = time.perf_counter()
+        if not self._update_gate.try_acquire_read():
+            return None
+        try:
+            return self._hit(start, source, target, self._version(),
+                             count_miss=False)
+        finally:
+            self._update_gate.release_read()
 
     def handle(self, request: ProofRequest) -> ServedResponse:
         """The request/response entry point."""
@@ -245,14 +276,8 @@ class ProofServer:
             served: "list[ServedResponse | None]" = [None] * len(queries)
             miss_indices: "dict[tuple[int, int], list[int]]" = {}
             for index, (vs, vt) in enumerate(queries):
-                lookup_start = time.perf_counter()
-                entry = self.cache.get(self._key(vs, vt), version)
-                if entry is not None:
-                    elapsed = time.perf_counter() - lookup_start
-                    self.metrics.record(elapsed, entry.proof_bytes, cached=True)
-                    served[index] = ServedResponse(entry.response, True, elapsed,
-                                                   entry.proof_bytes)
-                else:
+                served[index] = self._hit(time.perf_counter(), vs, vt, version)
+                if served[index] is None:
                     miss_indices.setdefault((vs, vt), []).append(index)
 
             batch_start = time.perf_counter()
@@ -277,18 +302,19 @@ class ProofServer:
             if responses:
                 per_query = (time.perf_counter() - batch_start) / len(responses)
                 for pair, response in responses.items():
-                    proof_bytes = self._store(pair[0], pair[1], version, response)
+                    encoded = self._store(pair[0], pair[1], version, response)
+                    proof_bytes = len(encoded)
                     first, *duplicates = miss_indices[pair]
                     wire = amortized_wire if amortized_wire is not None else proof_bytes
                     self.metrics.record(per_query, wire, cached=False)
                     served[first] = ServedResponse(response, False, per_query,
-                                                   proof_bytes)
+                                                   proof_bytes, encoded=encoded)
                     for index in duplicates:
                         # Repeats within the burst replay the entry just
                         # cached, mirroring the non-coalesced path.
                         self.metrics.record(0.0, proof_bytes, cached=True)
-                        served[index] = ServedResponse(response, True, 0.0,
-                                                       proof_bytes)
+                        served[index] = ServedResponse(
+                            response, True, 0.0, proof_bytes, encoded=encoded)
         return BurstResult(
             tuple(s for s in served if s is not None), combined)
 

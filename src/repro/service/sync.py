@@ -52,6 +52,15 @@ class ReadWriteLock:
                 self._cond.wait()
             self._readers += 1
 
+    def try_acquire_read(self) -> bool:
+        """Shared acquisition, refused (not awaited) while a writer is
+        active or waiting — for callers that must not block (the loop)."""
+        with self._cond:
+            if self._writer_active or self._writers_waiting:
+                return False
+            self._readers += 1
+            return True
+
     def release_read(self) -> None:
         with self._cond:
             self._readers -= 1

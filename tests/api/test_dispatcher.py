@@ -125,6 +125,23 @@ class TestProtocolErrors:
         reply = E.decode_message(E.decode_frame(dispatcher.dispatch(frame)))
         assert reply.code == codes.E_UNKNOWN_MESSAGE
 
+    def test_error_code_follows_the_type_not_the_wording(self, dispatcher,
+                                                         monkeypatch):
+        from repro.api import dispatcher as module
+        from repro.errors import ProtocolError, UnknownMessageError
+
+        assert issubclass(UnknownMessageError, ProtocolError)
+        for raised, code in (
+                (UnknownMessageError("never heard of it"),
+                 codes.E_UNKNOWN_MESSAGE),
+                (ProtocolError("payload mentions unknown message type"),
+                 codes.E_MALFORMED_FRAME)):
+            def refuse(frame, raised=raised):
+                raise raised
+
+            monkeypatch.setattr(module, "decode_message", refuse)
+            assert roundtrip(dispatcher, E.QueryRequest(1, 2)).code == code
+
     def test_reply_types_are_not_requests(self, dispatcher):
         reply = roundtrip(dispatcher, E.QueryReply(b"x", False))
         assert isinstance(reply, E.ErrorMessage)

@@ -1,7 +1,7 @@
 """HTTP transport behaviour: persistence, reconnect, pooling.
 
 These tests count *server-side accepted connections* — the ground truth
-for connection reuse — by wrapping the server's connection handler.  The
+for connection reuse — through the server's ``connections_accepted``.  The
 defect this layer fixes was precisely a client that redialed per frame
 while believing it was load-testing the server, so the assertions here
 are about how many TCP connections the workload costs, not just whether
@@ -10,43 +10,36 @@ it succeeds.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
 
 from repro.api.client import RemoteClient
-from repro.api.transport import HttpTransport, PooledHttpTransport
+from repro.api.envelope import HelloRequest, QueryRequest, decode_frame
+from repro.api.transport import (
+    AsyncTransport,
+    HttpTransport,
+    PooledHttpTransport,
+)
 from repro.errors import ProtocolError
 from repro.service.aio import AsyncProofHttpServer
-
-
-def counting_server(dispatcher, **kwargs):
-    """A server (not yet started) that records every accepted connection."""
-    server = AsyncProofHttpServer(dispatcher, **kwargs)
-    accepted = []
-    original = server._handle_connection
-
-    async def handle_connection(reader, writer):
-        accepted.append(writer.get_extra_info("peername"))
-        await original(reader, writer)
-
-    server._handle_connection = handle_connection
-    return server, accepted
+from repro.service.server import ProofServer
 
 
 class TestPersistentConnection:
     def test_many_queries_one_connection(self, dispatcher, signer, workload):
-        server, accepted = counting_server(dispatcher)
+        server = AsyncProofHttpServer(dispatcher)
         with server, HttpTransport(server.url) as transport:
             client = RemoteClient(transport, signer.verify)
             client.hello()
             for vs, vt in workload:
                 assert client.query(vs, vt).ok
-        assert len(accepted) == 1
+        assert server.connections_accepted == 1
 
     def test_closed_transport_redials_and_stays_usable(
             self, dispatcher, signer, workload):
-        server, accepted = counting_server(dispatcher)
+        server = AsyncProofHttpServer(dispatcher)
         vs, vt = workload[0]
         with server:
             transport = HttpTransport(server.url)
@@ -55,7 +48,7 @@ class TestPersistentConnection:
             transport.close()
             assert client.query(vs, vt).ok
             transport.close()
-        assert len(accepted) == 2
+        assert server.connections_accepted == 2
 
     def test_reconnects_after_server_restart(self, server, signer, workload):
         vs, vt = workload[0]
@@ -86,8 +79,7 @@ class TestPersistentConnection:
 
     def test_keepalive_budget_redials_transparently(self, dispatcher, signer,
                                                     workload):
-        server, accepted = counting_server(dispatcher,
-                                           max_keepalive_requests=2)
+        server = AsyncProofHttpServer(dispatcher, max_keepalive_requests=2)
         with server, HttpTransport(server.url) as transport:
             client = RemoteClient(transport, signer.verify)
             client.hello()
@@ -97,7 +89,7 @@ class TestPersistentConnection:
         # hello + descriptor + 2 x len(workload) queries, two per
         # connection, no failed/wasted dials.
         requests = 2 + 2 * len(workload)
-        assert len(accepted) == (requests + 1) // 2
+        assert server.connections_accepted == (requests + 1) // 2
 
     def test_bad_base_url_rejected(self):
         for url in ("https://x:1", "ftp://x", "not-a-url", "http://"):
@@ -107,7 +99,7 @@ class TestPersistentConnection:
 
 class TestPooledTransport:
     def test_one_connection_per_thread(self, dispatcher, signer, workload):
-        server, accepted = counting_server(dispatcher)
+        server = AsyncProofHttpServer(dispatcher)
         threads = 4
         with server, PooledHttpTransport(server.url) as pooled:
             barrier = threading.Barrier(threads)
@@ -126,10 +118,10 @@ class TestPooledTransport:
             for t in pool:
                 t.join()
             assert not failures
-            assert len(accepted) == threads
+            assert server.connections_accepted == threads
 
     def test_close_drops_all_then_redials(self, dispatcher, signer, workload):
-        server, accepted = counting_server(dispatcher)
+        server = AsyncProofHttpServer(dispatcher)
         vs, vt = workload[0]
         with server:
             pooled = PooledHttpTransport(server.url)
@@ -138,4 +130,79 @@ class TestPooledTransport:
             pooled.close()
             assert client.query(vs, vt).ok
             pooled.close()
-        assert len(accepted) == 2
+        assert server.connections_accepted == 2
+
+
+class TestAsyncTransport:
+    """The event-loop transport keeps :class:`HttpTransport`'s discipline."""
+
+    @staticmethod
+    def frames(workload):
+        return [HelloRequest().to_frame()] + \
+            [QueryRequest(vs, vt).to_frame() for vs, vt in workload] * 2
+
+    def test_replies_ride_one_connection_and_redial_on_budget(
+            self, server, dispatcher, workload):
+        frames = self.frames(workload)
+        local = ProofServer(server.method, cache_size=64).dispatcher()
+        expected = [local.dispatch(frame) for frame in frames]
+
+        async def drive(url):
+            async with AsyncTransport(url) as transport:
+                return [await transport.roundtrip(frame) for frame in frames]
+
+        with AsyncProofHttpServer(dispatcher) as http:
+            assert asyncio.run(drive(http.url)) == expected
+            assert http.connections_accepted == 1
+        budgeted = AsyncProofHttpServer(
+            ProofServer(server.method, cache_size=64).dispatcher(),
+            max_keepalive_requests=2)
+        with budgeted:
+            # ``Connection: close`` is honoured: no stale-retry dials.
+            assert asyncio.run(drive(budgeted.url)) == expected
+            assert budgeted.connections_accepted == (len(frames) + 1) // 2
+
+    def test_stale_connection_is_retried_once(self, dispatcher, workload):
+        frame = QueryRequest(*workload[0]).to_frame()
+        first = AsyncProofHttpServer(dispatcher).start()
+        port = first.port
+
+        async def drive():
+            async with AsyncTransport(first.url, timeout=5.0) as transport:
+                before = await transport.roundtrip(frame)
+                first.close()
+                second = AsyncProofHttpServer(dispatcher, port=port).start()
+                try:
+                    return before, await transport.roundtrip(frame), second
+                finally:
+                    second.close()
+
+        before, after, second = asyncio.run(drive())
+        assert decode_frame(before).msg_type == decode_frame(after).msg_type
+        assert second.connections_accepted == 1
+
+    @pytest.mark.parametrize("reply", [
+        b"RSPV is not HTTP\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\n",           # no Content-Length
+        b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort",
+        b"HTTP/1.1 200 OK\r\n" + b"X: " + b"y" * (1 << 17),  # endless head
+        b"HTTP/1.1 503 Busy\r\nContent-Length: 0\r\n\r\n",
+    ])
+    def test_bad_replies_are_typed(self, reply):
+        async def drive():
+            async def answer(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(reply)
+                await writer.drain()
+                writer.close()
+
+            listener = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            async with listener, \
+                    AsyncTransport(f"http://127.0.0.1:{port}",
+                                   timeout=5.0) as transport:
+                with pytest.raises(ProtocolError):
+                    await transport.roundtrip(b"RSPV")
+
+        asyncio.run(drive())

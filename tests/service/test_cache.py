@@ -29,6 +29,28 @@ class TestAccounting:
         assert cache.stats.lookups == 2
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
+    def test_probe_counts_hits_but_never_misses(self):
+        cache = ProofCache(capacity=4)
+        assert cache.get(key(1), version=0, count_miss=False) is None
+        assert cache.stats.lookups == 0
+        cache.put(key(1), 0, "resp", 128)
+        assert cache.get(key(1), version=0, count_miss=False) is not None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+
+    def test_entry_encodes_on_first_use_only(self):
+        class Response:
+            encodes = 0
+
+            def encode(self):
+                self.encodes += 1
+                return b"bytes"
+
+        response = Response()
+        entry = ProofCache(capacity=4).put(key(1), 0, response, 5)
+        assert response.encodes == 0  # nothing is kept at insert
+        assert entry.encoded() == entry.encoded() == b"bytes"
+        assert response.encodes == 1
+
     def test_distinct_keys_do_not_collide(self):
         cache = ProofCache(capacity=8)
         cache.put(("DIJ", 1, 2), 0, "a", 1)

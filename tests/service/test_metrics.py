@@ -41,6 +41,21 @@ class TestServerMetrics:
         assert snap.elapsed_seconds > 0
         assert snap.qps > 0
 
+    def test_latency_window_is_bounded_counters_stay_exact(self, monkeypatch):
+        from repro.service import metrics as module
+
+        monkeypatch.setattr(module, "LATENCY_WINDOW", 10)
+        metrics = ServerMetrics()
+        for i in range(1, 101):  # 1..100 ms; the ring keeps 91..100
+            metrics.record(i / 1000.0, 10, cached=bool(i % 2))
+        snap = metrics.snapshot()
+        assert (snap.requests, snap.cache_hits, snap.cache_misses) == \
+            (100, 50, 50)
+        assert snap.proof_bytes == 1000
+        assert len(metrics._latencies) == 10
+        assert snap.p50_ms == pytest.approx(95.0)
+        assert snap.p99_ms == pytest.approx(100.0)
+
     def test_empty_window(self):
         snap = ServerMetrics().snapshot()
         assert snap.requests == 0

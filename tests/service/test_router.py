@@ -138,6 +138,22 @@ class TestFramedErrors:
         assert isinstance(reply, ErrorMessage)
         assert reply.code == codes.E_QUERY_FAILED
 
+    def test_error_code_follows_the_type_not_the_wording(self, fleet,
+                                                         monkeypatch):
+        from repro.errors import ProtocolError, UnknownMessageError
+        from repro.service import router as module
+
+        for raised, code in (
+                (UnknownMessageError("never heard of it"),
+                 codes.E_UNKNOWN_MESSAGE),
+                (ProtocolError("payload mentions unknown message type"),
+                 codes.E_MALFORMED_FRAME)):
+            def refuse(frame, raised=raised):
+                raise raised
+
+            monkeypatch.setattr(module, "decode_message", refuse)
+            assert self._ask(fleet, QueryRequest(1, 2)).code == code
+
 
 class DeadTransport:
     def roundtrip(self, frame: bytes) -> bytes:

@@ -298,6 +298,27 @@ class TestReadWriteLock:
             active.append("w")
         assert active[-1] == "w"
 
+    def test_try_acquire_read_never_waits_for_a_writer(self):
+        lock = ReadWriteLock()
+        assert lock.try_acquire_read()       # free: shared with others
+        assert lock.try_acquire_read()
+        writer = threading.Thread(target=lambda: (lock.acquire_write(),
+                                                  lock.release_write()))
+        writer.start()
+        for _ in range(1000):
+            if lock._writers_waiting:
+                break
+            threading.Event().wait(0.001)
+        assert not lock.try_acquire_read()   # a writer is waiting
+        lock.release_read()
+        lock.release_read()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        with lock.write():
+            assert not lock.try_acquire_read()   # a writer is active
+        assert lock.try_acquire_read()
+        lock.release_read()
+
     def test_writer_blocks_until_readers_drain(self):
         lock = ReadWriteLock()
         order: list[str] = []
