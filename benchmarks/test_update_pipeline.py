@@ -8,7 +8,7 @@ the DE network and pins the correctness contract at benchmark scale:
 * ``test_update_incremental_vs_rebuild`` — median latency of absorbing
   a single edge re-weight incrementally versus re-publishing from
   scratch (the owner's only alternative without the pipeline).
-  Acceptance: at least 5x for DIJ and LDM.
+  Acceptance: at least 5x for DIJ and LDM, 4x for HYP, 1x for FULL.
 * ``test_update_equivalence_after_n_random`` — after N random mixed
   updates, signed roots and full query responses are byte-identical to
   a from-scratch rebuild.
@@ -40,10 +40,11 @@ UPDATE_CONFIGS = [
     ("FULL", SWEEP_SCALE, 5),
 ]
 
-#: Acceptance floor (ISSUE 3): incremental absorption of one edge
-#: re-weight must beat a from-scratch re-publish by at least this
-#: factor for the no-hint method and the landmark method.
-MIN_SPEEDUP = {"DIJ": 5.0, "LDM": 5.0}
+#: Acceptance floor: incremental absorption of one edge re-weight must
+#: beat a from-scratch re-publish by at least this factor.  FULL and HYP
+#: floors are half the median speedup row repair measured on a 2-core
+#: box (FULL 1.98x, HYP 7.94x over five runs).
+MIN_SPEEDUP = {"DIJ": 5.0, "LDM": 5.0, "FULL": 1.0, "HYP": 4.0}
 
 
 def _fresh_method(ctx, name, scale):

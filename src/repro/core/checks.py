@@ -283,30 +283,27 @@ class NetworkTreeBundle:
         self.tree.update_leaf(position, payload)
 
     def set_tuple_factory(self, tuple_factory: Callable[[int], BaseTuple]) -> None:
-        """Swap the Φ encoder (e.g. after LDM hint state changed)."""
+        """Swap the Φ encoder (e.g. after HYP's border flags changed)."""
         self._tuple_factory = tuple_factory
 
-    def refresh_nodes(self, node_ids) -> tuple[int, bool]:
+    def refresh_nodes(self, node_ids) -> int:
         """Re-encode Φ for *node_ids* and refresh the tree where changed.
 
-        Returns ``(changed leaf count, whether the tree was rebuilt)``.
-        Payloads are compared before hashing, so passing a superset of
-        the truly affected nodes only costs the re-encode.
+        Returns the changed leaf count.  Payloads are compared before
+        hashing, so passing a superset of the truly affected nodes only
+        costs the re-encode.
         """
         return self.refresh_payloads({
             node_id: self._tuple_factory(node_id).encode()
             for node_id in sorted(set(node_ids))
         })
 
-    def refresh_payloads(self, payloads) -> tuple[int, bool]:
-        """Install pre-encoded Φ payloads and refresh the tree where changed.
+    def refresh_payloads(self, payloads) -> int:
+        """Install pre-encoded Φ payloads and patch the tree where changed.
 
         ``payloads`` maps node id to its (canonical) encoding — batch
         encoders hand their output straight in here.  Unchanged
-        payloads are skipped; when the changed fraction makes per-leaf
-        root-path refreshes more expensive than hashing every level
-        once, the tree is rebuilt wholesale from the patched payload
-        array (byte-identical either way).
+        payloads are skipped; returns how many leaves changed.
         """
         changed: dict[int, bytes] = {}
         payload_at = self.payload_at
@@ -318,29 +315,8 @@ class NetworkTreeBundle:
             payload_at[position] = payload
             self.payload_of[node_id] = payload
             changed[position] = payload
-        if not changed:
-            return 0, False
-        if incremental_patch_wins(len(changed), self.tree):
-            self.tree.update_leaves(changed)
-            return len(changed), False
-        self.tree = MerkleTree(payload_at, fanout=self.tree.fanout,
-                               hash_fn=self.tree.hash_fn)
-        return len(changed), True
-
-
-def incremental_patch_wins(changed: int, tree: MerkleTree) -> bool:
-    """Whether patching *changed* leaves beats rebuilding *tree*.
-
-    Per-leaf refresh hashes the full root path (``fanout`` children per
-    level); a rebuild hashes every node once, about
-    ``num_leaves · f / (f - 1)`` digests.  The comparison ignores the
-    shared-path savings of clustered updates, which only biases toward
-    the (always-correct) rebuild.
-    """
-    fanout = tree.fanout
-    height = max(1, tree.num_levels - 1)
-    rebuild_hashes = tree.num_leaves * fanout // max(1, fanout - 1)
-    return changed * fanout * height <= rebuild_hashes
+        self.tree.update_leaves(changed)
+        return len(changed)
 
 
 def sign_descriptor(descriptor: SignedDescriptor, signer: Signer) -> SignedDescriptor:

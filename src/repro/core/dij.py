@@ -101,7 +101,7 @@ class DijMethod(VerificationMethod):
         """
         if needs_layout_rebuild(mutations, self._bundle.ordering):
             return self._rebuild(signer)
-        patched, rebuilt = self._bundle.refresh_nodes(edge_endpoints(mutations))
+        patched = self._bundle.refresh_nodes(edge_endpoints(mutations))
         old = self._descriptor
         self._descriptor = resign_descriptor(
             old, signer,
@@ -110,7 +110,7 @@ class DijMethod(VerificationMethod):
                               self._bundle.tree.root),),
             version=self._graph.version,
         )
-        return "incremental", patched, int(rebuilt)
+        return "incremental", patched, 0
 
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,

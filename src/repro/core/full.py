@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    incremental_patch_wins,
     resign_descriptor,
     sign_descriptor,
     verify_descriptor,
@@ -30,7 +29,6 @@ from repro.core.checks import (
 from repro.core.framework import VerificationResult, distances_close
 from repro.core.incremental import (
     affected_sources,
-    changed_columns,
     edge_endpoints,
     needs_layout_rebuild,
 )
@@ -61,7 +59,7 @@ from repro.graph.tuples import (
 )
 from repro.hiti.hyperedges import triangle_index
 from repro.merkle.tree import MerkleTree
-from repro.shortestpath.bulk import all_pairs_distances, multi_source_distances
+from repro.shortestpath.bulk import all_pairs_distances, repair_distances
 from repro.shortestpath.path import Path
 
 
@@ -164,15 +162,15 @@ class FullMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def _apply_mutations(self, mutations: "list[GraphMutation]",
                          signer: Signer) -> tuple[str, int, int]:
-        """Re-derive only the distance rows the batch can have touched.
+        """Repair only the distance rows the batch can have touched.
 
         The affected-source filter (:mod:`repro.core.incremental`)
         flags every node whose shortest path forest could involve a
-        mutated edge; those rows are recomputed through the same bulk
-        backend the build used, so unflagged rows — and therefore the
-        untouched triangle leaves — stay bit-identical to a fresh
-        all-pairs run.  ``all_pairs_method="floyd-warshall"`` has no
-        per-row backend, so it falls back to a full rebuild.
+        mutated edge; those rows are repaired bit-identically to a
+        fresh all-pairs run, and the triangle leaves whose distance
+        moved are patched.  ``all_pairs_method="floyd-warshall"`` sums
+        in a different order than Dijkstra, so it falls back to a full
+        rebuild.
         """
         if needs_layout_rebuild(mutations, self._bundle.ordering):
             return self._rebuild(signer)
@@ -183,41 +181,21 @@ class FullMethod(VerificationMethod):
         n = len(ids)
         matrix = self._matrix
         affected = affected_sources(matrix, mutations, self._index_of)
-        leaves_patched = 0
-        trees_rebuilt = 0
-        mode = "incremental"
-        if affected.size:
-            new_rows = multi_source_distances(
-                graph, [ids[i] for i in affected.tolist()])
-            if np.isinf(new_rows).any():
-                raise GraphError("FULL requires a connected graph")
-            old_rows = matrix[affected].copy()
-            matrix[affected] = new_rows
-            changed: list[tuple[int, bytes]] = []
-            for k, i in enumerate(affected.tolist()):
-                for j in changed_columns(old_rows[k], new_rows[k]).tolist():
-                    if j <= i:
-                        continue  # leaf (j', i) belongs to row j' < i
-                    changed.append((
-                        triangle_index(i, j, n),
-                        DistanceTuple(ids[i], ids[j],
-                                      float(matrix[i, j])).encode(),
-                    ))
-            if incremental_patch_wins(len(changed), self._distance_tree):
-                self._distance_tree.update_leaves(dict(changed))
-                leaves_patched += len(changed)
-            else:
-                fanout = self._distance_tree.fanout
-                hash_fn = self._distance_tree.hash_fn
-                self._distance_tree = MerkleTree(
-                    leaf_digests=triangle_leaf_digests(ids, matrix, hash_fn),
-                    fanout=fanout, hash_fn=hash_fn,
-                )
-                trees_rebuilt += 1
-                mode = "partial-rebuild"
-        patched, rebuilt = self._bundle.refresh_nodes(edge_endpoints(mutations))
-        leaves_patched += patched
-        trees_rebuilt += int(rebuilt)
+        rows, cols, values = repair_distances(
+            graph.to_index(), matrix, affected,
+            [ids[i] for i in affected.tolist()], mutations)
+        if np.isinf(values).any():
+            raise GraphError("FULL requires a connected graph")
+        matrix[rows, cols] = values
+        upper = cols > rows  # leaf (i, j) carries row i's value, i < j
+        self._distance_tree.update_leaves({
+            triangle_index(i, j, n): DistanceTuple(ids[i], ids[j], d).encode()
+            for i, j, d in zip(rows[upper].tolist(), cols[upper].tolist(),
+                               values[upper].tolist())
+        })
+        leaves_patched = int(upper.sum()) + self._bundle.refresh_nodes(
+            edge_endpoints(mutations))
+        self._synced_version = graph.version  # a failed re-sign replays from here
         old = self._descriptor
         fanout = old.tree(NETWORK_TREE).fanout
         self._descriptor = resign_descriptor(
@@ -231,7 +209,7 @@ class FullMethod(VerificationMethod):
             ),
             version=graph.version,
         )
-        return mode, leaves_patched, trees_rebuilt
+        return "incremental", leaves_patched, 0
 
     # ------------------------------------------------------------------
     def distance_of(self, a: int, b: int) -> float:

@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
-    incremental_patch_wins,
     resign_descriptor,
     search_disclosed,
     sign_descriptor,
@@ -69,7 +68,7 @@ from repro.graph.tuples import (
 from repro.hiti.hyperedges import HyperEdgeSet, TileLayout, compute_hyperedges
 from repro.hiti.partition import GridPartition, GridSpec
 from repro.merkle.tree import MerkleTree
-from repro.shortestpath.bulk import multi_source_distances
+from repro.shortestpath.bulk import repair_distances
 from repro.shortestpath.path import Path
 
 
@@ -277,12 +276,12 @@ class HypMethod(VerificationMethod):
         mutation.  Weight changes leave the border set intact: the
         affected-source filter picks the border nodes whose shortest
         path forests could cross a mutated edge, their raw rows are
-        re-run through the bulk backend, and the re-symmetrized pairs
-        that moved are patched into the distance tree.  A structural
-        mutation that flips a border flag changes the hyper-edge *set*
-        itself, so the hyper layer is reconstructed wholesale while the
-        partition, directory tree and untouched Φ leaves are kept —
-        the targeted partial rebuild.
+        repaired, and the re-symmetrized pairs that moved are patched
+        into the distance tree.  A structural mutation that flips a
+        border flag changes the hyper-edge *set* itself, so the hyper
+        layer is reconstructed wholesale while the partition, directory
+        tree and untouched Φ leaves are kept — the targeted partial
+        rebuild.
         """
         if needs_layout_rebuild(mutations, self._bundle.ordering):
             return self._rebuild(signer)
@@ -292,9 +291,7 @@ class HypMethod(VerificationMethod):
         old = self._descriptor
         fanout = old.tree(DISTANCE_TREE).fanout
         hash_fn = self._distance_tree.hash_fn
-        leaves_patched = 0
-        trees_rebuilt = 0
-        mode = "incremental"
+        mode, trees_rebuilt = "incremental", 0
 
         if self._border_flags_moved(mutations):
             # Border set changed: same grid, new hyper layer.  Build
@@ -316,53 +313,48 @@ class HypMethod(VerificationMethod):
             self._distance_tree = distance_tree
             bundle = self._bundle
             bundle.set_tuple_factory(_make_tuple_factory(graph, partition))
-            patched, rebuilt = bundle.refresh_nodes(
+            leaves_patched = bundle.refresh_nodes(
                 flag_flips | edge_endpoints(mutations))
-            leaves_patched += patched
-            trees_rebuilt += 1 + int(rebuilt)
-            mode = "partial-rebuild"
+            mode, trees_rebuilt = "partial-rebuild", 1
         else:
             hyper = self._hyper
-            # The compiled index's id -> column map is exactly the
-            # bulk-row column order (ascending ids) and version-cached.
-            col_of = graph.to_index().index_of
-            affected = affected_sources(hyper.source_rows, mutations, col_of)
-            if affected.size:
-                new_rows = multi_source_distances(
-                    graph, [hyper.borders[i] for i in affected.tolist()])
-                border_cols = [col_of[b] for b in hyper.borders]
-                # Reject before touching method state: unaffected rows
-                # are finite, so a disconnected border pair can only
-                # show up in the recomputed rows' border columns.
-                if np.isinf(new_rows[:, border_cols]).any():
-                    raise GraphError(
-                        "disconnected border pair; HYP requires a connected graph")
-                hyper.source_rows[affected] = new_rows
-                sliced = hyper.source_rows[:, border_cols]
-                symmetric = np.minimum(sliced, sliced.T)
-                moved_rows, moved_cols = np.nonzero(
-                    np.triu(hyper.distances != symmetric, 1))
-                changed = {
-                    leaf: DistanceTuple(hyper.borders[i], hyper.borders[j],
-                                        float(symmetric[i, j])).encode()
-                    for leaf, i, j in zip(
-                        self._layout.leaf(moved_rows, moved_cols).tolist(),
-                        moved_rows.tolist(), moved_cols.tolist())
-                }
-                hyper.distances = symmetric
-                if incremental_patch_wins(len(changed), self._distance_tree):
-                    self._distance_tree.update_leaves(changed)
-                    leaves_patched += len(changed)
-                else:
-                    self._distance_tree = _build_distance_tree(
-                        hyper, self._layout, fanout, hash_fn)
-                    trees_rebuilt += 1
-                    mode = "partial-rebuild"
-            patched, rebuilt = self._bundle.refresh_nodes(
+            index = graph.to_index()
+            affected = affected_sources(hyper.source_rows, mutations,
+                                        index.index_of)
+            rows, cols, values = repair_distances(
+                index, hyper.source_rows, affected,
+                [hyper.borders[i] for i in affected.tolist()], mutations)
+            border_cols = np.array([index.index_of[b] for b in hyper.borders])
+            position = np.full(index.num_nodes, -1)
+            position[border_cols] = np.arange(len(border_cols))
+            on_border = position[cols] >= 0
+            # Reject before touching method state: unaffected rows are
+            # finite, so a disconnected border pair can only show up in
+            # the repaired entries' border columns.
+            if np.isinf(values[on_border]).any():
+                raise GraphError(
+                    "disconnected border pair; HYP requires a connected graph")
+            hyper.source_rows[rows, cols] = values
+            # Re-symmetrize only the pairs a repaired entry belongs to.
+            i, j = rows[on_border], position[cols[on_border]]
+            low, high = np.minimum(i, j)[i != j], np.maximum(i, j)[i != j]
+            symmetric = np.minimum(hyper.source_rows[low, border_cols[high]],
+                                   hyper.source_rows[high, border_cols[low]])
+            moved = symmetric != hyper.distances[low, high]
+            low, high, symmetric = low[moved], high[moved], symmetric[moved]
+            hyper.distances[low, high] = hyper.distances[high, low] = symmetric
+            changed = {
+                leaf: DistanceTuple(hyper.borders[a], hyper.borders[b],
+                                    w).encode()
+                for leaf, a, b, w in zip(
+                    self._layout.leaf(low, high).tolist(), low.tolist(),
+                    high.tolist(), symmetric.tolist())
+            }
+            self._distance_tree.update_leaves(changed)
+            leaves_patched = len(changed) + self._bundle.refresh_nodes(
                 edge_endpoints(mutations))
-            leaves_patched += patched
-            trees_rebuilt += int(rebuilt)
 
+        self._synced_version = graph.version  # a failed re-sign replays from here
         self._descriptor = resign_descriptor(
             old, signer,
             trees=(

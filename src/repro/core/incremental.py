@@ -6,9 +6,9 @@ landmarks, the border nodes).  A single edge mutation leaves most of
 those rows untouched — on a road network a re-weighted street segment
 only moves distances for sources whose shortest paths actually crossed
 it.  :func:`affected_sources` computes a sound superset of the rows a
-batch of mutations can have changed, so ``apply_update`` re-runs the
-bulk Dijkstra backend only for those sources and patches only the
-Merkle leaves whose payloads really moved.
+batch of mutations can have changed, so ``apply_update`` repairs only
+those rows (:func:`repro.shortestpath.bulk.repair_distances`) and
+patches only the Merkle leaves whose payloads really moved.
 
 Soundness of the filter (why unflagged rows cannot have changed):
 
@@ -28,10 +28,10 @@ Soundness of the filter (why unflagged rows cannot have changed):
   cascade of changes starts at some mutated edge where one of the two
   tests fires against the old values.
 
-The margins only ever widen the superset (recomputing an unchanged row
-is wasted work, never wrong), and recomputed rows come from the same
-per-source bulk backend a from-scratch build would use, so the patched
-state stays byte-identical to a full rebuild.
+The margins only ever widen the superset (repairing an unchanged row
+is wasted work, never wrong).  A repaired row is the same float fixed
+point ``min_p fl(d[p] + w(p, x))`` SciPy's Dijkstra returns, so the
+patched state stays byte-identical to a full rebuild.
 """
 
 from __future__ import annotations
@@ -89,16 +89,6 @@ def affected_sources(
             slack = _margin(du) + _margin(np.asarray(w_new))
             mask |= (du + w_new <= dv + slack) | (dv + w_new <= du + slack)
     return np.nonzero(mask)[0]
-
-
-def changed_columns(old_row: np.ndarray, new_row: np.ndarray) -> np.ndarray:
-    """Column indices where a recomputed row differs bit-for-bit."""
-    return np.nonzero(old_row != new_row)[0]
-
-
-def changed_columns_2d(old: np.ndarray, new: np.ndarray) -> list[int]:
-    """Columns of a ``(rows, n)`` array where any entry differs."""
-    return np.nonzero((old != new).any(axis=0))[0].tolist()
 
 
 def edge_endpoints(mutations: Sequence[GraphMutation]) -> set[int]:

@@ -39,7 +39,6 @@ from repro.core.checks import (
 from repro.core.framework import ABS_TOL, REL_TOL, VerificationResult, distances_close
 from repro.core.incremental import (
     affected_sources,
-    changed_columns_2d,
     edge_endpoints,
     needs_layout_rebuild,
 )
@@ -57,12 +56,15 @@ from repro.landmarks.compression import (
     compress_exact_greedy,
     compress_leader,
     compression_plan,
+    plan_indices,
+    refresh_compression,
 )
-from repro.landmarks.quantization import QuantizationSpec, quantize_vectors
+from repro.landmarks.quantization import (
+    QuantizationSpec, quantize_values, quantize_vectors)
 from repro.landmarks.selection import select_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.order import hilbert_order
-from repro.shortestpath.bulk import multi_source_distances
+from repro.shortestpath.bulk import repair_distances
 from repro.shortestpath.kernel import indexed_ball, indexed_dijkstra
 from repro.shortestpath.path import Path
 
@@ -147,7 +149,7 @@ def _varint_len(value: int) -> int:
 
 def _encode_changed_payloads(
     bundle: NetworkTreeBundle,
-    old_compressed: CompressedVectors,
+    old_ref_of: "dict[int, tuple[int, int]]",
     compressed: CompressedVectors,
     bits: int,
     changed_nodes,
@@ -160,8 +162,9 @@ def _encode_changed_payloads(
     node, but ~10x cheaper on the hot path: for a node whose adjacency
     did not change, the header bytes (id, coords, Φ edge list) are
     spliced straight out of its current payload — the old suffix
-    length is computable from the old compression record — and the new
-    code vectors are bit-packed in one vectorized pass
+    length is computable from the old compression record (*old_ref_of*;
+    absent means the node carried codes) — and the new code vectors are
+    bit-packed in one vectorized pass
     (:func:`repro.encoding.pack_codes_rows`).  Mutated endpoints (and
     any node without a cached payload) fall back to the factory.
     """
@@ -171,16 +174,14 @@ def _encode_changed_payloads(
     bits_prefix = encode_uvarint(bits)
     # Every code vector has the same landmark count, so the suffix of
     # an uncompressed payload has one constant length.
-    c = len(next(iter(old_compressed.codes_of.values())))
+    c = len(next(iter(compressed.codes_of.values())))
     plain_suffix = 1 + _varint_len(bits) + _varint_len(c) + (c * bits + 7) // 8
-    old_codes_of = old_compressed.codes_of
-    old_ref_of = old_compressed.ref_of
     for node_id in sorted(changed_nodes):
         old_payload = bundle.payload_of.get(node_id)
         if node_id in endpoints or old_payload is None:
             payloads[node_id] = tuple_factory(node_id).encode()
             continue
-        if node_id in old_codes_of:
+        if node_id not in old_ref_of:
             suffix = plain_suffix
         else:
             theta, eps_units = old_ref_of[node_id]
@@ -234,6 +235,8 @@ class LdmMethod(VerificationMethod):
         if effective is None:
             effective = compressed.effective_arrays(graph.node_ids())
         self._eff_codes, self._eff_eps = effective
+        #: The pinned plan as column arrays, derived at the first update.
+        self._plan_index: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -385,19 +388,19 @@ class LdmMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def _apply_mutations(self, mutations: "list[GraphMutation]",
                          signer: Signer) -> tuple[str, int, int]:
-        """Targeted partial rebuild: the pinned choices stay, the rest
-        re-derives.
+        """Repair in place: the pinned choices stay, the rest re-derives.
 
         Landmark placement, the quantization grid (λ) and the
         compression plan are pinned from the original build — they are
         the expensive or signed graph-global choices.  What a weight
-        change can actually move is re-derived narrowly: only the
-        landmark rows the batch can have touched re-run through the
-        bulk backend, codes re-quantize against the pinned grid
-        (vectorized), follower ε values re-measure against their
+        change can actually move is re-derived narrowly: the landmark
+        rows the batch can have touched are repaired, only the entries
+        that moved re-quantize against the pinned grid, only the
+        followers of a moved code column re-measure ε against their
         pinned representatives, and only the tuples whose encoding
         moved — changed code columns, changed compression records,
-        mutated endpoints — re-hash into the network tree.
+        mutated endpoints — re-hash into the network tree.  Every
+        write lands after the last check that can reject the batch.
         Byte-for-byte equivalence is against a rebuild passing the same
         pins (exactly what :meth:`_rebuild` does via
         ``_build_params``).
@@ -405,58 +408,43 @@ class LdmMethod(VerificationMethod):
         if needs_layout_rebuild(mutations, self._bundle.ordering):
             return self._rebuild(signer)
         graph = self._graph
-        ids = graph.node_ids()
-        landmarks = list(self._params.landmarks)
-        # The compiled index's id -> column map matches the vectors'
-        # (ascending-id) column order and is version-cached.
-        affected = affected_sources(self._vectors, mutations,
-                                    graph.to_index().index_of)
-        if affected.size:
-            new_rows = multi_source_distances(
-                graph, [landmarks[i] for i in affected.tolist()])
-            if np.isinf(new_rows).any():
-                raise GraphError(
-                    "graph is disconnected: landmark vectors contain infinite "
-                    "distances; restrict to the largest component first"
-                )
-            self._vectors[affected] = new_rows
-
-        old_codes = self._codes
-        old_compressed = self._compressed
-        bits = self._params.bits
-        codes = old_codes
-        if affected.size:
-            # Codes re-quantize only where vectors moved; rows outside
-            # the affected set are bit-identical by construction.
-            new_code_rows, _ = quantize_vectors(
-                self._vectors[affected], bits, spec=self._spec)
-            codes = old_codes.copy()
-            codes[affected] = new_code_rows
-        compressed, eff_codes, eff_eps = apply_compression_plan(
-            ids, codes, self._spec, self._params.xi, self._plan)
+        index = graph.to_index()
+        ids = index.ids
+        landmarks = self._params.landmarks
+        # The index's ascending-id columns are the vectors' columns.
+        affected = affected_sources(self._vectors, mutations, index.index_of)
+        rows, cols, values = repair_distances(
+            index, self._vectors, affected,
+            [landmarks[i] for i in affected.tolist()], mutations)
+        if np.isinf(values).any():
+            raise GraphError(
+                "graph is disconnected: landmark vectors contain infinite "
+                "distances; restrict to the largest component first"
+            )
+        self._vectors[rows, cols] = values
+        codes = quantize_values(values, self._spec)
+        moved = codes != self._codes[rows, cols]
+        self._codes[rows[moved], cols[moved]] = codes[moved]
+        changed = np.unique(cols[moved])
+        if self._plan_index is None:
+            self._plan_index = plan_indices(index.index_of, self._plan)
+        compressed = self._compressed
+        old_ref_of = dict(compressed.ref_of)
+        recorded = refresh_compression(
+            compressed, self._eff_codes, self._eff_eps, ids, self._codes,
+            self._params.xi, self._plan_index, changed)
 
         # Φ(v) changes iff its adjacency, its own code column (when it
         # carries codes) or its compression record moved.
-        changed_nodes = edge_endpoints(mutations)
-        if affected.size:
-            for j in changed_columns_2d(old_codes[affected],
-                                        codes[affected]):
-                changed_nodes.add(ids[j])
-        changed_nodes.update(
-            old_compressed.codes_of.keys() ^ compressed.codes_of.keys())
-        for node_id in self._plan:
-            if old_compressed.ref_of.get(node_id) != compressed.ref_of.get(node_id):
-                changed_nodes.add(node_id)
-
-        self._codes = codes
-        self._eff_codes, self._eff_eps = eff_codes, eff_eps
-        factory = _make_tuple_factory(graph, compressed, bits)
-        self._bundle.set_tuple_factory(factory)
+        endpoints = edge_endpoints(mutations)
+        changed_nodes = endpoints | recorded | {
+            ids[j] for j in changed.tolist() if ids[j] in compressed.codes_of}
+        bits = self._params.bits
         payloads = _encode_changed_payloads(
-            self._bundle, old_compressed, compressed, bits,
-            changed_nodes, edge_endpoints(mutations), factory)
-        self._compressed = compressed
-        patched, rebuilt = self._bundle.refresh_payloads(payloads)
+            self._bundle, old_ref_of, compressed, bits, changed_nodes,
+            endpoints, _make_tuple_factory(graph, compressed, bits))
+        patched = self._bundle.refresh_payloads(payloads)
+        self._synced_version = graph.version  # a failed re-sign replays from here
         old = self._descriptor
         self._descriptor = resign_descriptor(
             old, signer,
@@ -465,7 +453,7 @@ class LdmMethod(VerificationMethod):
                               self._bundle.tree.root),),
             version=graph.version,
         )
-        return "incremental", patched, int(rebuilt)
+        return "incremental", patched, 0
 
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,

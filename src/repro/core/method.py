@@ -45,9 +45,10 @@ class UpdateReport:
 
     * ``"noop"`` — nothing was pending;
     * ``"incremental"`` — only the touched hint tuples were recomputed
-      and the affected Merkle leaves patched via ``update_leaf``;
-    * ``"partial-rebuild"`` — one ADS was reconstructed wholesale while
-      the others were patched (e.g. HYP after the border set changed);
+      and the changed Merkle leaves patched via ``update_leaves``;
+    * ``"partial-rebuild"`` — HYP only: a structural mutation flipped a
+      border flag, so the hyper-edge tree was rebuilt over the new
+      border set while the network tree was patched;
     * ``"full-rebuild"`` — the mutation invalidated the leaf layout
       itself (new nodes, adjacency-dependent ordering), so the method
       was rebuilt from scratch with its original parameters.

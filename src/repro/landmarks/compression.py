@@ -200,11 +200,8 @@ def apply_compression_plan(
     eff_eps = np.zeros(len(ids), dtype=np.int64)
     planned = sorted(plan)
     if planned:
-        follower_idx = np.fromiter((index_of[f] for f in planned),
-                                   dtype=np.intp, count=len(planned))
-        rep_idx = np.fromiter((index_of[plan[f]] for f in planned),
-                              dtype=np.intp, count=len(planned))
-        deltas = np.abs(cols[follower_idx] - cols[rep_idx]).max(axis=1)
+        follower_idx, rep_idx = plan_indices(index_of, plan)
+        deltas = _follower_deltas(cols, follower_idx, rep_idx)
         kept = deltas <= xi_units
         for k, follower in enumerate(planned):
             if kept[k]:
@@ -218,6 +215,70 @@ def apply_compression_plan(
         if node_id not in in_plan:
             result.codes_of[node_id] = cols[i]
     return result, eff_codes, eff_eps
+
+
+def plan_indices(index_of: "dict[int, int]",
+                 plan: "dict[int, int]") -> "tuple[np.ndarray, np.ndarray]":
+    """``(follower, representative)`` column arrays of *plan*, by follower id."""
+    planned = sorted(plan)
+    return (np.fromiter((index_of[f] for f in planned), dtype=np.intp,
+                        count=len(planned)),
+            np.fromiter((index_of[plan[f]] for f in planned), dtype=np.intp,
+                        count=len(planned)))
+
+
+def _follower_deltas(cols: np.ndarray, followers: np.ndarray,
+                     reps: np.ndarray) -> np.ndarray:
+    """Δ in λ units from each follower to its representative (its ε)."""
+    return np.abs(cols[followers] - cols[reps]).max(axis=1)
+
+
+def refresh_compression(
+    compressed: CompressedVectors,
+    eff_codes: np.ndarray,
+    eff_eps: np.ndarray,
+    ids: "list[int]",
+    codes: np.ndarray,
+    xi: float,
+    plan_index: "tuple[np.ndarray, np.ndarray]",
+    changed: np.ndarray,
+) -> "set[int]":
+    """Patch, in place, a plan-derived compression and its effective
+    arrays to :func:`apply_compression_plan`'s output on the new codes,
+    re-measuring only followers whose own or representative's column is
+    in *changed*.  Returns the ids whose compression record moved."""
+    cols = codes.T
+    codes_of, ref_of = compressed.codes_of, compressed.ref_of
+    own = cols[changed]
+    eff_codes[changed] = own
+    eff_eps[changed] = 0
+    for j, row in zip(changed.tolist(), own):
+        if ids[j] in codes_of:
+            codes_of[ids[j]] = row
+    dirty = np.zeros(len(ids), dtype=bool)
+    dirty[changed] = True
+    followers, reps = plan_index
+    hit = dirty[followers] | dirty[reps]
+    followers, reps = followers[hit], reps[hit]
+    deltas = _follower_deltas(cols, followers, reps)
+    kept = deltas <= _xi_units(xi, compressed.spec)
+    eff_codes[followers] = cols[np.where(kept, reps, followers)]
+    eff_eps[followers] = np.where(kept, deltas, 0)
+    moved: set[int] = set()
+    for f, r, delta, keep in zip(followers.tolist(), reps.tolist(),
+                                 deltas.tolist(), kept.tolist()):
+        node_id = ids[f]
+        if keep:
+            record = (ids[r], delta)
+            if ref_of.get(node_id) != record:
+                moved.add(node_id)
+                ref_of[node_id] = record
+                codes_of.pop(node_id, None)
+        else:
+            if ref_of.pop(node_id, None) is not None:
+                moved.add(node_id)
+            codes_of[node_id] = np.array(cols[f])
+    return moved
 
 
 def compress_leader(

@@ -76,13 +76,20 @@ def quantize_vectors(
         spec = QuantizationSpec.for_vectors(vectors, bits)
     elif spec.bits != bits:
         raise GraphError(f"spec is {spec.bits}-bit, requested {bits}")
-    # Round half *up* (the paper's Fig. 6a quantizes 9/2 to 5, not to the
-    # even 4 that banker's rounding would give).  |d - dist_b| <= lam/2
-    # holds either way, which is all Lemma 3 needs.  The clip is a no-op
-    # when the spec was derived from these vectors.
-    codes = np.floor(vectors / spec.lam + 0.5).astype(np.int32)
-    np.clip(codes, 0, (1 << bits) - 1, out=codes)
-    return codes, spec
+    return quantize_values(vectors, spec), spec
+
+
+def quantize_values(values: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
+    """Codes of any array of distances on *spec*'s grid (int32).
+
+    Rounds half *up* (the paper's Fig. 6a quantizes 9/2 to 5, not to the
+    even 4 that banker's rounding would give).  |d - dist_b| <= lam/2
+    holds either way, which is all Lemma 3 needs.  The clip is a no-op
+    when the spec was derived from these values.
+    """
+    codes = np.floor(values / spec.lam + 0.5).astype(np.int32)
+    np.clip(codes, 0, (1 << spec.bits) - 1, out=codes)
+    return codes
 
 
 def loose_lower_bound_units(codes_u: np.ndarray, codes_v: np.ndarray) -> int:

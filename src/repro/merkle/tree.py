@@ -40,6 +40,19 @@ def leaf_digest(payload: bytes, hash_fn: "str | HashFunction") -> bytes:
     return get_hash(hash_fn).digest(_LEAF_TAG, payload)
 
 
+def _hash_level(below: bytes, fanout: int, hash_fn: HashFunction) -> bytes:
+    """Every parent digest of the level *below*: ``iter_unpack`` slices
+    the full sibling groups at C speed, then the short trailing group."""
+    factory = hash_fn.factory
+    step = fanout * hash_fn.digest_size
+    split = len(below) - len(below) % step
+    parents = [factory(_NODE_TAG + chunk).digest()
+               for (chunk,) in struct.iter_unpack(f"{step}s", below[:split])]
+    if split < len(below):
+        parents.append(factory(_NODE_TAG + below[split:]).digest())
+    return b"".join(parents)
+
+
 class MerkleTree:
     """f-ary Merkle hash tree over an ordered sequence of payloads.
 
@@ -98,24 +111,8 @@ class MerkleTree:
             raise MerkleError("cannot build a Merkle tree over zero leaves")
 
         levels = [level0]
-        tag = _NODE_TAG
-        step = fanout * d
-        chunker = struct.Struct(f"{step}s")
-        current = level0
-        while len(current) > d:
-            # Hash level-by-level over contiguous chunks of the level
-            # buffer.  ``iter_unpack`` slices the full sibling groups at
-            # C speed; only the short trailing group (when the level
-            # size is not a fanout multiple) needs explicit handling.
-            split = len(current) - len(current) % step
-            parents = [
-                factory(tag + chunk).digest()
-                for (chunk,) in chunker.iter_unpack(current[:split])
-            ]
-            if split < len(current):
-                parents.append(factory(tag + current[split:]).digest())
-            current = b"".join(parents)
-            levels.append(current)
+        while len(levels[-1]) > d:
+            levels.append(_hash_level(levels[-1], fanout, self.hash_fn))
         self._levels = levels
 
     # ------------------------------------------------------------------
@@ -230,7 +227,9 @@ class MerkleTree:
         leaf level per call — ruinous on the million-leaf FULL distance
         tree), digests along overlapping root paths are recomputed
         once, and the result is identical to applying the updates one
-        at a time.
+        at a time.  A level most of whose entries are dirty is re-hashed
+        wholesale with the constructor's chunked pass, so a patch never
+        costs more than a rebuild.
         """
         if not payloads:
             return
@@ -262,6 +261,10 @@ class MerkleTree:
                 if parent != previous:
                     parents.append(parent)
                     previous = parent
+            if 2 * len(parents) > len(levels[level]) // d:
+                levels[level] = _hash_level(below, f, self.hash_fn)
+                frontier = range(len(levels[level]) // d)
+                continue
             row = bytearray(levels[level])
             for parent in parents:
                 lo, hi = parent * f, min((parent + 1) * f, child_count)

@@ -15,10 +15,9 @@ only.  Semantics are identical (see
 * heap ties break on node order, and node index order equals node id
   order, so tie-breaking matches the dict kernel too.
 
-A *multi-source* mode (:func:`indexed_multi_source`) serves owner-side
-construction when SciPy is unavailable; with SciPy present,
-:mod:`repro.shortestpath.bulk` prefers the C implementation over the
-same compiled arrays.
+A *multi-source* mode (:func:`indexed_multi_source`) is the pure-Python
+reference the SciPy-backed :mod:`repro.shortestpath.bulk` is tested
+against.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ def indexed_ball(
 def indexed_multi_source(index: GraphIndex, sources: "list[int]"):
     """Distances from each source to every node, as a dense array.
 
-    Pure-Python fallback for
+    Pure-Python reference for
     :func:`repro.shortestpath.bulk.multi_source_distances`: returns a
     ``(len(sources), |V|)`` float64 NumPy array in index (== ascending
     id) order, with ``inf`` for unreachable nodes.

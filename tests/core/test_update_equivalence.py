@@ -16,6 +16,8 @@ import pytest
 
 from repro.core.method import get_method
 from repro.crypto.signer import NullSigner
+from repro.errors import GraphError
+from repro.service.server import ProofServer, UpdateRequest
 from repro.shortestpath.dijkstra import dijkstra
 from repro.workload.updates import (
     ADD_EDGE,
@@ -127,6 +129,77 @@ class TestUpdateSemantics:
         assert report.mode == "noop"
         assert report.mutations == 0
         assert method.descriptor.encode() == before
+
+
+def _path_edge(graph, workload):
+    """An edge in the middle of a shortest path: re-weighting it moves rows."""
+    vs, vt = workload.queries[0]
+    nodes = dijkstra(graph, vs, target=vt).path_to(vt).nodes
+    return nodes[len(nodes) // 2 - 1], nodes[len(nodes) // 2]
+
+
+def _double_reweight(graph, server, signer, u, v):
+    weight = graph.weight(u, v)
+    graph.update_edge_weight(u, v, weight / 2)
+    graph.update_edge_weight(u, v, weight)
+    server.method.apply_update(signer)
+
+
+def _insert_then_remove(graph, server, signer, u, v):
+    # A shortcut from u to a node two hops away that would improve it.
+    far = next(x for w in graph.neighbors(v) for x in graph.neighbors(w)
+               if x != u and not graph.has_edge(u, x))
+    graph.add_edge(u, far, 1e-3)
+    graph.remove_edge(u, far)
+    server.method.apply_update(signer)
+
+
+def _rolled_back_batch(graph, server, signer, u, v):
+    with pytest.raises(GraphError):
+        server.apply_updates(
+            [UpdateRequest(UPDATE_WEIGHT, u, v, graph.weight(u, v) / 2),
+             UpdateRequest(UPDATE_WEIGHT, u, u + 10**9, 1.0)], signer)
+
+
+class _SignerFailingOnce(NullSigner):
+    def __init__(self) -> None:
+        super().__init__()
+        self.failed = False
+
+    def sign(self, message: bytes) -> bytes:
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("transient signing failure")
+        return super().sign(message)
+
+
+def _failed_resign(graph, server, signer, u, v):
+    # The hints are patched before the re-sign fails; the rollback's
+    # replay must start from the patched state, not the signed one.
+    with pytest.raises(RuntimeError):
+        server.apply_updates(
+            [UpdateRequest(UPDATE_WEIGHT, u, v, graph.weight(u, v) / 2)],
+            _SignerFailingOnce())
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_PARAMS))
+@pytest.mark.parametrize("batch", [_double_reweight, _insert_then_remove,
+                                   _rolled_back_batch, _failed_resign])
+def test_batch_that_undoes_itself_matches_rebuild(name, batch, road300,
+                                                  workload, signer):
+    """A batch whose net effect is nil must leave every hint as it was.
+
+    Seeding a repair from each mutation's own weights gets exactly these
+    wrong: the halved weight, or the inserted edge, is gone by the end
+    of the batch.  The server's rollback replays a batch plus its
+    inverse, which is the same shape.
+    """
+    graph = road300.copy()
+    server = ProofServer(get_method(name).build(graph, signer,
+                                                **METHOD_PARAMS[name]))
+    batch(graph, server, signer, *_path_edge(graph, workload))
+    assert server.method.descriptor.version == graph.version
+    assert_equivalent(server.method, graph, signer, workload.queries[:3])
 
 
 def test_adjacency_dependent_ordering_rebuilds_on_topology_change(
