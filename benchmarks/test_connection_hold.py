@@ -1,8 +1,9 @@
 """Connection-hold soak: a thousand held connections cost ~nothing.
 
-An :class:`~repro.bench.aioclient.AsyncClientPool` opens
-``hold_connections`` persistent connections, trickles verified traffic
-over them for ``hold_rounds`` rounds, and process RSS must stay flat
+``hold_connections`` :class:`~repro.bench.serving.AsyncRemoteClient`
+instances on one event loop each hold a persistent connection and
+trickle verified traffic over it for ``hold_rounds`` rounds, and
+process RSS, sampled between rounds, must stay flat
 (``max_rss_growth_mb``) — all three from the ``async_driver`` block of
 ``benchmarks/slo_baseline.json``.  A per-connection leak — buffered
 frames, un-reaped tasks, handler state — shows up here multiplied by a
@@ -14,6 +15,7 @@ soundness check before it is a resource check.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import json
 import os
@@ -39,7 +41,12 @@ def _rss_mb() -> float:
 
 def test_connection_hold_soak(ctx, results):
     """C=1000 held connections: verified traffic, flat process RSS."""
-    from repro.bench.aioclient import AsyncClientPool
+    from repro.api.transport import AsyncTransport
+    from repro.bench.serving import (
+        CONNECT_WAVE,
+        REQUEST_TIMEOUT,
+        AsyncRemoteClient,
+    )
     from repro.service.aio import AsyncProofHttpServer
     from repro.service.server import ProofServer
 
@@ -56,21 +63,36 @@ def test_connection_hold_soak(ctx, results):
 
     dispatcher = ProofServer(method, cache_size=256).dispatcher()
     rows = []
-    failures = 0
-    with AsyncProofHttpServer(dispatcher) as server, \
-            AsyncClientPool(server.url, ctx.signer.verify,
-                            clients=holders, timeout=120.0) as pool:
-        pool.hello()  # all C connections established and handshaken
-        gc.collect()
-        baseline_mb = _rss_mb()
-        grown = 0.0
-        for round_index in range(rounds):
-            outcomes = pool.run_chunk(chunk)
-            failures += sum(1 for r in outcomes if not r.ok)
+
+    async def hold(url: str) -> "tuple[float, float, int]":
+        clients = [AsyncRemoteClient(AsyncTransport(url,
+                                                    timeout=REQUEST_TIMEOUT),
+                                     ctx.signer.verify)
+                   for _ in range(holders)]
+        failures = 0
+        try:
+            # All C connections established and handshaken, in waves.
+            for first in range(0, holders, CONNECT_WAVE):
+                await asyncio.gather(*(c.hello() for c in
+                                       clients[first:first + CONNECT_WAVE]))
             gc.collect()
-            grown = _rss_mb() - baseline_mb
-            rows.append([round_index + 1, len(outcomes),
-                         sum(1 for r in outcomes if r.ok), grown])
+            baseline_mb = _rss_mb()
+            grown = 0.0
+            for round_index in range(rounds):
+                outcomes = await asyncio.gather(
+                    *(c.query(*pair) for c, pair in zip(clients, chunk)))
+                failures += sum(1 for r in outcomes if not r.ok)
+                gc.collect()
+                grown = _rss_mb() - baseline_mb
+                rows.append([round_index + 1, len(outcomes),
+                             sum(1 for r in outcomes if r.ok), grown])
+        finally:
+            await asyncio.gather(*(c.close() for c in clients),
+                                 return_exceptions=True)
+        return baseline_mb, grown, failures
+
+    with AsyncProofHttpServer(dispatcher) as server:
+        baseline_mb, grown, failures = asyncio.run(hold(server.url))
         metrics = dispatcher.metrics_json()
     results.add(
         "connection_hold_soak", dataset=DEFAULT_DATASET, scale=DEFAULT_SCALE,

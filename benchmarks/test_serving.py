@@ -2,26 +2,27 @@
 
 The paper measures per-query proof cost; a production provider serves
 the same popular queries to many clients.  This benchmark replays the
-default workload through a :class:`~repro.service.server.ProofServer`
-(cold cache, then warm) and records QPS, latency percentiles, hit rate
+default workload through the load driver's inline topology — a
+:class:`~repro.service.server.ProofServer` behind the HTTP frontend,
+cold cache then warm — and records QPS, latency percentiles, hit rate
 and proof bytes per pass into ``benchmarks/results/``.
 
-Expected shape: the warm pass hits the cache on (essentially) every
-request and is at least an order of magnitude faster than cold proving;
-every served proof — cached or fresh — passes client verification.
+Expected shape: the warm passes hit the cache on (essentially) every
+request and beat cold proving; every served proof — cached or fresh —
+passes client verification.
 """
 
 import pytest
 
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_RANGE, DEFAULT_SCALE, emit
-from repro.bench.serving import LoadtestReport, run_loadtest
+from repro.bench.serving import SloReport, run_loadtest
+from repro.workload.traffic import replay_trace
 
-#: Two batchable methods (coalesced bursts) and one constant-size method.
 METHODS = ["DIJ", "LDM", "FULL"]
 
 
 @pytest.fixture(scope="module")
-def serving_reports(ctx) -> "dict[str, LoadtestReport]":
+def serving_reports(ctx) -> "dict[str, SloReport]":
     reports = {}
     for name in METHODS:
         method = ctx.method(name)
@@ -32,9 +33,8 @@ def serving_reports(ctx) -> "dict[str, LoadtestReport]":
         # cache, not interpreter first-touch costs.
         method.answer(*queries[0])
         reports[name] = run_loadtest(
-            method, queries, ctx.signer.verify, passes=3,
-            coalesce=method.supports_batching,
-        )
+            replay_trace(method.graph, queries, passes=3),
+            ctx.signer.verify, method=method)
     return reports
 
 
@@ -43,28 +43,27 @@ def test_serving_throughput(ctx, serving_reports, results, benchmark):
     rows = []
     for name in METHODS:
         report = serving_reports[name]
-        for p in report.passes:
-            s = p.snapshot
-            rows.append([name, p.label, s.requests, s.qps, s.p50_ms,
-                         s.p95_ms, 100.0 * s.hit_rate, s.proof_kbytes])
+        for p in report.phases:
+            rows.append([name, p.name, p.queries, p.qps, p.p50_ms,
+                         p.p95_ms, 100.0 * p.hit_rate, p.proof_bytes / 1024.0])
             results.add(
                 "serving", method=name, dataset=DEFAULT_DATASET,
                 scale=DEFAULT_SCALE, nodes=graph.num_nodes,
-                query_range=DEFAULT_RANGE, label=p.label,
-                speedup=report.speedup, **s.as_dict(),
+                query_range=DEFAULT_RANGE, **p.as_dict(),
             )
     emit(
         f"Serving throughput — cold vs warm cache "
         f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, range={DEFAULT_RANGE:g})",
-        ["method", "pass", "requests", "QPS", "p50 ms", "p95 ms",
+        ["method", "pass", "queries", "QPS", "p50 ms", "p95 ms",
          "hit %", "proof KB"],
         rows,
     )
     for name in METHODS:
         report = serving_reports[name]
-        assert report.all_verified, report.warm.failures
-        assert report.warm.snapshot.hit_rate >= 0.9
-        assert report.warm.snapshot.qps > report.cold.snapshot.qps
+        cold, warm = report.phases[0], report.phases[-1]
+        assert report.all_verified, [p.failures for p in report.phases]
+        assert warm.hit_rate >= 0.9
+        assert warm.qps > cold.qps
 
     # Representative serving op: a warm-cache hit on the DIJ server.
     from repro.service.server import ProofServer
@@ -76,18 +75,18 @@ def test_serving_throughput(ctx, serving_reports, results, benchmark):
 
 
 def test_concurrent_serving(ctx, results, benchmark):
-    """Thread-pool mode: same answers, order preserved, all verified."""
+    """Four concurrent clients: same answers, all verified."""
     method = ctx.method("DIJ")
     queries = list(ctx.workload())
-    report = run_loadtest(method, queries, ctx.signer.verify,
-                          passes=2, workers=4)
+    report = run_loadtest(replay_trace(method.graph, queries),
+                          ctx.signer.verify, method=method, clients=4)
     assert report.all_verified
-    assert report.warm.snapshot.hit_rate >= 0.9
-    for p in report.passes:
-        results.add("serving-concurrent", method="DIJ", workers=4,
-                    label=p.label, **p.snapshot.as_dict())
-    emit("Concurrent serving (4 workers) — cold vs warm",
-         [h for h in LoadtestReport.TABLE_HEADERS], report.table_rows())
+    assert report.phases[-1].hit_rate >= 0.9
+    for p in report.phases:
+        results.add("serving-concurrent", method="DIJ", clients=4,
+                    **p.as_dict())
+    emit("Concurrent serving (4 clients) — cold vs warm",
+         list(SloReport.TABLE_HEADERS), report.table_rows())
 
     from repro.service.server import ProofServer
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_SCALE, emit
-from repro.bench.slo import SloReport, check_slo, load_slo_policy, run_slo_soak
+from repro.bench.serving import SloReport, check_slo, load_slo_policy, run_loadtest
 from repro.core.method import get_method
-from repro.workload.traffic import get_scenario
+from repro.workload.traffic import generate_traffic, get_scenario
 
 BASELINE = os.path.join(os.path.dirname(__file__), "slo_baseline.json")
 
@@ -33,11 +33,10 @@ def test_slo_soak(ctx, results):
     graph = ctx.dataset().copy()
     method = get_method("DIJ").build(graph, ctx.signer)
     scenario = get_scenario("steady-burst").scaled(EVENTS_SCALE)
-    report = run_slo_soak(
-        method, scenario,
-        verify_signature=ctx.signer.verify, update_signer=ctx.signer,
-        clients=2, client_mode="thread", seed=2010, time_scale=0.25,
-    )
+    report = run_loadtest(generate_traffic(graph, scenario, seed=2010),
+                          ctx.signer.verify, method=method,
+                          update_signer=ctx.signer, clients=2,
+                          time_scale=0.25)
 
     policy = load_slo_policy(BASELINE)
     results.add(

@@ -12,9 +12,9 @@ the DE network and pins the correctness contract at benchmark scale:
 * ``test_update_equivalence_after_n_random`` — after N random mixed
   updates, signed roots and full query responses are byte-identical to
   a from-scratch rebuild.
-* ``test_update_aware_serving`` — a :class:`ProofServer` replaying the
-  default workload with owner re-weights interleaved mid-pass: every
-  chunk verifies under the descriptor version it was served at.
+* ``test_update_aware_serving`` — the load driver replaying the default
+  workload with owner re-weights interleaved mid-pass: every chunk
+  verifies under the descriptor version it was served at.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ import time
 import pytest
 
 from benchmarks.conftest import DEFAULT_SCALE, SWEEP_SCALE, emit, method_params
-from repro.bench.serving import LoadtestReport, run_loadtest
+from repro.bench.serving import SloReport, run_loadtest
 from repro.core.method import get_method
+from repro.workload.traffic import replay_trace
 from repro.workload.updates import (
     UPDATE_WEIGHT,
     generate_update_workload,
@@ -142,19 +143,13 @@ def test_update_aware_serving(ctx, results, name):
     method = get_method(name).build(graph, ctx.signer, **method_params(name))
     queries = list(ctx.workload())
     method.answer(*queries[0])  # absorb first-touch costs
-    report = run_loadtest(
-        method, queries, ctx.signer.verify, passes=3,
-        coalesce=method.supports_batching,
-        updates_per_pass=3, update_signer=ctx.signer,
-    )
-    assert report.all_verified, report.warm.failures[:3]
-    for loadtest_pass in report.passes:
-        assert loadtest_pass.snapshot.updates == 3
-        results.add(
-            "update_aware_serving",
-            method=name,
-            label=loadtest_pass.label,
-            **loadtest_pass.snapshot.as_dict(),
-        )
+    trace = replay_trace(graph, queries, passes=3, updates_per_pass=3)
+    report = run_loadtest(trace, ctx.signer.verify, method=method,
+                          update_signer=ctx.signer)
+    assert report.all_verified, [p.failures[:3] for p in report.phases]
+    for phase in report.phases:
+        assert phase.updates_pushed == 3
+        assert phase.server_window["updates"] == 3
+        results.add("update_aware_serving", method=name, **phase.as_dict())
     emit(f"{name} serving with 3 owner re-weights per pass",
-         list(LoadtestReport.TABLE_HEADERS), report.table_rows())
+         list(SloReport.TABLE_HEADERS), report.table_rows())

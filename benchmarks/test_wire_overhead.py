@@ -4,8 +4,8 @@ The paper (Fig. 8a) reports communication overhead as serialized proof
 bytes; the wire API adds an envelope (frame magic, version, message
 type, length prefixes) and, over HTTP, transport framing.  This
 benchmark replays the default workload through a real localhost HTTP
-service via :class:`~repro.api.client.RemoteClient` and records what
-the protocol costs on top of the proofs themselves.
+service with the load driver's verifying clients and records what the
+protocol costs on top of the proofs themselves.
 
 Expected shape: the envelope adds a fixed ~12 bytes per response, so
 the overhead ratio stays within a fraction of a percent of 1.0 for
@@ -18,8 +18,9 @@ import pytest
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_RANGE, DEFAULT_SCALE, emit
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
-from repro.bench.serving import HttpLoadtestReport, run_http_loadtest
+from repro.bench.serving import SloReport, run_loadtest
 from repro.service.server import ProofServer
+from repro.workload.traffic import replay_trace
 
 METHODS = ["DIJ", "FULL", "LDM", "HYP"]
 
@@ -39,15 +40,14 @@ MIN_BATCH_SAVINGS = 0.25
 
 
 @pytest.fixture(scope="module")
-def wire_reports(ctx) -> "dict[str, HttpLoadtestReport]":
+def wire_reports(ctx) -> "dict[str, SloReport]":
     reports = {}
     for name in METHODS:
         method = ctx.method(name)
         queries = list(ctx.workload())
         method.answer(*queries[0])  # warm process state, not the cache
-        reports[name] = run_http_loadtest(
-            method, queries, ctx.signer.verify, passes=2,
-        )
+        reports[name] = run_loadtest(replay_trace(method.graph, queries),
+                                     ctx.signer.verify, method=method)
     return reports
 
 
@@ -57,16 +57,16 @@ def test_wire_overhead(ctx, wire_reports, results):
     for name in METHODS:
         report = wire_reports[name]
         assert report.all_verified, f"{name}: wire responses failed verification"
-        assert report.wire_overhead_ratio < MAX_OVERHEAD_RATIO, (
+        assert report.overhead_ratio < MAX_OVERHEAD_RATIO, (
             f"{name}: wire framing costs "
-            f"{100.0 * (report.wire_overhead_ratio - 1):.2f}% "
+            f"{100.0 * (report.overhead_ratio - 1):.2f}% "
             f"over proof bytes"
         )
-        cold = report.cold
+        cold = report.phases[0]
         rows.append([
-            name, cold.requests, cold.qps,
+            name, cold.queries, cold.qps,
             cold.proof_bytes / 1024.0, cold.wire_bytes / 1024.0,
-            100.0 * (report.wire_overhead_ratio - 1.0),
+            100.0 * (report.overhead_ratio - 1.0),
         ])
         results.add(
             "wire_overhead", dataset=DEFAULT_DATASET,
@@ -76,7 +76,7 @@ def test_wire_overhead(ctx, wire_reports, results):
     emit(
         f"Wire overhead — HTTP frames vs standalone proofs "
         f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, range={DEFAULT_RANGE:g})",
-        ["method", "requests", "wire QPS", "proof KB", "wire KB",
+        ["method", "queries", "wire QPS", "proof KB", "wire KB",
          "overhead %"],
         rows,
     )

@@ -202,10 +202,25 @@ class RemoteClient:
         is the returned manifest's and is performed here — a manifest
         that fails it raises too, since nothing it says can be trusted.
         """
+        if self.transport is None:
+            raise ProtocolError(
+                "a transport-free client cannot fetch a manifest; its "
+                "caller carries the exchange (interpret_manifest_reply)")
+        reply_frame = self._roundtrip(ManifestRequest().to_frame())
+        return self.interpret_manifest_reply(reply_frame)
+
+    def interpret_manifest_reply(self, reply_frame: bytes):
+        """Decode, verify and adopt one manifest reply frame.
+
+        The transport-free half of :meth:`fetch_manifest`: a driver that
+        carried the exchange on its own connection hands the reply here,
+        and later composite replies verify against the adopted manifest
+        with no further roundtrip.
+        """
         from repro.shard.manifest import ShardManifest, verify_manifest
 
         reply = self._raise_on_error(
-            self._exchange(ManifestRequest(), ManifestReply))
+            self.interpret_exchange(reply_frame, ManifestReply))
         try:
             manifest = ShardManifest.decode(reply.manifest_bytes)
         except ReproError as exc:

@@ -249,8 +249,7 @@ class AsyncTransport:
     threads at all.  One event loop holds C of these (one per simulated
     client), and each carries at most one in-flight request — so a
     single driver thread sustains hundreds to thousands of persistent
-    keep-alive connections, the regime the spawn-per-client SLO harness
-    could never reach.
+    keep-alive connections.
 
     Must be used from the event loop that first dialed it; the HTTP
     response is parsed by hand (status line, headers, sized body)

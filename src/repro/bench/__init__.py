@@ -1,45 +1,28 @@
-"""Experiment harness: build methods, run workloads, render tables."""
+"""Experiment harness: build methods, run workloads, drive load, render tables."""
 
-from repro.bench.aioclient import AsyncClientPool, AsyncRemoteClient
 from repro.bench.harness import MethodRun, build_method, run_workload
-from repro.bench.profile import (
-    BenchRecord,
-    compare_records,
-    load_record,
-    profile_method,
-    write_record,
-)
 from repro.bench.reporting import ResultsLog, format_table
-from repro.bench.serving import LoadtestPass, LoadtestReport, run_loadtest
-from repro.bench.slo import (
+from repro.bench.serving import (
+    AsyncRemoteClient,
     PhaseReport,
     SloPolicy,
     SloReport,
     check_slo,
     load_slo_policy,
-    run_slo_soak,
+    run_loadtest,
 )
 
 __all__ = [
-    "AsyncClientPool",
     "AsyncRemoteClient",
     "MethodRun",
     "build_method",
     "run_workload",
-    "BenchRecord",
-    "profile_method",
-    "write_record",
-    "load_record",
-    "compare_records",
     "ResultsLog",
     "format_table",
-    "LoadtestPass",
-    "LoadtestReport",
-    "run_loadtest",
     "PhaseReport",
     "SloPolicy",
     "SloReport",
     "check_slo",
     "load_slo_policy",
-    "run_slo_soak",
+    "run_loadtest",
 ]

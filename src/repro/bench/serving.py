@@ -1,448 +1,641 @@
-"""Load-testing harness for the proof-serving layer.
+"""The load driver: a traffic trace, verifying async clients, one topology.
 
-Replays one workload through a :class:`~repro.service.server.ProofServer`
-several times against a single server instance: pass 1 runs against a
-cold cache, later passes replay the identical queries against the warm
-cache.  Every served response — cached or freshly proved — is verified
-by a real client, so a passing load test is also an end-to-end
-soundness check of the serving layer.
+:func:`run_loadtest` is the only way this repository puts load on a
+serving stack.  Its three inputs are orthogonal:
 
-With ``updates_per_pass`` the harness becomes update-aware: each pass
-interleaves that many owner re-weights (seeded, drawn fresh against
-the live graph) between equal-sized query chunks, and every chunk is
-verified under the descriptor version it was served at — so the run
-also exercises incremental re-authentication, versioned cache
-invalidation and the client's freshness floor end to end.
+* **a trace** — a :class:`~repro.workload.traffic.TrafficTrace`, either
+  a generated scenario (:func:`~repro.workload.traffic.generate_traffic`:
+  warmup → steady → burst → update-storm and friends) or a fixed-query
+  replay (:func:`~repro.workload.traffic.replay_trace`: one closed-loop
+  phase per pass, ``cold``, ``warm1``, …);
+* **clients** — C :class:`AsyncRemoteClient` instances on one event
+  loop, each one persistent connection with one request in flight,
+  plus a coordinator connection that carries the owner's pushes;
+* **a topology** — exactly one of an inline
+  :class:`~repro.service.aio.AsyncProofHttpServer` over a
+  :class:`~repro.service.server.ProofServer` for a built method, a
+  :class:`~repro.service.workers.WorkerPool` over an artifact, or any
+  running endpoint by URL (a shard router included).
 
-With ``run_http_loadtest`` the same workload instead crosses a real
-socket: an in-process :class:`~repro.service.aio.AsyncProofHttpServer` is
-booted on an ephemeral port and a bytes-only
-:class:`~repro.api.client.RemoteClient` drives it, measuring wire-level
-QPS and bytes-on-wire against the standalone proof sizes the paper
-reports — the framing overhead of the protocol, quantified.
+**Every reply is verified** by a client holding nothing but the owner's
+public key: single-box proofs, multiproof batch slots and stitched
+cross-shard composites alike (each client fetches and verifies the shard
+manifest over its own connection when the endpoint serves one).  Garbage
+events assert the error taxonomy: each hostile frame must draw its
+expected typed outcome, and an untyped exception fails the run.
 
-Shared by ``repro-spv loadtest`` and ``benchmarks/test_serving.py``.
+Updates follow the phase's loop mode.  In a closed-loop phase an update
+event is a barrier: every client drains, the push lands, and every
+client's freshness floor rises, so each chunk verifies at the version it
+was served under.  In an open-loop phase the coordinator pushes at the
+event's timestamp while the clients keep firing.  Pushes land only on
+the inline topology with an ``update_signer``; elsewhere they are
+dropped.  After the last phase the coordinator queries once more at its
+floor — the end-to-end stale-replay check.
+
+The result is one :class:`SloReport` of :class:`PhaseReport` rows (a
+replay pass is a phase); :class:`SloPolicy` + :func:`check_slo` turn it
+into a gate, and the policy checked in under ``benchmarks/`` is what CI
+enforces.  Speed is perfbench's to judge, not this driver's.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from repro.core.method import SignatureVerifier, VerificationMethod, get_method
+from repro.api.client import RemoteClient, RemoteResult
+from repro.api.envelope import (
+    BatchQueryRequest,
+    ErrorMessage,
+    HelloReply,
+    HelloRequest,
+    ManifestRequest,
+    QueryReply,
+    QueryRequest,
+    SUPPORTED_VERSIONS,
+    UpdatePushRequest,
+    UpdateReply,
+    WireUpdate,
+    decode_frame,
+    decode_message,
+)
+from repro.api.transport import AsyncTransport
+from repro.core.method import SignatureVerifier, VerificationMethod
 from repro.crypto.signer import Signer
-from repro.errors import ServiceError
+from repro.errors import ProtocolError, ServiceError
 from repro.service.cache import DEFAULT_CAPACITY
-from repro.service.metrics import MetricsSnapshot
-from repro.service.server import ProofServer
-from repro.workload.updates import UPDATE_WEIGHT, generate_update_workload
+from repro.service.metrics import percentile
+from repro.workload.traffic import (
+    EVENT_BATCH,
+    EVENT_GARBAGE,
+    EVENT_QUERY,
+    EVENT_UPDATE,
+    TrafficTrace,
+)
+
+#: Verifying clients when the caller does not say.
+DEFAULT_CLIENTS = 2
+
+#: How many clients dial concurrently while the driver opens them.  A
+#: thousand simultaneous SYNs can overflow even a deep listen backlog;
+#: waves keep the storm bounded without serialising the ramp-up.
+CONNECT_WAVE = 128
+
+#: Per-request deadline.  With hundreds of requests in flight on an
+#: oversubscribed box, honest queueing can reach tens of seconds.
+REQUEST_TIMEOUT = 120.0
 
 
-@dataclass(frozen=True)
-class LoadtestPass:
-    """One replay of the workload: metrics plus verification outcomes."""
+class AsyncRemoteClient:
+    """Verified queries over one awaited persistent connection.
 
-    label: str
-    snapshot: MetricsSnapshot
-    verified: int
-    failures: tuple[str, ...]
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether the client accepted every served response."""
-        return not self.failures
-
-
-@dataclass(frozen=True)
-class LoadtestReport:
-    """Cold-versus-warm comparison over all passes."""
-
-    method: str
-    num_queries: int
-    passes: tuple[LoadtestPass, ...]
-
-    @property
-    def cold(self) -> LoadtestPass:
-        """The first (cold-cache) pass."""
-        return self.passes[0]
-
-    @property
-    def warm(self) -> LoadtestPass:
-        """The last (fully warm) pass."""
-        return self.passes[-1]
-
-    @property
-    def speedup(self) -> float:
-        """Warm QPS over cold QPS."""
-        cold_qps = self.cold.snapshot.qps
-        return self.warm.snapshot.qps / cold_qps if cold_qps else 0.0
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether every pass verified completely."""
-        return all(p.all_verified for p in self.passes)
-
-    def table_rows(self) -> "list[list[object]]":
-        """Rows for :func:`repro.bench.reporting.format_table`."""
-        rows = []
-        for p in self.passes:
-            s = p.snapshot
-            rows.append([
-                p.label, s.requests, s.qps, s.p50_ms, s.p95_ms,
-                100.0 * s.hit_rate, s.proof_kbytes,
-                s.updates, s.update_ms_mean,
-                "ok" if p.all_verified else f"{len(p.failures)} FAILED",
-            ])
-        return rows
-
-    #: Header matching :meth:`table_rows`.
-    TABLE_HEADERS = ("pass", "requests", "QPS", "p50 ms", "p95 ms",
-                     "hit %", "proof KB", "updates", "upd ms", "verified")
-
-
-def run_loadtest(
-    method: VerificationMethod,
-    queries: "list[tuple[int, int]]",
-    verify_signature: SignatureVerifier,
-    *,
-    passes: int = 2,
-    cache_size: int = DEFAULT_CAPACITY,
-    coalesce: bool = True,
-    workers: int = 1,
-    updates_per_pass: int = 0,
-    update_signer: "Signer | None" = None,
-    update_seed: int = 2010,
-) -> LoadtestReport:
-    """Replay *queries* ``passes`` times through one server.
-
-    ``workers > 1`` serves each pass on a thread pool (which disables
-    coalescing — the pool answers queries independently); otherwise
-    bursts coalesce through the combined-cover batch path when the
-    method supports it.  ``updates_per_pass > 0`` interleaves that many
-    owner re-weights through every pass (``update_signer`` required);
-    each query chunk is then verified with the descriptor version it
-    was served under as the freshness floor, so a stale replay would
-    fail the load test.
+    The async twin of :class:`~repro.api.client.RemoteClient`: the
+    transport is awaited, the interpretation is shared — every reply
+    frame goes through the same transport-free ``interpret_*`` methods
+    the sync client uses, so a reply accepted here is exactly one the
+    sync client would accept.
     """
-    if passes < 2:
-        raise ServiceError(f"need a cold and a warm pass; got passes={passes}")
-    if not queries:
-        raise ServiceError("empty load-test workload")
-    if updates_per_pass < 0:
-        raise ServiceError(f"updates_per_pass must be >= 0, got {updates_per_pass}")
-    if updates_per_pass and update_signer is None:
-        raise ServiceError("updates_per_pass needs an update_signer to re-sign")
-    verifier = get_method(method.name)
-    server = ProofServer(method, cache_size=cache_size, max_workers=workers)
 
-    def serve(chunk: "list[tuple[int, int]]"):
-        if workers > 1:
-            return server.answer_concurrent(chunk)
-        return server.answer_many(chunk, coalesce=coalesce)
+    def __init__(self, transport: AsyncTransport, verify_signature, *,
+                 min_descriptor_version: "int | None" = None) -> None:
+        self.transport = transport
+        #: The transport-free client that decodes and verifies.
+        self.client = RemoteClient(
+            None, verify_signature,
+            min_descriptor_version=min_descriptor_version)
 
-    results: list[LoadtestPass] = []
-    for index in range(passes):
-        label = "cold" if index == 0 else f"warm{index}"
-        server.reset_metrics()
-        failures: list[str] = []
-        served_count = 0
+    def require_version(self, version: int) -> None:
+        """Raise the freshness floor (monotonic; see ``Client``)."""
+        self.client.require_version(version)
 
-        def verify_chunk(chunk, served, min_version) -> None:
-            nonlocal served_count
-            served_count += len(served)
-            for (vs, vt), item in zip(chunk, served):
-                if not item.ok:
-                    failures.append(f"({vs},{vt}): error {item.error}")
-                    continue
-                result = verifier.verify(vs, vt, item.response,
-                                         verify_signature,
-                                         min_version=min_version)
-                if not result.ok:
-                    failures.append(
-                        f"({vs},{vt}): {result.reason} {result.detail}")
+    @property
+    def min_descriptor_version(self) -> "int | None":
+        """The current stale-replay rejection floor."""
+        return self.client.min_descriptor_version
 
-        if updates_per_pass:
-            updates = list(generate_update_workload(
-                method.graph, updates_per_pass,
-                seed=update_seed + index, kinds=(UPDATE_WEIGHT,),
-            ))
-            # updates_per_pass + 1 chunks, updates between them.
-            step = -(-len(queries) // (updates_per_pass + 1))
-            chunks = [queries[i:i + step]
-                      for i in range(0, len(queries), step)]
-            for ci, chunk in enumerate(chunks):
-                floor = server.descriptor_version
-                verify_chunk(chunk, serve(chunk), floor)
-                if ci < len(updates):
-                    server.apply_updates([updates[ci]], update_signer)
-            # Fewer chunks than planned (tiny workloads): apply the rest.
-            for update in updates[len(chunks):]:
-                server.apply_updates([update], update_signer)
-        else:
-            verify_chunk(queries, serve(queries), None)
+    async def _exchange(self, request, reply_cls):
+        reply = await self.transport.roundtrip(request.to_frame())
+        return self.client._raise_on_error(
+            self.client.interpret_exchange(reply, reply_cls))
 
-        results.append(LoadtestPass(
-            label=label,
-            snapshot=server.snapshot(),
-            verified=served_count - len(failures),
-            failures=tuple(failures),
-        ))
-    return LoadtestReport(
-        method=method.name,
-        num_queries=len(queries),
-        passes=tuple(results),
-    )
+    async def hello(self) -> HelloReply:
+        """Negotiate a protocol version; learn what is being served."""
+        return await self._exchange(HelloRequest(SUPPORTED_VERSIONS),
+                                    HelloReply)
+
+    async def fetch_manifest(self):
+        """Fetch, verify and adopt the served shard manifest (routers)."""
+        reply = await self.transport.roundtrip(ManifestRequest().to_frame())
+        return self.client.interpret_manifest_reply(reply)
+
+    async def query(self, source: int, target: int) -> RemoteResult:
+        """One verified shortest path query over the wire."""
+        reply = await self.transport.roundtrip(
+            QueryRequest(source, target).to_frame())
+        return self.client.interpret_query_reply(source, target, reply)
+
+    async def query_batch(self, pairs) -> "list[RemoteResult]":
+        """A burst of queries in one multiproof frame, each verified."""
+        pairs = [(int(s), int(t)) for s, t in pairs]
+        reply = await self.transport.roundtrip(
+            BatchQueryRequest(tuple(pairs), multiproof=True).to_frame())
+        return self.client.interpret_batch_reply(pairs, reply)
+
+    async def push_updates(self, updates) -> UpdateReply:
+        """Push an owner mutation batch (server must hold the signer)."""
+        wire = tuple(WireUpdate(u.kind, u.u, u.v, getattr(u, "weight", 0.0))
+                     for u in updates)
+        return await self._exchange(UpdatePushRequest(wire), UpdateReply)
+
+    async def close(self) -> None:
+        """Drop the held connection."""
+        await self.transport.close()
 
 
 # ----------------------------------------------------------------------
-# HTTP (wire-level) load testing
+# Reports
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class HttpLoadtestPass:
-    """One workload replay over the wire."""
+class PhaseReport:
+    """One phase (or replay pass) as the clients observed it."""
 
-    label: str
-    requests: int
+    name: str
+    mode: str  # "open" or "closed"
+    requests: int          # frames sent (queries + batches + garbage)
+    queries: int           # individual queries answered
     seconds: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
     wire_bytes: int
     proof_bytes: int
     verified: int
+    cache_hits: int        # replies flagged ``cached`` by the server
     failures: tuple[str, ...]
+    garbage_sent: int = 0
+    garbage_unexpected: int = 0
+    garbage_untyped: int = 0
+    updates_pushed: int = 0
+    server_window: "dict | None" = None
 
     @property
     def qps(self) -> float:
-        """Wire-level queries per second (client-observed)."""
-        return self.requests / self.seconds if self.seconds > 0 else 0.0
+        """Queries per second over the phase wall time."""
+        return self.queries / self.seconds if self.seconds > 0 else 0.0
+
+    @property
+    def bytes_per_query(self) -> float:
+        """Mean wire bytes per answered query."""
+        return self.wire_bytes / self.queries if self.queries else 0.0
+
+    @property
+    def hit_rate(self) -> float:
+        """Client-observed served-from-cache fraction."""
+        return self.cache_hits / self.queries if self.queries else 0.0
 
     @property
     def all_verified(self) -> bool:
-        """Whether the client accepted every wire response."""
+        """Whether every response in this phase verified."""
         return not self.failures
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Bytes-on-wire over standalone proof bytes (>= 1.0)."""
-        return self.wire_bytes / self.proof_bytes if self.proof_bytes else 0.0
-
-
-@dataclass(frozen=True)
-class HttpLoadtestReport:
-    """Cold-versus-warm wire serving comparison.
-
-    ``server_metrics`` is the service's own ``GET /metrics`` JSON
-    snapshot, scraped after the last pass — the server-side view
-    (hit rate, cache evictions/occupancy) next to the client-observed
-    wire numbers.
-    """
-
-    method: str
-    num_queries: int
-    url: str
-    passes: tuple[HttpLoadtestPass, ...]
-    server_metrics: "dict | None" = None
-
-    @property
-    def cold(self) -> HttpLoadtestPass:
-        """The first (cold-cache) pass."""
-        return self.passes[0]
-
-    @property
-    def warm(self) -> HttpLoadtestPass:
-        """The last (fully warm) pass."""
-        return self.passes[-1]
-
-    @property
-    def speedup(self) -> float:
-        """Warm wire QPS over cold wire QPS."""
-        return self.warm.qps / self.cold.qps if self.cold.qps else 0.0
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether every pass verified completely."""
-        return all(p.all_verified for p in self.passes)
-
-    @property
-    def wire_overhead_ratio(self) -> float:
-        """Whole-run bytes-on-wire over standalone proof bytes."""
-        wire = sum(p.wire_bytes for p in self.passes)
-        proof = sum(p.proof_bytes for p in self.passes)
-        return wire / proof if proof else 0.0
-
-    def table_rows(self) -> "list[list[object]]":
-        """Rows for :func:`repro.bench.reporting.format_table`."""
-        return [
-            [p.label, p.requests, p.qps, p.wire_bytes / 1024.0,
-             p.proof_bytes / 1024.0, p.overhead_ratio,
-             "ok" if p.all_verified else f"{len(p.failures)} FAILED"]
-            for p in self.passes
-        ]
-
-    #: Header matching :meth:`table_rows`.
-    TABLE_HEADERS = ("pass", "requests", "wire QPS", "wire KB",
-                     "proof KB", "overhead", "verified")
 
     def as_dict(self) -> dict:
         """Flat record for JSON results logs."""
         return {
+            "name": self.name, "mode": self.mode,
+            "requests": self.requests, "queries": self.queries,
+            "seconds": self.seconds, "qps": self.qps,
+            "p50_ms": self.p50_ms, "p95_ms": self.p95_ms,
+            "p99_ms": self.p99_ms,
+            "wire_bytes": self.wire_bytes, "proof_bytes": self.proof_bytes,
+            "bytes_per_query": self.bytes_per_query,
+            "hit_rate": self.hit_rate,
+            "verified": self.verified, "failures": len(self.failures),
+            "garbage_sent": self.garbage_sent,
+            "garbage_unexpected": self.garbage_unexpected,
+            "garbage_untyped": self.garbage_untyped,
+            "updates_pushed": self.updates_pushed,
+            "server_window": self.server_window,
+        }
+
+
+@dataclass(frozen=True)
+class SloReport:
+    """A full run: per-phase views plus the rollup."""
+
+    scenario: str
+    method: str
+    seed: int
+    trace_digest: str
+    clients: int
+    url: str
+    phases: tuple[PhaseReport, ...]
+    server_metrics: "dict | None" = None
+    worker_requests: tuple[int, ...] = ()
+    final_version: int = 0
+    freshness_failures: tuple[str, ...] = ()
+
+    @property
+    def saturation_qps(self) -> float:
+        """Best closed-loop phase QPS (0.0 when no phase is closed)."""
+        closed = [p.qps for p in self.phases if p.mode == "closed"]
+        return max(closed) if closed else 0.0
+
+    @property
+    def overhead_ratio(self) -> float:
+        """Bytes on the wire over standalone proof bytes, run-wide."""
+        proof = sum(p.proof_bytes for p in self.phases)
+        return sum(p.wire_bytes for p in self.phases) / proof if proof else 0.0
+
+    @property
+    def verification_failures(self) -> int:
+        """Responses that failed end-to-end verification, run-wide."""
+        return (sum(len(p.failures) for p in self.phases)
+                + len(self.freshness_failures))
+
+    @property
+    def untyped_garbage(self) -> int:
+        """Garbage frames whose handling raised an untyped exception."""
+        return sum(p.garbage_untyped for p in self.phases)
+
+    @property
+    def all_verified(self) -> bool:
+        """Whether every response (and the freshness floor) verified."""
+        return self.verification_failures == 0
+
+    @property
+    def total_queries(self) -> int:
+        """Individual queries answered across all phases."""
+        return sum(p.queries for p in self.phases)
+
+    @property
+    def updates_pushed(self) -> int:
+        """Owner mutations pushed over the wire across all phases."""
+        return sum(p.updates_pushed for p in self.phases)
+
+    def table_rows(self) -> "list[list[object]]":
+        """Rows for :func:`repro.bench.reporting.format_table`."""
+        return [
+            [p.name, p.mode, p.queries, p.qps, p.p50_ms, p.p95_ms,
+             p.p99_ms, p.bytes_per_query, 100.0 * p.hit_rate,
+             p.updates_pushed, p.garbage_sent,
+             "ok" if p.all_verified else f"{len(p.failures)} FAILED"]
+            for p in self.phases
+        ]
+
+    #: Header matching :meth:`table_rows`.
+    TABLE_HEADERS = ("phase", "loop", "queries", "QPS", "p50 ms", "p95 ms",
+                     "p99 ms", "B/query", "hit %", "updates", "garbage",
+                     "verified")
+
+    def as_dict(self) -> dict:
+        """Flat record for JSON results logs and baseline gating."""
+        return {
+            "scenario": self.scenario,
             "method": self.method,
-            "num_queries": self.num_queries,
-            "cold_qps": self.cold.qps,
-            "warm_qps": self.warm.qps,
-            "speedup": self.speedup,
-            "wire_bytes": sum(p.wire_bytes for p in self.passes),
-            "proof_bytes": sum(p.proof_bytes for p in self.passes),
-            "wire_overhead_ratio": self.wire_overhead_ratio,
+            "seed": self.seed,
+            "trace_digest": self.trace_digest,
+            "clients": self.clients,
+            "phases": [p.as_dict() for p in self.phases],
+            "saturation_qps": self.saturation_qps,
+            "overhead_ratio": self.overhead_ratio,
+            "verification_failures": self.verification_failures,
+            "untyped_garbage": self.untyped_garbage,
             "all_verified": self.all_verified,
+            "total_queries": self.total_queries,
+            "updates_pushed": self.updates_pushed,
+            "final_version": self.final_version,
+            "worker_requests": list(self.worker_requests),
             "server_metrics": self.server_metrics,
         }
 
 
-def run_http_loadtest(
-    method: VerificationMethod,
-    queries: "list[tuple[int, int]]",
-    verify_signature: SignatureVerifier,
-    *,
-    passes: int = 2,
-    cache_size: int = DEFAULT_CAPACITY,
-    updates_per_pass: int = 0,
-    update_signer: "Signer | None" = None,
-    update_seed: int = 2010,
-    batch_size: int = 0,
-    async_clients: int = 0,
-) -> HttpLoadtestReport:
-    """Replay *queries* over real HTTP, verifying every wire response.
+# ----------------------------------------------------------------------
+# Policy gate
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SloPolicy:
+    """Service-level objectives a report is held against.
 
-    Boots a :class:`~repro.service.aio.AsyncProofHttpServer` on an
-    ephemeral localhost port around the method's
-    :class:`~repro.service.server.ProofServer`, then drives the full
-    workload through a :class:`~repro.api.client.RemoteClient` —
-    handshake, descriptor fetch, per-query frames — so the measured
-    path includes framing, HTTP and socket costs.  With
-    ``updates_per_pass`` the harness pushes that many owner re-weights
-    per pass *over the wire* and raises the client's freshness floor
-    from each push's reported version, so a stale replay would fail
-    the run exactly as it would fail a real client.
-
-    ``batch_size > 0`` replays the workload as multiproof BATCH frames
-    of that many queries instead of per-query QUERY frames (every
-    recovered response still individually verified).
-
-    ``async_clients > 0`` swaps the single driver for an
-    :class:`~repro.bench.aioclient.AsyncClientPool` of that many
-    persistent event-loop clients.
+    ``max_p99_ms`` applies to every phase except warmup (cold caches are
+    not an SLO violation); ``min_hit_rate`` is satisfied by the *best*
+    phase (the steady phase is where locality shows); the two zero-max
+    counters are the correctness gates and default to zero tolerance.
     """
-    import contextlib
 
-    from repro.api.client import RemoteClient
-    from repro.api.transport import HttpTransport
-    from repro.bench.aioclient import AsyncClientPool
-    from repro.service.aio import AsyncProofHttpServer
+    max_p99_ms: float = float("inf")
+    min_saturation_qps: float = 0.0
+    min_hit_rate: float = 0.0
+    max_verification_failures: int = 0
+    max_untyped_garbage: int = 0
 
-    if passes < 2:
-        raise ServiceError(f"need a cold and a warm pass; got passes={passes}")
-    if not queries:
-        raise ServiceError("empty load-test workload")
-    if updates_per_pass < 0:
-        raise ServiceError(f"updates_per_pass must be >= 0, got {updates_per_pass}")
-    if updates_per_pass and update_signer is None:
-        raise ServiceError("updates_per_pass needs an update_signer to re-sign")
-    if batch_size < 0:
-        raise ServiceError(f"batch_size must be >= 0, got {batch_size}")
-    if async_clients < 0:
-        raise ServiceError(f"async_clients must be >= 0, got {async_clients}")
+    def as_dict(self) -> dict:
+        """Flat record (inverse of :func:`load_slo_policy`)."""
+        return {
+            "max_p99_ms": self.max_p99_ms,
+            "min_saturation_qps": self.min_saturation_qps,
+            "min_hit_rate": self.min_hit_rate,
+            "max_verification_failures": self.max_verification_failures,
+            "max_untyped_garbage": self.max_untyped_garbage,
+        }
 
-    server = ProofServer(method, cache_size=cache_size)
-    dispatcher = server.dispatcher(update_signer=update_signer)
-    results: list[HttpLoadtestPass] = []
-    with contextlib.ExitStack() as stack:
-        http_server = stack.enter_context(AsyncProofHttpServer(dispatcher))
-        if async_clients:
-            # Generous per-request timeout: with hundreds of in-flight
-            # requests on an oversubscribed box, honest queueing delay
-            # can reach tens of seconds without anything being wrong.
-            client = stack.enter_context(AsyncClientPool(
-                http_server.url, verify_signature, clients=async_clients,
-                timeout=120.0))
-        else:
-            transport = stack.enter_context(HttpTransport(http_server.url))
-            client = RemoteClient(transport, verify_signature)
-        hello = client.hello()
-        if hello.method != method.name:
-            raise ServiceError(
-                f"handshake says method {hello.method!r}, expected {method.name!r}"
-            )
 
-        def run_chunk(chunk) -> "tuple[int, int, list[str]]":
-            wire = 0
-            proof = 0
-            bad: list[str] = []
-            if async_clients:
-                outcomes = client.run_chunk(chunk, batch_size=batch_size)
-            elif batch_size:
-                groups = [chunk[i:i + batch_size]
-                          for i in range(0, len(chunk), batch_size)]
-                outcomes = [r for group in groups
-                            for r in client.query_batch(group)]
+def load_slo_policy(path: str) -> SloPolicy:
+    """Read an :class:`SloPolicy` from a JSON file (unknown keys ignored)."""
+    with open(path, "r", encoding="utf-8") as infile:
+        record = json.load(infile)
+    if not isinstance(record, dict):
+        raise ServiceError(f"SLO policy {path!r} is not a JSON object")
+    known = {f for f in SloPolicy.__dataclass_fields__}
+    return SloPolicy(**{k: v for k, v in record.items() if k in known})
+
+
+def check_slo(report: SloReport, policy: SloPolicy) -> "list[str]":
+    """Violations of *policy* in *report* (empty list = gate passes)."""
+    violations: list[str] = []
+    for phase in report.phases:
+        if phase.name == "warmup":
+            continue
+        if phase.p99_ms > policy.max_p99_ms:
+            violations.append(
+                f"phase {phase.name!r}: p99 {phase.p99_ms:.1f} ms exceeds "
+                f"SLO {policy.max_p99_ms:.1f} ms")
+    if report.saturation_qps < policy.min_saturation_qps:
+        violations.append(
+            f"saturation {report.saturation_qps:.1f} QPS below SLO "
+            f"{policy.min_saturation_qps:.1f} QPS")
+    if policy.min_hit_rate > 0.0:
+        best = max((p.hit_rate for p in report.phases), default=0.0)
+        if best < policy.min_hit_rate:
+            violations.append(
+                f"best phase hit rate {best:.2f} below SLO "
+                f"{policy.min_hit_rate:.2f}")
+    if report.verification_failures > policy.max_verification_failures:
+        violations.append(
+            f"{report.verification_failures} verification failures "
+            f"(SLO allows {policy.max_verification_failures})")
+    if report.untyped_garbage > policy.max_untyped_garbage:
+        violations.append(
+            f"{report.untyped_garbage} untyped exceptions on garbage frames "
+            f"(SLO allows {policy.max_untyped_garbage})")
+    return violations
+
+
+# ----------------------------------------------------------------------
+# Event execution
+# ----------------------------------------------------------------------
+@dataclass
+class _Tally:
+    """One phase's running counters; every client adds into it."""
+
+    latencies: list = field(default_factory=list)
+    requests: int = 0
+    queries: int = 0
+    wire: int = 0
+    proof: int = 0
+    verified: int = 0
+    cached: int = 0
+    failures: list = field(default_factory=list)
+    garbage: int = 0
+    unexpected: int = 0
+    untyped: int = 0
+    pushed: int = 0
+
+    def add(self, results) -> None:
+        """Account verified query results."""
+        for r in results:
+            self.queries += 1
+            self.wire += r.wire_bytes
+            self.proof += len(r.response_bytes or b"")
+            self.cached += r.cached
+            if r.ok:
+                self.verified += 1
             else:
-                outcomes = [client.query(vs, vt) for vs, vt in chunk]
-            for result in outcomes:
-                wire += result.wire_bytes
-                proof += len(result.response_bytes or b"")
-                if not result.ok:
-                    bad.append(
-                        f"({result.source},{result.target}): "
-                        f"{result.verdict.reason} {result.verdict.detail}")
-            return wire, proof, bad
+                self.failures.append(f"({r.source},{r.target}): "
+                                     f"{r.verdict.reason} {r.verdict.detail}")
 
-        for index in range(passes):
-            label = "cold" if index == 0 else f"warm{index}"
-            failures: list[str] = []
-            wire_bytes = 0
-            proof_bytes = 0
-            updates = []
-            if updates_per_pass:
-                updates = list(generate_update_workload(
-                    method.graph, updates_per_pass,
-                    seed=update_seed + index, kinds=(UPDATE_WEIGHT,),
-                ))
-            step = (-(-len(queries) // (len(updates) + 1))
-                    if updates else len(queries))
-            chunks = [queries[i:i + step] for i in range(0, len(queries), step)]
-            start = time.perf_counter()
-            for ci, chunk in enumerate(chunks):
-                wire, proof, bad = run_chunk(chunk)
-                wire_bytes += wire
-                proof_bytes += proof
-                failures.extend(bad)
-                if ci < len(updates):
-                    report = client.push_updates([updates[ci]])
-                    client.require_version(report.version)
-            for update in updates[len(chunks):]:
-                report = client.push_updates([update])
-                client.require_version(report.version)
-            results.append(HttpLoadtestPass(
-                label=label,
-                requests=len(queries),
-                seconds=time.perf_counter() - start,
-                wire_bytes=wire_bytes,
-                proof_bytes=proof_bytes,
-                verified=len(queries) - len(failures),
-                failures=tuple(failures),
-            ))
-        url = http_server.url
-        server_metrics = fetch_http_metrics(url)
-    return HttpLoadtestReport(
-        method=method.name,
-        num_queries=len(queries),
-        url=url,
-        passes=tuple(results),
-        server_metrics=server_metrics,
-    )
+    def report(self, phase, seconds: float) -> PhaseReport:
+        """Freeze into the phase's report row."""
+        ms = [1000.0 * s for s in self.latencies]
+        return PhaseReport(
+            name=phase.name, mode="closed" if phase.closed_loop else "open",
+            requests=self.requests, queries=self.queries, seconds=seconds,
+            p50_ms=percentile(ms, 0.50), p95_ms=percentile(ms, 0.95),
+            p99_ms=percentile(ms, 0.99), wire_bytes=self.wire,
+            proof_bytes=self.proof, verified=self.verified,
+            cache_hits=self.cached, failures=tuple(self.failures),
+            garbage_sent=self.garbage, garbage_unexpected=self.unexpected,
+            garbage_untyped=self.untyped, updates_pushed=self.pushed,
+        )
+
+
+def _refusal(event, exc: Exception) -> "tuple[str, str]":
+    """Classify an exception raised while carrying a garbage frame.
+
+    A :class:`ProtocolError` (transport rejection, or an error the reply
+    decoder surfaced) is a *typed* outcome; anything else is the untyped
+    failure garbage events exist to catch.  Returns ``(outcome,
+    failure or "")``.
+    """
+    if not isinstance(exc, ProtocolError):
+        return "untyped", (f"garbage {event.garbage_kind}: untyped "
+                           f"{type(exc).__name__}: {exc}")
+    if event.expect in ("error", "any"):
+        return "typed", ""
+    return "unexpected", (f"garbage {event.garbage_kind}: protocol-level "
+                          f"refusal where a reply was expected")
+
+
+def _garbage_verdict(client: RemoteClient, event,
+                     reply: bytes) -> "tuple[str, str]":
+    """Hold a garbage frame's reply against the event's expectation."""
+    try:
+        message = decode_message(decode_frame(reply))
+    except Exception as exc:  # noqa: BLE001 — classification is the point
+        return _refusal(event, exc)
+    if event.expect == "error":
+        if isinstance(message, ErrorMessage):
+            return "typed", ""
+        return "unexpected", (f"garbage {event.garbage_kind}: expected a "
+                              f"typed error, got {type(message).__name__}")
+    if not isinstance(message, QueryReply):
+        if event.expect == "any":  # a typed error or a reply both pass
+            return "typed", ""
+        return "unexpected", (f"garbage {event.garbage_kind}: expected "
+                              f"QueryReply, got {type(message).__name__}")
+    if event.expect == "ok":  # a replay of a valid frame: full service
+        (vs, vt), = event.queries
+    else:
+        # The flip may have landed in the query ids; decode the mutated
+        # frame to know what was actually asked.
+        try:
+            asked = decode_message(decode_frame(event.frame))
+        except Exception:  # noqa: BLE001
+            return "typed", ""
+        if not isinstance(asked, QueryRequest):
+            return "typed", ""
+        vs, vt = asked.source, asked.target
+    verdict = client.interpret_query_reply(vs, vt, reply).verdict
+    if verdict.ok:
+        return "typed", ""
+    return "unexpected", (f"garbage {event.garbage_kind} ({vs},{vt}): "
+                          f"{verdict.reason} {verdict.detail}")
+
+
+async def _execute(client: AsyncRemoteClient, event, tally: _Tally) -> None:
+    """Send one traffic event and account its outcome into *tally*."""
+    tally.requests += 1
+    if event.kind == EVENT_GARBAGE:
+        tally.garbage += 1
+        try:
+            reply = await client.transport.roundtrip(event.frame)
+        except Exception as exc:  # noqa: BLE001 — this is the assertion
+            outcome, failure = _refusal(event, exc)
+        else:
+            tally.wire += len(reply)
+            outcome, failure = _garbage_verdict(client.client, event, reply)
+        tally.unexpected += outcome == "unexpected"
+        tally.untyped += outcome == "untyped"
+        if failure:
+            tally.failures.append(failure)
+        return
+    start = time.perf_counter()
+    if event.kind == EVENT_QUERY:
+        (vs, vt), = event.queries
+        results = [await client.query(vs, vt)]
+    else:
+        results = await client.query_batch(event.queries)
+    tally.latencies.append(time.perf_counter() - start)
+    tally.add(results)
+
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+async def _run_phase(phase, events, users, coordinator, *,
+                     time_scale: float, push: bool) -> PhaseReport:
+    """Drive one phase's events through the clients; report it.
+
+    Reads are dealt round-robin across the clients.  Closed loop: each
+    update event is a barrier (drain, push, every floor rises).  Open
+    loop: clients and coordinator pace by arrival time, sleeping only
+    when *ahead* of schedule, so offered-rate pressure shows up as
+    latency instead of being silently absorbed.
+    """
+    tally = _Tally()
+    start = time.perf_counter()
+
+    async def pace(event) -> None:
+        if not phase.closed_loop:
+            delay = start + event.at * time_scale - time.perf_counter()
+            if delay > 0:
+                await asyncio.sleep(delay)
+
+    async def read(user, share) -> None:
+        try:
+            for event in share:
+                await pace(event)
+                await _execute(user, event, tally)
+        except Exception as exc:  # noqa: BLE001 — a dead client fails the run
+            tally.failures.append(f"client: {type(exc).__name__}: {exc}")
+
+    async def read_all(batch) -> None:
+        await asyncio.gather(*(read(user, batch[i::len(users)])
+                               for i, user in enumerate(users)))
+
+    async def write(event, floors) -> None:
+        await pace(event)
+        try:
+            version = (await coordinator.push_updates([event.update])).version
+        except Exception as exc:  # noqa: BLE001 — a failed push fails the run
+            tally.failures.append(f"update push: {type(exc).__name__}: {exc}")
+            return
+        tally.pushed += 1
+        for member in floors:
+            member.require_version(version)
+
+    if phase.closed_loop:
+        pending: list = []
+        for event in events:
+            if event.kind != EVENT_UPDATE:
+                pending.append(event)
+            elif push:
+                await read_all(pending)
+                pending = []
+                await write(event, (coordinator, *users))
+        await read_all(pending)
+    else:
+        async def write_all() -> None:
+            for event in events:
+                if push and event.kind == EVENT_UPDATE:
+                    await write(event, (coordinator,))
+
+        await asyncio.gather(write_all(), read_all(
+            [e for e in events if e.kind != EVENT_UPDATE]))
+    return tally.report(phase, time.perf_counter() - start)
+
+
+async def _drive(url: str, trace: TrafficTrace, verify_signature, *,
+                 clients: int, time_scale: float, push: bool, metrics):
+    """Open the clients, run every phase, close the clients.
+
+    Returns ``(served method, phase reports, freshness failures,
+    final floor)``.
+    """
+    members = [AsyncRemoteClient(AsyncTransport(url, timeout=REQUEST_TIMEOUT),
+                                 verify_signature)
+               for _ in range(clients + 1)]
+    coordinator, users = members[0], members[1:]
+
+    async def connect(member) -> HelloReply:
+        hello = await member.hello()
+        # Each client holds its own verified manifest so stitched replies
+        # verify with no extra roundtrip; a single box has none to serve.
+        with contextlib.suppress(ProtocolError):
+            await member.fetch_manifest()
+        return hello
+
+    try:
+        hellos = []
+        for first in range(0, len(members), CONNECT_WAVE):
+            hellos.extend(await asyncio.gather(
+                *(connect(m) for m in members[first:first + CONNECT_WAVE])))
+        reports = []
+        for phase, events in trace.phases:
+            if metrics is not None:
+                metrics.begin_phase(phase.name)
+            reports.append(await _run_phase(
+                phase, events, users, coordinator,
+                time_scale=time_scale, push=push))
+        if metrics is not None:
+            metrics.end_phase()
+            windows = {w.phase: w.as_dict() for w in metrics.phases}
+            reports = [replace(r, server_window=windows.get(r.name))
+                       for r in reports]
+        # The freshness gate: after every push, a fresh query must
+        # verify with the last pushed version as the floor.
+        freshness: list[str] = []
+        floor = coordinator.min_descriptor_version or 0
+        pair = next((e.queries[0] for _, events in trace.phases
+                     for e in events if e.kind in (EVENT_QUERY, EVENT_BATCH)),
+                    None)
+        if pair is not None:
+            final = await coordinator.query(*pair)
+            if not final.ok:
+                freshness.append(
+                    f"final query {pair} at floor {floor}: "
+                    f"{final.verdict.reason} {final.verdict.detail}")
+        return hellos[0].method, reports, freshness, floor
+    finally:
+        await asyncio.gather(*(m.close() for m in members),
+                             return_exceptions=True)
 
 
 def fetch_http_metrics(url: str, *, timeout: float = 5.0) -> "dict | None":
     """Scrape ``GET {url}/metrics``; ``None`` when unavailable."""
-    import json
     import urllib.error
     import urllib.request
 
@@ -454,352 +647,69 @@ def fetch_http_metrics(url: str, *, timeout: float = 5.0) -> "dict | None":
         return None
 
 
-# ----------------------------------------------------------------------
-# Multi-process (worker pool) load testing
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerLoadtestReport:
-    """Concurrent wire replay against an ``SO_REUSEPORT`` worker pool.
-
-    ``passes`` reuse :class:`HttpLoadtestPass` (the wire-side view is
-    identical — what changes is how many processes answer).
-    ``aggregate_metrics`` is the pool's merged final snapshot as a
-    dict, including how the requests actually spread across workers
-    (``worker_requests``).
-    """
-
-    method: str
-    num_queries: int
-    workers: int
-    client_threads: int
-    url: str
-    passes: tuple[HttpLoadtestPass, ...]
-    aggregate_metrics: dict
-    worker_requests: tuple[int, ...]
-
-    @property
-    def cold(self) -> HttpLoadtestPass:
-        """The first (cold-cache) pass."""
-        return self.passes[0]
-
-    @property
-    def warm(self) -> HttpLoadtestPass:
-        """The last (fully warm) pass."""
-        return self.passes[-1]
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether every verified sample passed."""
-        return all(p.all_verified for p in self.passes)
-
-    def table_rows(self) -> "list[list[object]]":
-        """Rows for :func:`repro.bench.reporting.format_table`."""
-        return [
-            [p.label, p.requests, p.qps, p.wire_bytes / 1024.0,
-             "ok" if p.all_verified else f"{len(p.failures)} FAILED"]
-            for p in self.passes
-        ]
-
-    #: Header matching :meth:`table_rows`.
-    TABLE_HEADERS = ("pass", "requests", "wire QPS", "wire KB", "verified")
-
-
-def run_worker_loadtest(
-    artifact_path: str,
-    queries: "list[tuple[int, int]]",
+def run_loadtest(
+    trace: TrafficTrace,
+    verify_signature: SignatureVerifier,
     *,
-    workers: int,
-    passes: int = 2,
-    client_threads: int = 4,
+    method: "VerificationMethod | None" = None,
+    update_signer: "Signer | None" = None,
+    artifact_path: "str | None" = None,
+    workers: int = 1,
+    url: "str | None" = None,
+    clients: int = DEFAULT_CLIENTS,
     cache_size: int = DEFAULT_CAPACITY,
-    verify_signature: "SignatureVerifier | None" = None,
-) -> WorkerLoadtestReport:
-    """Replay *queries* concurrently against a pre-forked worker pool.
+    time_scale: float = 1.0,
+) -> SloReport:
+    """Drive *trace* through *clients* verifying clients; report per phase.
 
-    Client threads split the workload and fire raw query frames over
-    their own HTTP connections — decode on the client side is kept to
-    the frame envelope so the measured ceiling is the *server's* proof
-    throughput, not the load generator's Python.  One response per pass
-    is fully verified through :class:`~repro.api.client.RemoteClient`
-    when *verify_signature* is given, preserving the harness invariant
-    that a passing load test is also an end-to-end soundness check.
+    Exactly one topology: *method* boots an inline
+    :class:`~repro.service.aio.AsyncProofHttpServer` over a fresh
+    :class:`~repro.service.server.ProofServer` (pushes land when
+    *update_signer* is given, and each phase carries the server's own
+    metrics window); *artifact_path* boots a
+    :class:`~repro.service.workers.WorkerPool` of *workers* processes
+    (the report gains per-worker request balance); *url* drives an
+    already-running endpoint.  ``time_scale`` stretches (>1) or
+    compresses (<1) every open-loop arrival timestamp.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.api.client import RemoteClient
-    from repro.api.envelope import MSG_QUERY_OK, QueryRequest, decode_frame
-    from repro.api.transport import HttpTransport
-    from repro.service.workers import WorkerPool
-
-    if passes < 2:
-        raise ServiceError(f"need a cold and a warm pass; got passes={passes}")
-    if not queries:
-        raise ServiceError("empty load-test workload")
-    if client_threads < 1:
-        raise ServiceError(f"client_threads must be >= 1, got {client_threads}")
-
-    from repro.store.pack import ArtifactReader
-
-    header = ArtifactReader(artifact_path, verify=False)
-    method_name = header.method
-    header.close()
-
-    frames = [QueryRequest(vs, vt).to_frame() for vs, vt in queries]
-    chunks = [frames[i::client_threads] for i in range(client_threads)]
-
-    def drive(chunk: "list[bytes]", transport: HttpTransport) -> tuple[int, int]:
-        wire = 0
-        bad = 0
-        for frame in chunk:
-            reply = transport.roundtrip(frame)
-            wire += len(reply)
-            if decode_frame(reply).msg_type != MSG_QUERY_OK:
-                bad += 1
-        return wire, bad
-
-    results: list[HttpLoadtestPass] = []
-    with WorkerPool(artifact_path, workers=workers,
-                    cache_size=cache_size) as pool:
-        url = pool.url
-        # One persistent connection per driver thread, held across every
-        # pass — the pooled persistent-connection client.  (Each chunk is
-        # driven by exactly one thread, so plain HttpTransports pinned to
-        # their chunk are equivalent to PooledHttpTransport here, with a
-        # deterministic thread-to-connection mapping.)
-        transports = [HttpTransport(url) for _ in range(client_threads)]
-        try:
-            with ThreadPoolExecutor(max_workers=client_threads) as executor:
-                for index in range(passes):
-                    label = "cold" if index == 0 else f"warm{index}"
-                    failures: list[str] = []
-                    start = time.perf_counter()
-                    outcomes = list(executor.map(drive, chunks, transports))
-                    seconds = time.perf_counter() - start
-                    wire_bytes = sum(wire for wire, _ in outcomes)
-                    errors = sum(bad for _, bad in outcomes)
-                    if errors:
-                        failures.append(f"{errors} wire-level error replies")
-                    if verify_signature is not None:
-                        vs, vt = queries[0]
-                        with HttpTransport(url) as sample_transport:
-                            sample = RemoteClient(
-                                sample_transport, verify_signature,
-                            ).query(vs, vt)
-                        if not sample.ok:
-                            failures.append(
-                                f"sample ({vs},{vt}): {sample.verdict.reason} "
-                                f"{sample.verdict.detail}")
-                    results.append(HttpLoadtestPass(
-                        label=label,
-                        requests=len(queries),
-                        seconds=seconds,
-                        wire_bytes=wire_bytes,
-                        proof_bytes=wire_bytes,  # raw drive: framing included
-                        verified=len(queries) - errors,
-                        failures=tuple(failures),
-                    ))
-        finally:
-            for transport in transports:
-                transport.close()
-    aggregate = pool.aggregate
-    return WorkerLoadtestReport(
-        method=method_name,
-        num_queries=len(queries),
-        workers=workers,
-        client_threads=client_threads,
-        url=url,
-        passes=tuple(results),
-        aggregate_metrics=aggregate.as_dict() if aggregate else {},
-        worker_requests=tuple(s.requests for s in pool.worker_snapshots),
-    )
-
-
-# ----------------------------------------------------------------------
-# Sharded (router) load testing
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RouterLoadtestReport:
-    """Wire replay against a shard router fronting per-shard workers.
-
-    The pass layout mirrors :class:`WorkerLoadtestReport`; what changes
-    is the serving topology: each shard is its own worker *process*
-    over its own ``.rspv`` artifact, and the measured endpoint is the
-    router that plans, fans out and stitches.  ``cross_shard`` counts
-    workload pairs the router answered with a stitched composite.
-    ``router_metrics`` is the router's ``GET /metrics`` JSON — per-shard
-    windows and the fleet merge included.
-    """
-
-    method: str
-    num_queries: int
-    num_shards: int
-    client_threads: int
-    url: str
-    passes: tuple[HttpLoadtestPass, ...]
-    cross_shard: int
-    router_metrics: "dict | None" = None
-
-    @property
-    def cold(self) -> HttpLoadtestPass:
-        """The first (cold-cache) pass."""
-        return self.passes[0]
-
-    @property
-    def warm(self) -> HttpLoadtestPass:
-        """The last (fully warm) pass."""
-        return self.passes[-1]
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether every verified sample passed."""
-        return all(p.all_verified for p in self.passes)
-
-    def table_rows(self) -> "list[list[object]]":
-        """Rows for :func:`repro.bench.reporting.format_table`."""
-        return [
-            [p.label, p.requests, p.qps, p.wire_bytes / 1024.0,
-             "ok" if p.all_verified else f"{len(p.failures)} FAILED"]
-            for p in self.passes
-        ]
-
-    #: Header matching :meth:`table_rows`.
-    TABLE_HEADERS = ("pass", "requests", "wire QPS", "wire KB", "verified")
-
-
-def run_router_loadtest(
-    graph,
-    signer,
-    queries: "list[tuple[int, int]]",
-    *,
-    num_shards: int,
-    passes: int = 2,
-    client_threads: int = 4,
-    cache_size: int = DEFAULT_CAPACITY,
-    verify_signature: "SignatureVerifier | None" = None,
-    method: str = "DIJ",
-    strategy: str = "hilbert",
-) -> RouterLoadtestReport:
-    """Stand up a k-shard serving fleet and replay *queries* through it.
-
-    Owner-side, the harness partitions *graph* into ``num_shards``
-    shards and packs each as its own artifact (plus the signed
-    manifest); serving-side, every shard gets its own single-process
-    :class:`~repro.service.workers.WorkerPool` and a
-    :class:`~repro.service.router.ShardRouter` fronts them over pooled
-    HTTP transports behind a real
-    :class:`~repro.service.aio.AsyncProofHttpServer`.  Client threads then
-    fire raw query frames exactly as :func:`run_worker_loadtest` does,
-    so k=1 and k=2 numbers are comparable router-to-router (k=1 pays
-    the same proxy hop).  When *verify_signature* is given, one
-    response per pass — a cross-shard pair when the workload has one —
-    is verified end to end through
-    :class:`~repro.api.client.RemoteClient`, stitched composite
-    included.
-    """
-    import contextlib
-    import os
-    import tempfile
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.api.client import RemoteClient
-    from repro.api.envelope import MSG_QUERY_OK, QueryRequest, decode_frame
-    from repro.api.transport import HttpTransport, PooledHttpTransport
     from repro.service.aio import AsyncProofHttpServer
-    from repro.service.router import ShardRouter
+    from repro.service.server import ProofServer
     from repro.service.workers import WorkerPool
-    from repro.shard import build_shards, save_manifest
-    from repro.store.artifact import save_method
 
-    if passes < 2:
-        raise ServiceError(f"need a cold and a warm pass; got passes={passes}")
-    if not queries:
-        raise ServiceError("empty load-test workload")
-    if client_threads < 1:
-        raise ServiceError(f"client_threads must be >= 1, got {client_threads}")
+    if sum(x is not None for x in (method, artifact_path, url)) != 1:
+        raise ServiceError(
+            "a load test drives exactly one topology: method, "
+            "artifact_path or url")
+    if clients < 1:
+        raise ServiceError(f"clients must be >= 1, got {clients}")
+    if time_scale <= 0:
+        raise ServiceError(f"time_scale must be positive, got {time_scale}")
 
-    build = build_shards(graph, signer, num_shards=num_shards,
-                         method=method, strategy=strategy)
-    plan = build.plan
-    cross_shard = sum(
-        1 for vs, vt in queries if plan.shard_of(vs) != plan.shard_of(vt))
+    def run(endpoint: str, server=None) -> SloReport:
+        served, reports, freshness, floor = asyncio.run(_drive(
+            endpoint, trace, verify_signature, clients=clients,
+            time_scale=time_scale,
+            push=server is not None and update_signer is not None,
+            metrics=server.metrics if server is not None else None))
+        return SloReport(
+            scenario=trace.scenario, method=served, seed=trace.seed,
+            trace_digest=trace.digest(), clients=clients, url=endpoint,
+            phases=tuple(reports), server_metrics=fetch_http_metrics(endpoint),
+            final_version=floor, freshness_failures=tuple(freshness))
 
-    frames = [QueryRequest(vs, vt).to_frame() for vs, vt in queries]
-    chunks = [frames[i::client_threads] for i in range(client_threads)]
-    sample_pair = next(
-        ((vs, vt) for vs, vt in queries
-         if plan.shard_of(vs) != plan.shard_of(vt)),
-        queries[0],
-    )
-
-    def drive(chunk: "list[bytes]", transport: HttpTransport) -> tuple[int, int]:
-        wire = 0
-        bad = 0
-        for frame in chunk:
-            reply = transport.roundtrip(frame)
-            wire += len(reply)
-            if decode_frame(reply).msg_type != MSG_QUERY_OK:
-                bad += 1
-        return wire, bad
-
-    results: list[HttpLoadtestPass] = []
-    with tempfile.TemporaryDirectory(prefix="repro-shards-") as workdir, \
-            contextlib.ExitStack() as stack:
-        manifest_path = os.path.join(workdir, "fleet.rspm")
-        save_manifest(build.manifest, manifest_path)
-        pools = []
-        for shard_id, built in enumerate(build.methods):
-            artifact = os.path.join(workdir, f"shard{shard_id}.rspv")
-            save_method(built, artifact)
-            pools.append(stack.enter_context(
-                WorkerPool(artifact, workers=1, cache_size=cache_size)))
-        shard_transports = [
-            stack.enter_context(PooledHttpTransport(pool.url))
-            for pool in pools
-        ]
-        router = stack.enter_context(
-            ShardRouter(build.manifest, shard_transports, graph))
-        http_server = stack.enter_context(AsyncProofHttpServer(router))
-        url = http_server.url
-        transports = [stack.enter_context(HttpTransport(url))
-                      for _ in range(client_threads)]
-        with ThreadPoolExecutor(max_workers=client_threads) as executor:
-            for index in range(passes):
-                label = "cold" if index == 0 else f"warm{index}"
-                failures: list[str] = []
-                start = time.perf_counter()
-                outcomes = list(executor.map(drive, chunks, transports))
-                seconds = time.perf_counter() - start
-                wire_bytes = sum(wire for wire, _ in outcomes)
-                errors = sum(bad for _, bad in outcomes)
-                if errors:
-                    failures.append(f"{errors} wire-level error replies")
-                if verify_signature is not None:
-                    vs, vt = sample_pair
-                    with HttpTransport(url) as sample_transport:
-                        sample = RemoteClient(
-                            sample_transport, verify_signature,
-                        ).query(vs, vt)
-                    if not sample.ok:
-                        failures.append(
-                            f"sample ({vs},{vt}): {sample.verdict.reason} "
-                            f"{sample.verdict.detail}")
-                results.append(HttpLoadtestPass(
-                    label=label,
-                    requests=len(queries),
-                    seconds=seconds,
-                    wire_bytes=wire_bytes,
-                    proof_bytes=wire_bytes,  # raw drive: framing included
-                    verified=len(queries) - errors,
-                    failures=tuple(failures),
-                ))
-        router_metrics = fetch_http_metrics(url)
-    return RouterLoadtestReport(
-        method=method,
-        num_queries=len(queries),
-        num_shards=num_shards,
-        client_threads=client_threads,
-        url=url,
-        passes=tuple(results),
-        cross_shard=cross_shard,
-        router_metrics=router_metrics,
-    )
+    if url is not None:
+        return run(url)
+    if artifact_path is not None:
+        with WorkerPool(artifact_path, workers=workers,
+                        cache_size=cache_size) as pool:
+            report = run(pool.url)
+        aggregate = pool.aggregate
+        return replace(
+            report,
+            server_metrics=(aggregate.as_dict() if aggregate
+                            else report.server_metrics),
+            worker_requests=tuple(s.requests for s in pool.worker_snapshots))
+    server = ProofServer(method, cache_size=cache_size)
+    with AsyncProofHttpServer(
+            server.dispatcher(update_signer=update_signer)) as http_server:
+        return run(http_server.url, server)

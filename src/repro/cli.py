@@ -16,13 +16,11 @@ Subcommands::
                         --shards de.shard0.rspv,de.shard1.rspv --http 8350
     repro-spv fetch     http://host:8350 3 9 --out r.bin --descriptor-out d.bin
     repro-spv verify    r.bin --key owner.pub --descriptor d.bin
-    repro-spv loadtest  net.txt --method DIJ --range 2000 --passes 3
-    repro-spv loadtest  net.txt --method DIJ --http
-    repro-spv loadtest  --artifact de.ldm.rspv --http --workers 2 --key owner.pub
-    repro-spv loadtest  --scenario steady-burst --http --workers 2 --insecure
-    repro-spv loadtest  net.txt --scenario steady --http --url http://host:8350 \\
+    repro-spv loadtest  net.txt --method DIJ --range 2000 --passes 3 --updates 2
+    repro-spv loadtest  --artifact de.ldm.rspv --workers 2 --key owner.pub
+    repro-spv loadtest  --scenario steady-burst --insecure --slo slo.json
+    repro-spv loadtest  net.txt --scenario steady --url http://host:8350 \\
                         --key owner.pub
-    repro-spv bench     net.txt --method DIJ --out BENCH_DIJ.json
 
 ``demo`` runs the full three-party protocol (build, answer, verify) and
 prints per-query proof sizes; ``estimate`` prints the predictive sizing
@@ -38,11 +36,10 @@ remote workers via ``--shard-urls`` — planning on the full graph,
 fanning cross-shard queries out and stitching per-shard proofs into
 one composite the client verifies against the manifest;
 ``loadtest --scenario X --url URL`` soaks such an already-running
-router from outside.  ``serve --artifact`` (and ``loadtest
---artifact``) boot from
-that file without the graph or the signer, and with ``--http`` plus
-``--workers N`` pre-fork N ``SO_REUSEPORT`` worker processes that share
-the port (and the page-cached artifact), printing aggregated metrics on
+router from outside.  ``serve --artifact`` boots from that file
+without the graph or the signer, and with ``--http`` plus ``--workers
+N`` pre-forks N ``SO_REUSEPORT`` worker processes that share the port
+(and the page-cached artifact), printing aggregated metrics on
 shutdown.  ``serve`` answers a request stream (workload file, or
 interactive ``source target`` lines on stdin) through a cached
 :class:`~repro.service.server.ProofServer` — or, with ``--http PORT``,
@@ -52,39 +49,26 @@ against); ``fetch`` retrieves one response (and optionally the
 descriptor) from a running HTTP service as artifact files; ``verify``
 checks a serialized response file offline against a public key file —
 the exit code is the verdict, so scripts can gate on it;
-``loadtest`` replays one workload repeatedly against a single server and
-prints a cold-versus-warm metrics table — with ``--updates N`` it
-interleaves N owner re-weights through every pass, exercising the
-live-update pipeline (incremental re-auth, versioned cache
-invalidation, client freshness floors) under load, and with ``--http``
-the whole replay instead crosses a real localhost socket through
-``RemoteClient`` (wire QPS, bytes-on-wire vs proof bytes); ``bench`` profiles
-one workload replay into a ``BENCH_*.json`` record (QPS, p50/p95,
-construction seconds, proof bytes, and with ``--updates N`` the
-incremental-update-versus-rebuild cost) and can gate on a checked-in
-baseline (exit code 3 on regression) — the CI perf-smoke job runs it
-against ``benchmarks/perf_baseline*.json``.
+``loadtest`` drives a traffic trace — a registered ``--scenario`` or a
+replay of one workload for ``--passes`` passes (``--updates N`` owner
+re-weights per pass) — through ``--clients`` verifying clients against
+one topology (the graph built inline, ``--artifact`` behind a
+``--workers`` pool, or ``--url``) and prints one per-phase table; every
+reply is verified, and ``--slo`` gates the report (exit code 3).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
-from repro.bench.profile import (
-    compare_records,
-    load_record,
-    profile_method,
-    profile_updates,
-    write_record,
-)
 from repro.bench.reporting import format_table
 from repro.bench.serving import (
-    HttpLoadtestReport,
-    LoadtestReport,
-    run_http_loadtest,
+    DEFAULT_CLIENTS,
+    SloReport,
+    check_slo,
+    load_slo_policy,
     run_loadtest,
 )
 from repro.core.estimate import ProofSizeModel
@@ -97,6 +81,7 @@ from repro.graph.synthetic import road_network
 from repro.service.server import ProofServer
 from repro.workload.datasets import normalize_weights
 from repro.workload.queries import generate_workload
+from repro.workload.traffic import generate_traffic, get_scenario, replay_trace
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -607,167 +592,91 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_loadtest_workers(args: argparse.Namespace) -> int:
-    """``loadtest --artifact --http``: concurrent replay against a pool."""
-    from repro.bench.serving import WorkerLoadtestReport, run_worker_loadtest
+def _loadtest_topology(args: argparse.Namespace):
+    """``(owner | None, method | None, trace graph, source label)``.
 
-    if args.updates:
+    Inline (a graph file, or the standard synthetic network for a
+    scenario) builds the method and keeps the owner, whose signer lands
+    the trace's pushes; ``--artifact`` and ``--url`` only need the graph
+    the endpoint answers about, to draw the trace from.
+    """
+    if args.workers > 1 and not args.artifact:
         raise ServiceError(
-            "worker processes hold no signing key, so --updates cannot run "
-            "against a pool; use the single-server loadtest for update-aware "
-            "replays"
-        )
-    if args.async_clients:
-        raise ServiceError(
-            "--async-clients drives the in-process loadtest; against a "
-            "worker pool use --scenario with --client-mode async"
-        )
-    if args.save_key:
-        raise ServiceError(
-            "--save-key needs the building side; an artifact-backed loadtest "
-            "holds no key material"
-        )
-    if args.workload:
-        queries = _read_workload_file(args.workload)
-    else:
-        # The artifact supplies the workload substrate: its graph is
-        # exactly the one the service answers about.  Loaded only for
-        # generation — the pool's workers each load their own copy.
+            "--workers sizes a pre-forked worker pool, which boots from a "
+            "shared artifact; pack one first (repro-spv pack) and pass "
+            "--artifact")
+    if args.artifact:
         from repro.store import load_method
 
-        queries = list(generate_workload(load_method(args.artifact).graph,
-                                         args.range, count=args.count,
-                                         seed=args.seed, tolerance=1.0))
-    report = run_worker_loadtest(
-        args.artifact, queries, workers=args.workers, passes=args.passes,
-        cache_size=args.cache_size,
-        verify_signature=_verifier_for(None, args),
-    )
-    print(format_table(
-        list(WorkerLoadtestReport.TABLE_HEADERS), report.table_rows(),
-        title=(f"{report.method} worker-pool load test: {len(queries)} "
-               f"queries x {args.passes} passes, {args.workers} workers "
-               f"({report.client_threads} client threads) via {report.url}"),
-    ))
-    aggregate = report.aggregate_metrics
-    print(f"\nserver aggregate: {aggregate.get('requests', 0)} requests, "
-          f"hit rate {100.0 * aggregate.get('hit_rate', 0.0):.0f}%, "
-          f"evictions {aggregate.get('cache_evictions', 0)}; "
-          f"requests per worker {list(report.worker_requests)}")
-    if not report.all_verified:
-        print("error: some wire responses failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
-    """``loadtest --scenario``: a phased SLO soak with scenario traffic.
-
-    Without a graph or ``--artifact`` the soak self-provisions the
-    standard synthetic road network, so
-    ``repro-spv loadtest --scenario steady-burst --http --workers 2``
-    is a complete command.  In that inline mode ``--workers`` sets the
-    *client* pool size (one HTTP server answers); with ``--artifact``
-    it sizes the ``SO_REUSEPORT`` worker pool and ``--clients`` sizes
-    the client pool.  Exit codes: 1 on any verification failure or
-    untyped garbage exception, 3 on an ``--slo`` policy violation.
-    """
-    import json
-    import os
-    import tempfile
-
-    from repro.bench.slo import (
-        SloReport,
-        check_slo,
-        load_slo_policy,
-        run_slo_soak,
-    )
-    from repro.workload.traffic import get_scenario
-
-    if not args.http:
-        raise ServiceError("loadtest --scenario drives the wire path; add --http")
-    if args.async_clients:
-        raise ServiceError(
-            "--scenario sizes its client pool with --clients; add "
-            "--client-mode async for coroutine clients")
-    scenario = get_scenario(args.scenario)
-    if args.events_scale != 1.0:
-        scenario = scenario.scaled(args.events_scale)
-
+        if args.graph:
+            raise ServiceError("pass a graph file or --artifact, not both")
+        return (None, None, load_method(args.artifact).graph,
+                f"artifact {args.artifact}, {args.workers} workers")
     if args.url:
-        if not args.key:
-            raise ServiceError(
-                "an external-endpoint soak needs --key (the owner's public "
-                "key file) for the client processes to verify against"
-            )
         if not args.graph:
             raise ServiceError(
                 "loadtest --url needs the graph file the endpoint serves "
-                "(the workload substrate); the endpoint itself is not "
-                "asked for it"
-            )
-        clients = args.clients or 2
-        report = run_slo_soak(
-            None, scenario, key_path=args.key, clients=clients,
-            client_mode=args.client_mode, seed=args.seed,
-            time_scale=args.time_scale, cache_size=args.cache_size,
-            url=args.url, graph=read_graph(args.graph),
-        )
-        source = f"external endpoint {args.url}"
-    elif args.artifact:
-        from repro.store import load_method
+                "(the workload substrate); the endpoint is not asked for it")
+        return None, None, read_graph(args.graph), f"endpoint {args.url}"
+    if args.graph or not args.scenario:
+        owner, method, _ = _published_method(args)
+        return owner, method, owner.graph, args.graph
+    graph = normalize_weights(road_network(300, seed=42), 4500.0)
+    owner = DataOwner(graph, signer=NullSigner() if args.insecure
+                      else RsaSigner(bits=1024))
+    return (owner, owner.publish(args.method), graph,
+            "synthetic road network (300 nodes)")
 
-        if not args.key:
-            raise ServiceError(
-                "an artifact-backed soak needs --key (the owner's public "
-                "key file) for the client processes to verify against"
-            )
-        method = load_method(args.artifact)  # trace substrate only
-        key_path = args.key
-        clients = args.clients or 2
-        report = run_slo_soak(
-            method, scenario, key_path=key_path,
-            clients=clients, client_mode=args.client_mode, seed=args.seed,
-            time_scale=args.time_scale, cache_size=args.cache_size,
-            artifact_path=args.artifact, workers=args.workers,
-        )
-        source = f"artifact {args.artifact}, {args.workers} workers"
+
+def _cmd_loadtest(args: argparse.Namespace) -> int:
+    """``loadtest``: build the trace, pick the topology, run, print.
+
+    Exit codes: 1 on any failed verification or untyped garbage
+    outcome, 3 on an ``--slo`` policy violation.
+    """
+    import json
+
+    owner, method, graph, source = _loadtest_topology(args)
+    if owner is None and (args.save_key or args.updates):
+        raise ServiceError(
+            "--save-key and --updates need the owner's signer, which only "
+            "the inline topology (a graph file) holds")
+    verify_signature = _verifier_for(owner, args)
+    if verify_signature is None:
+        raise ServiceError(
+            "--artifact and --url hold no key material; pass --key (the "
+            "owner's public key file) for the clients to verify against")
+    if args.save_key:
+        save_public_key(owner.signer, args.save_key)
+        print(f"wrote owner public key to {args.save_key}")
+    if args.scenario:
+        scenario = get_scenario(args.scenario)
+        if args.events_scale != 1.0:
+            scenario = scenario.scaled(args.events_scale)
+        trace = generate_traffic(graph, scenario, seed=args.seed)
     else:
-        if args.graph:
-            owner, method, _ = _published_method(args)
-            source = args.graph
-        else:
-            # Self-provisioned substrate: the standard synthetic network.
-            graph = normalize_weights(road_network(300, seed=42), 4500.0)
-            signer = NullSigner() if args.insecure else RsaSigner(bits=1024)
-            owner = DataOwner(graph, signer=signer)
-            method = owner.publish(args.method)
-            source = "synthetic road network (300 nodes)"
-        if args.save_key:
-            key_path = args.save_key
-        else:
-            handle, key_path = tempfile.mkstemp(suffix=".pub",
-                                                prefix="repro-slo-")
-            os.close(handle)
-        save_public_key(owner.signer, key_path)
-        clients = args.clients or max(1, args.workers)
-        report = run_slo_soak(
-            method, scenario, key_path=key_path,
-            update_signer=owner.signer, clients=clients,
-            client_mode=args.client_mode, seed=args.seed,
-            time_scale=args.time_scale, cache_size=args.cache_size,
-        )
-        if not args.save_key:
-            os.unlink(key_path)
-
+        queries = (_read_workload_file(args.workload) if args.workload
+                   else generate_workload(graph, args.range, count=args.count,
+                                          seed=args.seed, tolerance=1.0))
+        trace = replay_trace(graph, queries, passes=args.passes,
+                             updates_per_pass=args.updates,
+                             batch_size=args.batch_size, seed=args.seed)
+    report = run_loadtest(
+        trace, verify_signature, method=method,
+        update_signer=owner.signer if owner is not None else None,
+        artifact_path=args.artifact, workers=args.workers, url=args.url,
+        clients=args.clients, cache_size=args.cache_size,
+        time_scale=args.time_scale,
+    )
     print(format_table(
         list(SloReport.TABLE_HEADERS), report.table_rows(),
-        title=(f"{report.method} SLO soak '{scenario.name}' on {source}: "
-               f"{clients} {args.client_mode} clients, seed {args.seed}, "
+        title=(f"{report.method} load test '{trace.scenario}' on {source}: "
+               f"{report.clients} clients, seed {args.seed}, "
                f"trace {report.trace_digest}"),
     ))
     print(f"\nsaturation {report.saturation_qps:.1f} QPS, "
           f"{report.total_queries} queries verified end-to-end, "
+          f"wire/proof bytes {report.overhead_ratio:.4f}x, "
           f"{report.updates_pushed} update pushes "
           f"(final version {report.final_version}), "
           f"{report.verification_failures} verification failures, "
@@ -777,14 +686,14 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             json.dump(report.as_dict(), out, indent=2, sort_keys=True)
-        print(f"wrote soak report to {args.out}")
+        print(f"wrote load test report to {args.out}")
     if not report.all_verified or report.untyped_garbage:
         for phase in report.phases:
             for failure in phase.failures:
                 print(f"  {phase.name}: {failure}", file=sys.stderr)
         for failure in report.freshness_failures:
             print(f"  freshness: {failure}", file=sys.stderr)
-        print("error: the soak is unsound (see failures above)",
+        print("error: the load test is unsound (see failures above)",
               file=sys.stderr)
         return 1
     if args.slo:
@@ -795,146 +704,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
                 print(f"  {violation}", file=sys.stderr)
             return 3
         print(f"\nwithin SLO policy {args.slo}")
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    if args.scenario:
-        return _cmd_loadtest_scenario(args)
-    if args.url:
-        raise ServiceError(
-            "loadtest --url drives an already-running endpoint with "
-            "scenario traffic; add --scenario (e.g. --scenario steady)")
-    if args.artifact:
-        if not args.http:
-            raise ServiceError(
-                "loadtest --artifact drives the multi-process wire path; "
-                "add --http"
-            )
-        return _cmd_loadtest_workers(args)
-    if args.async_clients and not args.http:
-        raise ServiceError(
-            "--async-clients drives the wire path; add --http")
-    owner, method, build_seconds = _published_method(args)
-    if args.save_key:
-        save_public_key(owner.signer, args.save_key)
-        print(f"wrote owner public key to {args.save_key}")
-    if args.http and args.workers > 1:
-        print("note: --workers applies to the in-process pool only; "
-              "HTTP concurrency comes from the frontend's event loop",
-              file=sys.stderr)
-    if args.workload:
-        queries = _read_workload_file(args.workload)
-    else:
-        queries = list(generate_workload(owner.graph, args.range,
-                                         count=args.count, seed=args.seed,
-                                         tolerance=1.0))
-    if args.http:
-        report = run_http_loadtest(
-            method, queries, owner.signer.verify,
-            passes=args.passes, cache_size=args.cache_size,
-            updates_per_pass=args.updates, update_signer=owner.signer,
-            update_seed=args.seed, batch_size=args.batch_size,
-            async_clients=args.async_clients,
-        )
-        driver = (f"{args.async_clients} async clients"
-                  if args.async_clients else "1 driver connection")
-        print(format_table(
-            list(HttpLoadtestReport.TABLE_HEADERS), report.table_rows(),
-            title=(f"{args.method} HTTP load test: {len(queries)} queries x "
-                   f"{args.passes} passes on {args.graph} via {report.url} "
-                   f"({driver}, "
-                   f"build {build_seconds:.2f}s)"),
-        ))
-        print(f"\nwarm/cold wire speedup: {report.speedup:.1f}x, "
-              f"bytes-on-wire / proof bytes: {report.wire_overhead_ratio:.4f}x")
-        if report.server_metrics:
-            sm = report.server_metrics
-            print(f"server /metrics: {sm['requests']} requests, "
-                  f"hit rate {100.0 * sm['hit_rate']:.0f}%, "
-                  f"evictions {sm['cache_evictions']}, "
-                  f"invalidations {sm['cache_invalidations']}, "
-                  f"cache {sm['cache_entries']}/{sm['cache_capacity']}")
-        if not report.all_verified:
-            print("error: some wire responses failed client verification",
-                  file=sys.stderr)
-            return 1
-        return 0
-    report = run_loadtest(
-        method, queries, owner.signer.verify,
-        passes=args.passes, cache_size=args.cache_size,
-        coalesce=not args.no_coalesce, workers=args.workers,
-        updates_per_pass=args.updates, update_signer=owner.signer,
-        update_seed=args.seed,
-    )
-    print(format_table(
-        list(LoadtestReport.TABLE_HEADERS), report.table_rows(),
-        title=(f"{args.method} load test: {len(queries)} queries x "
-               f"{args.passes} passes on {args.graph} "
-               f"(build {build_seconds:.2f}s)"),
-    ))
-    print(f"\nwarm/cold speedup: {report.speedup:.1f}x, "
-          f"warm hit rate {100.0 * report.warm.snapshot.hit_rate:.0f}%")
-    if not report.all_verified:
-        print("error: some served proofs failed client verification",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    owner, method, build_seconds = _published_method(args)
-    if args.workload:
-        queries = _read_workload_file(args.workload)
-    else:
-        queries = list(generate_workload(owner.graph, args.range,
-                                         count=args.count, seed=args.seed,
-                                         tolerance=1.0))
-    # Warm pass: the record measures the steady-state provider, not
-    # lazy one-time initialization (compiled index, import costs).
-    profile_method(method, queries[:1], label=args.label)
-    record = profile_method(method, queries, owner.signer.verify,
-                            label=args.label)
-    if args.updates:
-        record = dataclasses.replace(record, **profile_updates(
-            method, owner.signer, count=args.updates, seed=args.seed))
-    rows = [["method", record.method],
-            ["queries", record.queries],
-            ["QPS", record.qps],
-            ["p50 ms", record.p50_ms],
-            ["p95 ms", record.p95_ms],
-            ["construction s", record.construction_seconds],
-            ["network tree s", record.network_tree_seconds],
-            ["proof bytes", record.proof_bytes],
-            ["verified", str(record.verified)]]
-    if record.updates:
-        rows.extend([
-            ["updates", record.updates],
-            ["update ms", 1000.0 * record.update_seconds],
-            ["rebuild s", record.rebuild_seconds],
-            ["update speedup", record.update_speedup],
-        ])
-    print(format_table(
-        ["metric", "value"], rows,
-        title=(f"{args.method} bench on {args.graph} "
-               f"(build {build_seconds:.2f}s)"),
-    ))
-    if args.out:
-        write_record(record, args.out)
-        print(f"\nwrote record to {args.out}")
-    if not record.verified:
-        print("error: client rejected a served proof", file=sys.stderr)
-        return 1
-    if args.baseline:
-        problems = compare_records(record.as_dict(), load_record(args.baseline),
-                                   max_regression=args.max_regression)
-        if problems:
-            print(f"\nperformance regression vs {args.baseline}:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 3
-        print(f"\nwithin {args.max_regression:g}x of baseline {args.baseline}")
     return 0
 
 
@@ -1130,11 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-size", type=int, default=1024,
                        help="LRU proof cache capacity")
         p.add_argument("--workers", type=int, default=1,
-                       help="without --http: thread-pool size (>1 disables "
-                            "coalescing); with --http + --artifact: number "
-                            "of pre-forked SO_REUSEPORT worker processes")
-        p.add_argument("--no-coalesce", action="store_true",
-                       help="answer bursts per query instead of batching")
+                       help="with --artifact over the wire: number of "
+                            "pre-forked SO_REUSEPORT worker processes; "
+                            "serve without --http: thread-pool size (>1 "
+                            "disables coalescing)")
         p.add_argument("--save-key",
                        help="write the owner's public key file (for "
                             "`repro-spv verify` / RemoteClient users)")
@@ -1147,6 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_server_args(serve, default_method="DIJ")
     serve.add_argument("--workload",
                        help="query file (default: read stdin lines)")
+    serve.add_argument("--no-coalesce", action="store_true",
+                       help="answer bursts per query instead of batching")
     serve.add_argument("--http", type=int, metavar="PORT",
                        help="serve the wire protocol over HTTP on PORT "
                             "(0 picks an ephemeral port) until interrupted")
@@ -1204,86 +974,42 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(fn=_cmd_verify)
 
     lt = sub.add_parser(
-        "loadtest", help="replay a workload cold vs warm and print metrics")
+        "loadtest",
+        help="drive a scenario or a cold-vs-warm replay through verifying "
+             "clients and print per-phase metrics")
     add_server_args(lt, default_method="DIJ")
     lt.add_argument("--workload", help="query file (default: generate)")
-    lt.add_argument("--http", action="store_true",
-                    help="drive the workload over a real localhost HTTP "
-                         "socket through RemoteClient (wire-level metrics)")
     lt.add_argument("--batch-size", type=int, default=0,
-                    help="with --http: send queries as multiproof BATCH "
-                         "frames of this many queries instead of per-query "
-                         "QUERY frames (0 = per-query)")
-    lt.add_argument("--async-clients", type=int, default=0,
-                    help="with --http: drive the workload with this many "
-                         "persistent event-loop clients on one thread "
-                         "instead of the single-connection driver "
-                         "(0 = single driver)")
+                    help="replay queries as multiproof BATCH frames of this "
+                         "many queries (0 = per-query QUERY frames)")
     lt.add_argument("--range", type=float, default=2000.0)
     lt.add_argument("--count", type=int, default=20)
     lt.add_argument("--seed", type=int, default=0)
     lt.add_argument("--passes", type=int, default=2,
-                    help="total passes; the first is cold, the rest warm")
+                    help="replay passes; the first is cold, the rest warm")
     lt.add_argument("--updates", type=int, default=0,
                     help="owner re-weights interleaved through every pass "
                          "(exercises incremental re-auth + cache invalidation)")
     lt.add_argument("--scenario",
-                    help="run a phased SLO soak with this registered traffic "
-                         "scenario (e.g. steady-burst) instead of a plain "
-                         "replay; requires --http, self-provisions a "
-                         "synthetic network when no graph is given")
+                    help="drive this registered traffic scenario (e.g. "
+                         "steady-burst) instead of a replay; self-provisions "
+                         "a synthetic network when no graph is given")
     lt.add_argument("--url",
-                    help="with --scenario: soak this already-running "
-                         "endpoint (e.g. a shard router) instead of booting "
-                         "a server; needs the graph positional (workload "
-                         "substrate) and --key")
-    lt.add_argument("--clients", type=int, default=0,
-                    help="scenario client pool size (default: --workers "
-                         "inline, 2 against an artifact pool)")
-    lt.add_argument("--client-mode",
-                    choices=["process", "thread", "async"],
-                    default="process",
-                    help="scenario clients as real processes (default), "
-                         "in-process threads (faster startup), or "
-                         "coroutines on one event loop (scales to "
-                         "hundreds of connections)")
+                    help="drive this already-running endpoint (e.g. a shard "
+                         "router) instead of booting a server; needs the "
+                         "graph positional (workload substrate) and --key")
+    lt.add_argument("--clients", type=int, default=DEFAULT_CLIENTS,
+                    help="verifying clients, one persistent connection each")
     lt.add_argument("--time-scale", type=float, default=1.0,
                     help="stretch (>1) or compress (<1) scenario arrival "
                          "timestamps")
     lt.add_argument("--events-scale", type=float, default=1.0,
                     help="scale every scenario phase's event count")
     lt.add_argument("--slo",
-                    help="SLO policy JSON to gate the soak against "
+                    help="SLO policy JSON to gate the report against "
                          "(exit code 3 on violation)")
-    lt.add_argument("--out",
-                    help="write the scenario soak report as a JSON file")
+    lt.add_argument("--out", help="write the report as a JSON file")
     lt.set_defaults(fn=_cmd_loadtest)
-
-    bench = sub.add_parser(
-        "bench", help="profile a workload replay into a BENCH_*.json record")
-    bench.add_argument("graph")
-    bench.add_argument("--method", choices=["DIJ", "FULL", "LDM", "HYP"],
-                       default="DIJ")
-    bench.add_argument("--landmarks", type=int, default=50)
-    bench.add_argument("--cells", type=int, default=49)
-    bench.add_argument("--insecure", action="store_true",
-                       help="use the keyed-hash stub signer (fast, no RSA)")
-    bench.add_argument("--workload", help="query file (default: generate)")
-    bench.add_argument("--range", type=float, default=2000.0)
-    bench.add_argument("--count", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--updates", type=int, default=0,
-                       help="also measure N incremental single-edge updates "
-                            "against one full rebuild")
-    bench.add_argument("--label", default="",
-                       help="free-form label stored in the record")
-    bench.add_argument("--out", help="write the record as a JSON file")
-    bench.add_argument("--baseline",
-                       help="baseline record to gate against "
-                            "(exit code 3 on regression)")
-    bench.add_argument("--max-regression", type=float, default=2.0,
-                       help="fail when any gated metric is this factor worse")
-    bench.set_defaults(fn=_cmd_bench)
     return parser
 
 

@@ -5,14 +5,6 @@ that digest sizes — and therefore proof sizes in KBytes — are directly
 comparable with the paper's measurements.  SHA-256 is available for
 modern deployments; everything downstream only depends on
 :attr:`HashFunction.digest_size`.
-
-``"blake3"`` is accepted when the optional `blake3 wheel
-<https://pypi.org/project/blake3/>`_ is importable — a much faster
-construction-time primitive (the authenticated index hashes millions of
-rows at build and re-hashes on every update), with a 32-byte digest so
-proof sizes match sha256.  Without the wheel, asking for it raises a
-:class:`~repro.errors.CryptoError` naming the dependency; nothing else
-in this module changes, and sha1/sha256 digests stay byte-stable.
 """
 
 from __future__ import annotations
@@ -26,26 +18,7 @@ _SUPPORTED = {
     "sha1": 20,
     "sha256": 32,
     "sha512": 64,
-    "blake3": 32,
 }
-
-
-def _blake3_factory() -> Callable:
-    """The ``blake3.blake3`` constructor, or a typed refusal.
-
-    The wheel is a Rust extension we cannot vendor; environments
-    without it still get the full sha family, and the error tells the
-    caller exactly what to install and what the portable fallback is.
-    """
-    try:
-        import blake3
-    except ImportError as exc:
-        raise CryptoError(
-            "hash 'blake3' needs the optional blake3 wheel "
-            "(pip install blake3); sha256 is the portable fallback "
-            "with the same 32-byte digest size"
-        ) from exc
-    return blake3.blake3
 
 
 class HashFunction:
@@ -68,14 +41,10 @@ class HashFunction:
             )
         self.name = name
         self.digest_size = _SUPPORTED[name]
-        #: The raw digest constructor (``hashlib.sha1``,
-        #: ``blake3.blake3``, …).  Hot loops hashing millions of items
-        #: bind this directly — calling it avoids the Python-level
-        #: indirection of :meth:`new`.  blake3 objects satisfy the same
-        #: ``ctor(data)`` / ``update`` / ``digest`` surface hashlib
-        #: objects do, so downstream code cannot tell them apart.
-        self.factory: Callable = (_blake3_factory() if name == "blake3"
-                                  else getattr(hashlib, name))
+        #: The raw digest constructor (``hashlib.sha1``, …).  Hot loops
+        #: hashing millions of items bind this directly — calling it
+        #: avoids the Python-level indirection of :meth:`new`.
+        self.factory: Callable = getattr(hashlib, name)
 
     def digest(self, *messages: bytes) -> bytes:
         """Hash the concatenation of *messages*.

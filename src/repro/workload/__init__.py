@@ -11,6 +11,7 @@ from repro.workload.traffic import (
     TrafficTrace,
     generate_traffic,
     get_scenario,
+    replay_trace,
 )
 from repro.workload.updates import (
     GraphUpdate,
@@ -37,4 +38,5 @@ __all__ = [
     "TrafficTrace",
     "generate_traffic",
     "get_scenario",
+    "replay_trace",
 ]

@@ -26,8 +26,9 @@ request sequence:
   friends, each phase with its own rate, mix and loop mode, registered
   by name (``SCENARIOS``) for the CLI and the SLO harness.
 
-Everything here is generation only: no sockets, no servers.  The
-:mod:`repro.bench.slo` harness executes traces; tests introspect them.
+Everything here is generation only: no sockets, no servers.  The one
+load driver, :func:`repro.bench.serving.run_loadtest`, executes traces;
+a fixed-query replay becomes a trace too (:func:`replay_trace`).
 """
 
 from __future__ import annotations
@@ -483,3 +484,53 @@ def generate_traffic(graph: SpatialGraph, scenario: Scenario, *,
             phase, phase_index=index, updates=updates)))
     return TrafficTrace(scenario=scenario.name, seed=seed,
                         phases=tuple(phases))
+
+
+def replay_trace(graph: SpatialGraph, queries, *, passes: int = 2,
+                 updates_per_pass: int = 0, batch_size: int = 0,
+                 seed: int = 2010) -> TrafficTrace:
+    """A fixed-query replay as a trace: one closed-loop phase per pass.
+
+    Phases are named ``cold``, ``warm1``, …; each sends *queries* in
+    order, as QUERY events or, with ``batch_size > 0``, as BATCH events
+    of that many queries.  ``updates_per_pass`` owner re-weights are
+    drawn up front the way :func:`generate_traffic` draws them and
+    dealt out evenly: each pass splits into that many + 1 equal query
+    chunks with one update between consecutive chunks.
+    """
+    queries = [(int(s), int(t)) for s, t in queries]
+    if passes < 2:
+        raise WorkloadError(f"need a cold and a warm pass; got passes={passes}")
+    if not queries:
+        raise WorkloadError("empty load-test workload")
+    if updates_per_pass < 0 or batch_size < 0:
+        raise WorkloadError(
+            f"updates_per_pass and batch_size must be >= 0, got "
+            f"{updates_per_pass} and {batch_size}")
+    updates: list[GraphUpdate] = []
+    if updates_per_pass:
+        updates = list(generate_update_workload(
+            graph, passes * updates_per_pass, seed=seed,
+            kinds=(UPDATE_WEIGHT,)))
+    step = -(-len(queries) // (updates_per_pass + 1))
+    kind, width = (EVENT_BATCH, batch_size) if batch_size else (EVENT_QUERY, 1)
+    phases = []
+    for index in range(passes):
+        pending = updates[index * updates_per_pass:
+                          (index + 1) * updates_per_pass]
+        events: list[TrafficEvent] = []
+        for start in range(0, len(queries), step):
+            chunk = queries[start:start + step]
+            events.extend(
+                TrafficEvent(0.0, kind, queries=tuple(chunk[i:i + width]))
+                for i in range(0, len(chunk), width))
+            if pending:
+                events.append(TrafficEvent(0.0, EVENT_UPDATE,
+                                           update=pending.pop(0)))
+        # Fewer chunks than updates (tiny workloads): the rest close the pass.
+        events.extend(TrafficEvent(0.0, EVENT_UPDATE, update=update)
+                      for update in pending)
+        name = "cold" if index == 0 else f"warm{index}"
+        phases.append((PhaseSpec(name, events=len(events), closed_loop=True),
+                       tuple(events)))
+    return TrafficTrace(scenario="replay", seed=seed, phases=tuple(phases))

@@ -56,47 +56,3 @@ class TestHashFunction:
         assert HashFunction("sha256").digest(b"abc").hex() == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
 
-
-def _blake3_available() -> bool:
-    try:
-        import blake3  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class TestBlake3:
-    """blake3 is optional: full member when the wheel is present, a
-    *typed* refusal naming the dependency when it is not — never an
-    ImportError escaping from construction."""
-
-    def test_blake3_is_a_known_name(self):
-        # Whether or not the wheel is installed, "blake3" must not fall
-        # into the unsupported-name branch.
-        try:
-            HashFunction("blake3")
-        except CryptoError as exc:
-            assert "blake3" in str(exc) and "wheel" in str(exc)
-
-    @pytest.mark.skipif(not _blake3_available(),
-                        reason="optional blake3 wheel not installed")
-    def test_blake3_full_member(self):
-        import blake3
-
-        h = HashFunction("blake3")
-        assert h.digest_size == 32
-        assert h.digest(b"abc") == blake3.blake3(b"abc").digest()
-        assert h.digest(b"ab", b"cd") == h.digest(b"abcd")
-        hasher = h.new(b"ab")
-        hasher.update(b"cd")
-        assert hasher.digest() == h.digest(b"abcd")
-        assert get_hash("blake3") == HashFunction("blake3")
-
-    @pytest.mark.skipif(_blake3_available(),
-                        reason="blake3 wheel is installed here")
-    def test_blake3_missing_is_a_typed_refusal(self):
-        with pytest.raises(CryptoError) as excinfo:
-            HashFunction("blake3")
-        message = str(excinfo.value)
-        assert "pip install blake3" in message
-        assert "sha256" in message  # the error names the fallback

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.slo import run_slo_soak
+from repro.bench.serving import run_loadtest
 from repro.core.framework import DataOwner
 from repro.crypto.signer import NullSigner
 from repro.workload.traffic import (
@@ -31,16 +31,13 @@ from repro.workload.traffic import (
 
 @pytest.fixture(scope="module")
 def soak_report(road300):
-    """One hostile soak, shared by the assertions below (thread clients
-    keep it cheap; the process path is covered by the CLI/bench runs)."""
+    """One hostile soak, shared by the assertions below."""
     signer = NullSigner()
     method = DataOwner(road300.copy(), signer=signer).publish("DIJ")
     scenario = get_scenario("adversarial-soak").scaled(0.4)
-    return run_slo_soak(
-        method, scenario,
-        verify_signature=signer.verify, update_signer=signer,
-        clients=2, client_mode="thread", seed=99, time_scale=0.05,
-    )
+    trace = generate_traffic(method.graph, scenario, seed=99)
+    return run_loadtest(trace, signer.verify, method=method,
+                        update_signer=signer, clients=2, time_scale=0.05)
 
 
 def test_soak_sends_every_garbage_kind(road300):

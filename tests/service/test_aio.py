@@ -19,6 +19,7 @@ waits on idle peers.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
@@ -654,33 +655,41 @@ class TestShutdownDrain:
 
 
 # ----------------------------------------------------------------------
-# The asyncio client pool
+# Async clients and the load driver
 # ----------------------------------------------------------------------
-class TestAsyncClientPool:
-    def test_pool_drives_the_frontend(self, dispatcher, signer, workload):
-        from repro.bench.aioclient import AsyncClientPool
+class TestAsyncClients:
+    def test_async_client_verifies_over_the_frontend(self, dispatcher,
+                                                      signer, workload):
+        from repro.api.transport import AsyncTransport
+        from repro.bench.serving import AsyncRemoteClient
 
-        with AsyncProofHttpServer(dispatcher) as server, \
-                AsyncClientPool(server.url, signer.verify,
-                                clients=5) as pool:
-            assert pool.hello().method == "DIJ"
-            results = pool.run_chunk(workload)
-            assert len(results) == len(workload)
-            assert all(r.ok for r in results)
-            batched = pool.run_chunk(workload, batch_size=3)
-            assert all(r.ok for r in batched)
-
-    def test_pool_validation(self, signer):
-        from repro.bench.aioclient import AsyncClientPool
-
-        with pytest.raises(ServiceError):
-            AsyncClientPool("http://127.0.0.1:1", signer.verify, clients=0)
-
-    def test_pool_closed_is_typed(self, dispatcher, signer):
-        from repro.bench.aioclient import AsyncClientPool
+        async def drive(url):
+            client = AsyncRemoteClient(AsyncTransport(url), signer.verify)
+            try:
+                assert (await client.hello()).method == "DIJ"
+                results = [await client.query(vs, vt) for vs, vt in workload]
+                results += await client.query_batch(workload[:3])
+                with pytest.raises(ProtocolError):
+                    await client.fetch_manifest()  # a single box has none
+            finally:
+                await client.close()
+            return results
 
         with AsyncProofHttpServer(dispatcher) as server:
-            pool = AsyncClientPool(server.url, signer.verify, clients=2)
-            pool.close()
-            with pytest.raises(ServiceError, match="closed"):
-                pool.hello()
+            results = asyncio.run(drive(server.url))
+        assert len(results) == len(workload) + 3
+        assert all(r.ok for r in results)
+
+    def test_driver_verifies_every_reply_at_a_url(self, dispatcher, signer,
+                                                  workload, road300):
+        from repro.bench.serving import run_loadtest
+        from repro.workload.traffic import replay_trace
+
+        with AsyncProofHttpServer(dispatcher) as server:
+            for batch_size in (0, 3):
+                trace = replay_trace(road300, workload, batch_size=batch_size)
+                report = run_loadtest(trace, signer.verify, url=server.url,
+                                      clients=5)
+                assert report.method == "DIJ"
+                assert report.all_verified, [p.failures for p in report.phases]
+                assert report.total_queries == 2 * len(workload)

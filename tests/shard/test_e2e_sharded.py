@@ -120,3 +120,26 @@ class TestShardedRoundtrip:
         manifest, raw = stack["client"].fetch_manifest()
         assert manifest == stack["manifest"]
         assert raw == stack["router"].manifest_bytes
+
+
+class TestLoadDriverAtTheRouter:
+    def test_every_composite_reply_verifies(self, stack, signer):
+        """The one load driver at the router: endpoints in different
+        shards, so every reply is a stitched composite, and each client
+        verifies them against the manifest it fetched itself."""
+        from repro.bench.serving import run_loadtest
+        from repro.workload.traffic import replay_trace
+
+        # Both ends of each shard's first id range are owned by it.
+        ranges = [entry.id_ranges[0] for entry in stack["manifest"].entries]
+        pairs = [pair for i, a in enumerate(ranges)
+                 for j, b in enumerate(ranges) if i != j
+                 for pair in zip(a, b)]
+        assert all(stack["client"].query(*pair).composite for pair in pairs)
+        url = stack["client"].transport.base_url
+        for batch_size in (0, 3):
+            trace = replay_trace(stack["graph"], pairs, batch_size=batch_size)
+            report = run_loadtest(trace, signer.verify, url=url, clients=3)
+            assert report.verification_failures == 0, \
+                [p.failures for p in report.phases]
+            assert report.total_queries == 2 * len(pairs)

@@ -113,7 +113,8 @@ class TestLoadtest:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "cold" in out and "warm1" in out
-        assert "speedup" in out
+        assert "saturation" in out and "wire/proof bytes" in out
+        assert "0 verification failures" in out
 
     def test_loadtest_from_workload_file(self, graph_file, tmp_path, capsys):
         path = tmp_path / "q.txt"
@@ -132,28 +133,43 @@ class TestLoadtest:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-
-class TestHttpLoadtest:
-    def test_wire_level_replay_verifies(self, graph_file, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--batch-size", "3"]],
+                             ids=["query", "batch3"])
+    def test_replay_with_updates(self, graph_file, capsys, extra):
         code = main(["loadtest", str(graph_file), "--method", "DIJ",
                      "--range", "1000", "--count", "4", "--passes", "2",
-                     "--insecure", "--http"])
+                     "--insecure", "--updates", "1", "--clients", "3",
+                     *extra])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "wire QPS" in out and "overhead" in out
-        assert "bytes-on-wire / proof bytes" in out
+        assert "2 update pushes" in out
 
-    def test_wire_replay_with_updates(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file), "--method", "DIJ",
-                     "--range", "1000", "--count", "4", "--passes", "2",
-                     "--insecure", "--http", "--updates", "1"])
-        assert code == 0, capsys.readouterr().out
+    def test_workers_need_an_artifact(self, graph_file, capsys):
+        code = main(["loadtest", str(graph_file), "--insecure",
+                     "--workers", "2"])
+        assert code == 2
+        assert "--artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--http", "--no-coalesce"])
+    def test_serve_only_flags_are_not_loadtest_flags(self, graph_file,
+                                                     capsys, flag):
+        # loadtest always crosses the wire; coalescing is serve's knob.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadtest", str(graph_file), "--insecure", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bench_is_not_a_subcommand(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", str(graph_file)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestScenarioLoadtest:
-    ARGS = ["loadtest", "--scenario", "steady-burst", "--http",
-            "--insecure", "--clients", "2", "--client-mode", "thread",
-            "--events-scale", "0.1", "--time-scale", "0.05", "--seed", "7"]
+    ARGS = ["loadtest", "--scenario", "steady-burst", "--insecure",
+            "--clients", "2", "--events-scale", "0.1",
+            "--time-scale", "0.05", "--seed", "7"]
 
     def test_soak_reports_phases_and_slo_metrics(self, graph_file, tmp_path,
                                                  capsys):
@@ -191,14 +207,8 @@ class TestScenarioLoadtest:
         capsys.readouterr()
         assert code == 3
 
-    def test_scenario_requires_http(self, graph_file, capsys):
-        code = main(["loadtest", "--scenario", "steady-burst", "--insecure",
-                     str(graph_file), "--method", "DIJ"])
-        assert code == 2
-        assert "--http" in capsys.readouterr().err
-
     def test_unknown_scenario_is_a_typed_error(self, graph_file, capsys):
-        code = main(["loadtest", "--scenario", "nope", "--http", "--insecure",
+        code = main(["loadtest", "--scenario", "nope", "--insecure",
                      str(graph_file), "--method", "DIJ"])
         assert code == 2
         err = capsys.readouterr().err
@@ -494,10 +504,19 @@ class TestPackAndArtifactServe:
         assert code == 2
         assert "artifact" in capsys.readouterr().err
 
-    def test_loadtest_artifact_requires_http(self, packed, capsys):
+    def test_loadtest_artifact_requires_key(self, packed, capsys):
         artifact, _ = packed
         assert main(["loadtest", "--artifact", str(artifact)]) == 2
-        assert "--http" in capsys.readouterr().err
+        assert "--key" in capsys.readouterr().err
+
+    def test_loadtest_against_a_worker_pool(self, packed, capsys):
+        artifact, key = packed
+        code = main(["loadtest", "--artifact", str(artifact), "--workers",
+                     "2", "--key", str(key), "--range", "1000", "--count",
+                     "4"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "requests per worker" in out
 
 
 class TestErrors:
@@ -567,8 +586,8 @@ class TestRouterValidation:
         assert code == 2
         assert "--router" in capsys.readouterr().err
 
-    def test_loadtest_url_requires_scenario(self, graph_file, capsys):
+    def test_loadtest_url_requires_key(self, graph_file, capsys):
         code = main(["loadtest", str(graph_file),
                      "--url", "http://127.0.0.1:1"])
         assert code == 2
-        assert "--scenario" in capsys.readouterr().err
+        assert "--key" in capsys.readouterr().err
