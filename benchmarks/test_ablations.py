@@ -226,34 +226,6 @@ def test_ablation_signer_cost(ctx, results, benchmark):
               response.descriptor.signature)
 
 
-def test_ablation_batch_savings(ctx, results, benchmark):
-    """Batched proofs: one Merkle cover for a burst of queries."""
-    from repro.core.batch import answer_batch, verify_batch
-
-    workload = ctx.workload()
-    queries = list(workload.queries[: min(10, len(workload))])
-    rows = []
-    for name in ("DIJ", "LDM"):
-        method = ctx.method(name)
-        batch = answer_batch(method, queries)
-        assert all(r.ok for r in verify_batch(batch, ctx.signer.verify))
-        individual = sum(len(method.answer(vs, vt).encode())
-                         for vs, vt in queries)
-        saving = 1 - batch.total_bytes / individual
-        rows.append([name, individual / 1024, batch.total_bytes / 1024,
-                     100 * saving])
-        results.add("ablation-batch", method=name,
-                    individual_kb=individual / 1024,
-                    batch_kb=batch.total_bytes / 1024, saving=saving)
-        assert batch.total_bytes < individual
-    emit(f"Extension — batched proofs over {len(queries)} queries",
-         ["method", "individual KB", "batched KB", "saving %"], rows)
-
-    method = ctx.method("DIJ")
-    benchmark.pedantic(lambda: answer_batch(method, queries[:5]),
-                       rounds=2, iterations=1)
-
-
 def test_estimator_accuracy(ctx, results, benchmark):
     """The sizing model predicts measured proof sizes within ~2.5x."""
     graph = ctx.dataset()

@@ -5,8 +5,8 @@ morning.  Instead of re-proving every request, the provider runs a
 :class:`~repro.service.server.ProofServer`:
 
 1. the owner builds and signs a DIJ method once;
-2. the server answers the first burst through the combined-cover batch
-   path and fills its LRU proof cache;
+2. the server answers the first burst against one graph version and
+   fills its LRU proof cache;
 3. repeat requests are replayed from the cache at memory speed — and
    still verify, because a cached proof is byte-identical to a fresh
    one;
@@ -37,7 +37,7 @@ def main() -> None:
     rows = []
     for label in ("cold", "warm", "warm"):
         server.reset_metrics()
-        served = server.answer_many(dispatch)  # burst -> one Merkle cover
+        served = server.answer_many(dispatch)  # one gate hold per burst
         s = server.snapshot()  # freeze before client-side verification
         rows.append([label, s.requests, s.qps, s.p50_ms, s.p95_ms,
                      100.0 * s.hit_rate, s.proof_kbytes])

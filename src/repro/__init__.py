@@ -45,7 +45,6 @@ from repro.crypto import RsaSigner
 from repro.graph import SpatialGraph, grid_network, road_network
 from repro.service import (
     AsyncProofHttpServer,
-    BurstResult,
     ProofCache,
     ProofRequest,
     ProofServer,
@@ -94,7 +93,6 @@ __all__ = [
     "UpdateReport",
     "ProofCache",
     "ServedResponse",
-    "BurstResult",
     "ServerMetrics",
     "SpatialGraph",
     "grid_network",

@@ -343,7 +343,7 @@ class RemoteClient:
                 f"{len(pairs)} queries"
             )
         if message.shared and not message.composite_slots:
-            return self._verify_multiproof(pairs, message, len(reply_frame))
+            return self._verify_shared(pairs, message, len(reply_frame))
         composite_slots = frozenset(message.composite_slots)
         # The frame's framing bytes are charged to the batch's first
         # item; per-item payload sizes dominate by orders of magnitude.
@@ -373,7 +373,7 @@ class RemoteClient:
                                         cached=item.cached))
         return results
 
-    def _verify_multiproof(self, pairs, message: BatchQueryReply,
+    def _verify_shared(self, pairs, message: BatchQueryReply,
                            frame_bytes: int) -> "list[RemoteResult]":
         """Expand a shared-multiproof reply and verify every slot.
 

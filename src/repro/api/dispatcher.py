@@ -6,7 +6,7 @@ test poking bytes directly — hands it one request frame and ships back
 whatever frame it returns.  The dispatcher owns the protocol concerns
 (version acceptance, strict decoding, the error taxonomy); the wrapped
 :class:`~repro.service.server.ProofServer` owns the serving concerns
-(cache, coalescing, the update gate).  Keeping the split strict is what
+(cache, bursts, the update gate).  Keeping the split strict is what
 makes transports interchangeable: nothing below this layer knows
 whether bytes crossed a network.
 
@@ -176,9 +176,11 @@ class Dispatcher:
 
         ``None`` means "answer in the legacy per-item layout instead":
         nothing succeeded, or the ok responses cannot share one
-        multiproof (e.g. an update landed mid-batch and they span
-        descriptor versions).  Falling back is always sound — the
-        client asked for an optimisation, not a different contract.
+        multiproof.  They never span descriptor versions, because
+        :meth:`~repro.service.server.ProofServer.answer_many` serves the
+        whole burst under one hold of the update gate.  Falling back is
+        always sound — the client asked for an optimisation, not a
+        different contract.
         """
         from repro.core.batch import combine_multiproof
 

@@ -543,13 +543,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          max_workers=args.workers)
     queries = _read_requests(args)
     server.reset_metrics()  # exclude stream reading from the window
-    combined = None
     if args.workers > 1:
         served = server.answer_concurrent(queries)
     else:
-        burst = server.serve_burst(queries, coalesce=not args.no_coalesce)
-        served = burst.served
-        combined = burst.combined
+        served = server.answer_many(queries)
     snapshot = server.snapshot()  # freeze before verification/printing
     failures = 0
     rows = []
@@ -581,12 +578,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         title=(f"{method.name} proof server on {source}, "
                f"cache {args.cache_size}"),
     ))
-    if combined is not None:
-        standalone = sum(item.proof_bytes for item in served
-                         if item.ok and not item.cached)
-        print(f"\nburst shipped as one combined cover: "
-              f"{combined.total_bytes / 1024:.1f} KB "
-              f"(standalone responses would total {standalone / 1024:.1f} KB)")
     print()
     print(_metrics_table(snapshot))
     return 1 if failures else 0
@@ -901,8 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="with --artifact over the wire: number of "
                             "pre-forked SO_REUSEPORT worker processes; "
-                            "serve without --http: thread-pool size (>1 "
-                            "disables coalescing)")
+                            "serve without --http: thread-pool size")
         p.add_argument("--save-key",
                        help="write the owner's public key file (for "
                             "`repro-spv verify` / RemoteClient users)")
@@ -915,8 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_server_args(serve, default_method="DIJ")
     serve.add_argument("--workload",
                        help="query file (default: read stdin lines)")
-    serve.add_argument("--no-coalesce", action="store_true",
-                       help="answer bursts per query instead of batching")
     serve.add_argument("--http", type=int, metavar="PORT",
                        help="serve the wire protocol over HTTP on PORT "
                             "(0 picks an ephemeral port) until interrupted")

@@ -1,184 +1,34 @@
-"""Batch proofs: one Merkle cover for many queries.
+"""Batch proofs: k query answers under one Merkle multiproof per tree.
 
 A navigation provider answers bursts of queries from the same client
-(e.g. a delivery fleet's morning dispatch).  The subgraph methods (DIJ,
-LDM) disclose overlapping tuple sets for nearby queries, so shipping
-one *combined* section — the union of the per-query disclosure sets
-under a single Merkle cover — is strictly smaller than concatenating
-individual responses whenever the queries overlap at all.
-
-Soundness is unchanged: the union is a superset of every per-query
-disclosure set, and both client searches (Lemma 1 Dijkstra, Lemma 2
-A*) remain sound on supersets — extra authentic tuples can only be
-ignored or confirm the optimum, never manufacture a shorter phantom
-path, and the missing-node rules still fire because each query's
-required set is contained in the union.
+(e.g. a delivery fleet's morning dispatch).  Nearby queries disclose
+overlapping leaf sets and share most of their Merkle covers, so a BATCH
+reply ships each tree's union disclosure once under the union's cover
+(:class:`MultiProofBatch`).  Each query keeps its exact leaf set, and
+the client expands the batch back into standalone responses
+(:func:`recover_responses`) that the unchanged per-query ``verify``
+checks — for every method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.framework import VerificationResult
-from repro.core.method import (
-    BATCHABLE_METHODS,
-    SignatureVerifier,
-    VerificationMethod,
-    get_method,
-)
-from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeSection
+from repro.core.proofs import QueryResponse, SignedDescriptor, TreeSection
 from repro.encoding import Decoder, Encoder
 from repro.errors import EncodingError, MethodError
 from repro.merkle.multiproof import expand_multi, merge_entries
 from repro.merkle.proof import decode_proof_entries, encode_proof_entries
-
-#: Methods whose ΓS is a subgraph disclosure (where unioning pays).
-#: Defined next to the method base class so
-#: :attr:`~repro.core.method.VerificationMethod.supports_batching` can
-#: share it without a circular import.
-BATCHABLE = BATCHABLE_METHODS
-
-
-@dataclass
-class BatchResponse:
-    """Provider answer for several queries with one shared ΓT."""
-
-    method: str
-    queries: tuple[tuple[int, int], ...]
-    paths: tuple[tuple[int, ...], ...]
-    costs: tuple[float, ...]
-    section: TreeSection
-    descriptor: SignedDescriptor
-
-    def response_for(self, index: int) -> QueryResponse:
-        """Materialize the *index*-th query as a standalone response.
-
-        All per-query responses share the same (superset) section; see
-        the module docstring for why that preserves soundness.
-        """
-        vs, vt = self.queries[index]
-        return QueryResponse(
-            method=self.method,
-            source=vs,
-            target=vt,
-            path_nodes=self.paths[index],
-            path_cost=self.costs[index],
-            sections={NETWORK_TREE: self.section},
-            descriptor=self.descriptor,
-        )
-
-    # -- wire format ----------------------------------------------------
-    def encode(self) -> bytes:
-        """Serialize (the ground truth for size accounting)."""
-        enc = Encoder()
-        enc.write_str(self.method)
-        enc.write_uint(len(self.queries))
-        for (vs, vt), path, cost in zip(self.queries, self.paths, self.costs):
-            enc.write_uint(vs).write_uint(vt)
-            enc.write_uint_seq(path)
-            enc.write_f64(cost)
-        enc.write_uint_seq(self.section.positions)
-        enc.write_uint(len(self.section.payloads))
-        for payload in self.section.payloads:
-            enc.write_bytes(payload)
-        encode_proof_entries(self.section.entries, enc)
-        enc.write_bytes(self.descriptor.encode())
-        return enc.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BatchResponse":
-        """Inverse of :meth:`encode`."""
-        dec = Decoder(data)
-        method = dec.read_str()
-        count = dec.read_uint()
-        queries = []
-        paths = []
-        costs = []
-        for _ in range(count):
-            queries.append((dec.read_uint(), dec.read_uint()))
-            paths.append(tuple(dec.read_uint_seq()))
-            costs.append(dec.read_f64())
-        positions = dec.read_uint_seq()
-        payloads = [dec.read_bytes() for _ in range(dec.read_uint())]
-        entries = decode_proof_entries(dec)
-        descriptor = SignedDescriptor.decode(dec.read_bytes())
-        dec.expect_end()
-        return cls(method, tuple(queries), tuple(paths), tuple(costs),
-                   TreeSection(NETWORK_TREE, positions, payloads, entries),
-                   descriptor)
-
-    @property
-    def total_bytes(self) -> int:
-        """Wire size of the whole batch."""
-        return len(self.encode())
-
-
-def combine_responses(
-    method: VerificationMethod,
-    queries: "list[tuple[int, int]]",
-    responses: "list[QueryResponse]",
-) -> BatchResponse:
-    """Union already-computed per-query responses under one Merkle cover.
-
-    Lets a serving layer that has standalone responses in hand (e.g. for
-    caching) assemble the combined wire object without re-running the
-    per-query searches.
-    """
-    if method.name not in BATCHABLE:
-        raise MethodError(
-            f"{method.name} proofs are already near-constant size; batching "
-            f"supports the subgraph methods {BATCHABLE}"
-        )
-    if not queries:
-        raise MethodError("empty query batch")
-    if len(queries) != len(responses):
-        raise MethodError(
-            f"{len(queries)} queries vs {len(responses)} responses"
-        )
-    all_positions: set[int] = set()
-    for response in responses:
-        all_positions.update(response.section(NETWORK_TREE).positions)
-    bundle = method._bundle
-    positions = sorted(all_positions)
-    order = bundle.order
-    payloads = [bundle.payload_of[order[pos]] for pos in positions]
-    entries = bundle.tree.prove(positions)
-    section = TreeSection(NETWORK_TREE, positions, payloads, entries)
-    return BatchResponse(
-        method=method.name,
-        queries=tuple(queries),
-        paths=tuple(r.path_nodes for r in responses),
-        costs=tuple(r.path_cost for r in responses),
-        section=section,
-        descriptor=method.descriptor,
-    )
-
-
-def answer_batch(method: VerificationMethod,
-                 queries: "list[tuple[int, int]]") -> BatchResponse:
-    """Provider role: answer all *queries* under one combined section."""
-    if method.name not in BATCHABLE:
-        raise MethodError(
-            f"{method.name} proofs are already near-constant size; batching "
-            f"supports the subgraph methods {BATCHABLE}"
-        )
-    if not queries:
-        raise MethodError("empty query batch")
-    responses = [method.answer(vs, vt) for vs, vt in queries]
-    return combine_responses(method, queries, responses)
 
 
 @dataclass
 class MultiProofBatch:
     """k query answers sharing one Merkle multiproof per ADS.
 
-    Unlike :class:`BatchResponse` — which hands every query the same
-    *superset* section and is therefore limited to the subgraph methods
-    whose verification tolerates supersets — a multiproof batch keeps
-    each query's exact disclosure set (``query_positions``) and ships
-    the deduplicated union material once per tree.  The client expands
-    it back into per-query standalone responses that are byte-identical
-    to independently served ones
+    The batch keeps each query's exact disclosure set
+    (``query_positions``) and ships the deduplicated union material once
+    per tree.  The client expands it back into per-query standalone
+    responses that are byte-identical to independently served ones
     (:func:`~repro.merkle.multiproof.expand_multi`), so *every* method's
     unchanged per-query ``verify`` applies, FULL's exactly-one-distance-
     tuple check included.
@@ -279,9 +129,8 @@ def combine_multiproof(
     for every method, artifact-loaded ones included.
 
     Raises :class:`MethodError` when the responses disagree — different
-    methods or descriptor versions (a mid-batch update race), payload
-    conflicts — in which case the caller falls back to independent
-    responses.
+    methods or descriptor versions, payload conflicts — in which case
+    the caller falls back to independent responses.
     """
     if not queries:
         raise MethodError("empty query batch")
@@ -419,23 +268,3 @@ def recover_responses(batch: MultiProofBatch) -> "list[QueryResponse]":
         ))
     return responses
 
-
-def verify_batch(batch: BatchResponse,
-                 verify_signature: SignatureVerifier, *,
-                 min_version: "int | None" = None) -> "list[VerificationResult]":
-    """Client role: verify every query in the batch.
-
-    Returns one :class:`VerificationResult` per query, in order.  The
-    shared Merkle cover is checked as part of the first verification
-    and implicitly revalidated by each (the section object is shared).
-    ``min_version`` is the client's freshness floor, exactly as in the
-    per-response ``verify``: a replayed pre-update batch is authentic
-    byte for byte, so only version pinning rejects it.
-    """
-    verifier = get_method(batch.method)
-    results = []
-    for index, (vs, vt) in enumerate(batch.queries):
-        response = batch.response_for(index)
-        results.append(verifier.verify(vs, vt, response, verify_signature,
-                                       min_version=min_version))
-    return results

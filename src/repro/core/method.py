@@ -31,12 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: ``verify(message, signature) -> bool`` — the client's view of the owner key.
 SignatureVerifier = Callable[[bytes, bytes], bool]
 
-#: Methods whose ΓS is a subgraph disclosure, so several queries can share
-#: one combined Merkle cover (:mod:`repro.core.batch`).  FULL and HYP
-#: proofs are already near-constant size and gain nothing from unioning.
-BATCHABLE_METHODS = ("DIJ", "LDM")
-
-
 @dataclass(frozen=True)
 class UpdateReport:
     """Outcome of one :meth:`VerificationMethod.apply_update` call.
@@ -321,11 +315,6 @@ class VerificationMethod(ABC):
         if graph is None:
             raise MethodError(f"{self.name}: build() has not completed")
         return graph
-
-    @property
-    def supports_batching(self) -> bool:
-        """Whether :func:`repro.core.batch.answer_batch` accepts this method."""
-        return self.name in BATCHABLE_METHODS
 
 
 class _Stopwatch:

@@ -1,43 +1,30 @@
 """Merkle hash tree authentication structures.
 
-Two structures back all four verification methods:
-
-* :class:`~repro.merkle.tree.MerkleTree` — an f-ary Merkle hash tree
-  over an ordered sequence of payloads (the paper's network
-  certification tree, §III-B, with configurable fanout, Fig. 11a);
-* :class:`~repro.merkle.btree.MerkleBTree` — a key-sorted authenticated
-  dictionary over composite integer keys (the paper's "distance Merkle
-  B-tree" used by FULL and HYP).
+Every authenticated structure in the four verification methods is a
+:class:`~repro.merkle.tree.MerkleTree`: an f-ary Merkle hash tree over
+an ordered sequence of payloads (the paper's network certification
+tree, §III-B, with configurable fanout, Fig. 11a).  FULL and HYP keep
+their distance tuples in one too, in triangle and tile order.
 
 Batch serving shares one digest set across k queries through the
-multiproof helpers (:mod:`repro.merkle.multiproof`): ``prove_multi``
-emits the union cover, :func:`verify_multi` reconstructs the root from
-it, and :func:`expand_multi` recovers each query's standalone cover
-byte-for-byte so per-query verification stays unchanged.
+multiproof helpers (:mod:`repro.merkle.multiproof`): the server pools
+the per-query covers into the union's cover with :func:`merge_entries`,
+and the client's :func:`expand_multi` reconstructs the root and
+recovers each query's standalone cover byte-for-byte, so per-query
+verification stays unchanged.
 """
 
 from repro.merkle.proof import MerkleProofEntry, decode_proof_entries, encode_proof_entries
 from repro.merkle.tree import MerkleTree, reconstruct_root
-from repro.merkle.btree import MerkleBTree, pair_key
-from repro.merkle.multiproof import (
-    cover_indices,
-    expand_multi,
-    merge_entries,
-    union_indices,
-    verify_multi,
-)
+from repro.merkle.multiproof import cover_indices, expand_multi, merge_entries
 
 __all__ = [
     "MerkleTree",
-    "MerkleBTree",
     "MerkleProofEntry",
     "reconstruct_root",
-    "pair_key",
     "encode_proof_entries",
     "decode_proof_entries",
     "cover_indices",
     "expand_multi",
     "merge_entries",
-    "union_indices",
-    "verify_multi",
 ]

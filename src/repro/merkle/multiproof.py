@@ -35,17 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.crypto.hashing import HashFunction, get_hash
 from repro.errors import MerkleError
 from repro.merkle.proof import MerkleProofEntry
-from repro.merkle.tree import _LEAF_TAG, MerkleTree, reconstruct_root
-
-
-def union_indices(leaf_sets: "Sequence[Sequence[int] | set[int]]") -> list[int]:
-    """Sorted, deduplicated union of the given leaf index sets."""
-    union: set[int] = set()
-    for leaf_set in leaf_sets:
-        union.update(leaf_set)
-    if not union:
-        raise MerkleError("cannot prove an empty union of disclosure sets")
-    return sorted(union)
+from repro.merkle.tree import _LEAF_TAG, MerkleTree
 
 
 def cover_indices(
@@ -133,27 +123,6 @@ def _digest_map(
             )
         digest_of[coord] = entry.digest
     return digest_of
-
-
-def verify_multi(
-    num_leaves: int,
-    fanout: int,
-    hash_fn: "str | HashFunction",
-    disclosed_leaves: Mapping[int, bytes],
-    entries: "Iterable[MerkleProofEntry]",
-) -> bytes:
-    """Reconstruct the root from a union disclosure and its multiproof.
-
-    The multiproof counterpart of :func:`~repro.merkle.tree.reconstruct_root`
-    — same sweep, plus a strictness pass rejecting entry lists that
-    carry conflicting digests for one coordinate (a single-cover proof
-    never repeats a coordinate; a shared set must stay consistent).
-    """
-    deduped = [
-        MerkleProofEntry(level, index, digest)
-        for (level, index), digest in _digest_map(entries).items()
-    ]
-    return reconstruct_root(num_leaves, fanout, hash_fn, disclosed_leaves, deduped)
 
 
 def expand_multi(

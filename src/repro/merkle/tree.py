@@ -328,22 +328,6 @@ class MerkleTree:
         entries.sort(key=lambda e: powers[e.level] * e.index)
         return entries
 
-    def prove_multi(
-        self, leaf_sets: "Sequence[Sequence[int] | set[int]]",
-    ) -> "tuple[list[int], list[MerkleProofEntry]]":
-        """One deduplicated multiproof for k disclosure sets.
-
-        Returns ``(union leaf indices, shared ΓT entries)`` — the cover
-        of the **union** of the sets, which is both smaller than the
-        concatenation of the k independent covers and sufficient to
-        recover each of them byte-for-byte
-        (:func:`~repro.merkle.multiproof.expand_multi`).
-        """
-        from repro.merkle.multiproof import union_indices
-
-        union = union_indices(leaf_sets)
-        return union, self.prove(union)
-
 
 def reconstruct_root(
     num_leaves: int,

@@ -4,9 +4,10 @@ The paper's three-party model assumes a provider that answers many
 clients for a long time; this package is that provider as a subsystem.
 :class:`ProofServer` wraps any built
 :class:`~repro.core.method.VerificationMethod` behind a request/response
-API with an LRU proof cache (:class:`ProofCache`), combined-cover batch
-coalescing for DIJ/LDM bursts, a thread-pool concurrent mode, and
-serving metrics (:class:`ServerMetrics`).
+API with an LRU proof cache (:class:`ProofCache`), bursts served under
+one update-gate hold (shipped by the wire layer as one Merkle
+multiproof), a thread-pool concurrent mode, and serving metrics
+(:class:`ServerMetrics`).
 
 Typical use::
 
@@ -27,7 +28,6 @@ from repro.service.metrics import (
     percentile,
 )
 from repro.service.server import (
-    BurstResult,
     ProofRequest,
     ProofServer,
     ServedResponse,
@@ -43,7 +43,6 @@ __all__ = [
     "ProofRequest",
     "UpdateRequest",
     "ServedResponse",
-    "BurstResult",
     "ReadWriteLock",
     "ProofCache",
     "CacheEntry",

@@ -11,11 +11,10 @@ concerns around the unchanged proof machinery:
   target)`` for a fixed graph, so they are memoized in a versioned LRU
   (:class:`~repro.service.cache.ProofCache`) that drops itself when the
   graph's mutation counter moves;
-* **coalescing** — a burst of queries from one client ships as one
-  combined Merkle cover (:func:`repro.core.batch.combine_responses`)
-  when the method is batchable (DIJ/LDM): metrics charge the burst the
-  combined wire size, while the cache keeps the compact standalone
-  responses for later single-query traffic;
+* **bursts** — :meth:`ProofServer.answer_many` serves a client's
+  burst under one hold of the update gate, so every response in it
+  carries one graph version and the wire layer can ship them as one
+  Merkle multiproof (:func:`repro.core.batch.combine_multiproof`);
 * **concurrency** — a thread-pool mode answers independent requests in
   parallel (cache and metrics are lock-protected);
 * **live updates** — :meth:`ProofServer.apply_updates` mutates the
@@ -45,7 +44,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.core.batch import BatchResponse, combine_responses
 from repro.core.method import UpdateReport, VerificationMethod
 from repro.core.proofs import QueryResponse
 from repro.crypto.signer import Signer
@@ -83,8 +81,7 @@ class ServedResponse:
     """Server envelope around a query response.
 
     ``cached`` records whether the proof was replayed from the LRU;
-    ``serve_seconds`` is the wall time this request cost the server
-    (amortized across the batch for coalesced requests);
+    ``serve_seconds`` is the wall time this request cost the server;
     ``proof_bytes`` is the response's standalone wire size and
     ``encoded`` the encoding itself (made once per miss, memoised by a
     cache entry's first hit).  When the provider could not answer
@@ -103,21 +100,6 @@ class ServedResponse:
     def ok(self) -> bool:
         """Whether the request produced a proof-bearing response."""
         return self.error is None
-
-
-@dataclass(frozen=True)
-class BurstResult:
-    """Outcome of serving one coalesced burst.
-
-    ``served`` is the per-query view, in request order.  ``combined``
-    is the wire object actually shipped for the burst's fresh misses —
-    one :class:`~repro.core.batch.BatchResponse` under a single Merkle
-    cover (``None`` when fewer than two queries missed); clients check
-    it with :func:`repro.core.batch.verify_batch`.
-    """
-
-    served: tuple[ServedResponse, ...]
-    combined: "BatchResponse | None" = None
 
 
 class ProofServer:
@@ -185,6 +167,22 @@ class ProofServer:
         return ServedResponse(None, False, elapsed, 0, error=str(exc))
 
     # ------------------------------------------------------------------
+    def _serve(self, start: float, source: int, target: int,
+               version: int) -> ServedResponse:
+        """One metered query at *version*; the caller holds the read gate."""
+        served = self._hit(start, source, target, version)
+        if served is not None:
+            return served
+        try:
+            response = self.method.answer(source, target)
+        except ReproError as exc:
+            return self._error(start, exc)
+        encoded = self._store(source, target, version, response)
+        elapsed = time.perf_counter() - start
+        self.metrics.record(elapsed, len(encoded), cached=False)
+        return ServedResponse(response, False, elapsed, len(encoded),
+                              encoded=encoded)
+
     def answer(self, source: int, target: int) -> ServedResponse:
         """Serve one query, from cache when possible.
 
@@ -197,19 +195,7 @@ class ProofServer:
         """
         start = time.perf_counter()
         with self._update_gate.read():
-            version = self._version()
-            served = self._hit(start, source, target, version)
-            if served is not None:
-                return served
-            try:
-                response = self.method.answer(source, target)
-            except ReproError as exc:
-                return self._error(start, exc)
-            encoded = self._store(source, target, version, response)
-        elapsed = time.perf_counter() - start
-        self.metrics.record(elapsed, len(encoded), cached=False)
-        return ServedResponse(response, False, elapsed, len(encoded),
-                              encoded=encoded)
+            return self._serve(start, source, target, self._version())
 
     def answer_cached(self, source: int, target: int
                       ) -> "ServedResponse | None":
@@ -246,77 +232,22 @@ class ProofServer:
         return Dispatcher(self, update_signer=update_signer)
 
     # ------------------------------------------------------------------
-    def answer_many(self, queries: "list[tuple[int, int]]", *,
-                    coalesce: bool = True) -> "list[ServedResponse]":
-        """Serve a burst of queries; see :meth:`serve_burst`."""
-        return list(self.serve_burst(queries, coalesce=coalesce).served)
+    def answer_many(self, queries: "list[tuple[int, int]]"
+                    ) -> "list[ServedResponse]":
+        """Serve a burst of queries from one client, in request order.
 
-    def serve_burst(self, queries: "list[tuple[int, int]]", *,
-                    coalesce: bool = True) -> BurstResult:
-        """Serve a burst of queries from one client.
-
-        With ``coalesce`` (and a batchable method), the fresh cache
-        misses ship as one combined Merkle cover — the returned
-        :attr:`BurstResult.combined` — so each miss is charged the
-        amortized batch time and the amortized *combined* wire size,
-        which is what crosses the network.  The cache keeps the compact
-        standalone responses, so later hits replay the smallest
-        verifiable proof.
+        One shared-gate hold covers the whole burst, so every response
+        carries the same graph version: an update either precedes the
+        burst or follows it entirely, and the ok responses can always
+        share one multiproof.  Each query is metered like a solo
+        :meth:`answer`; a repeat within the burst replays the entry its
+        first occurrence cached, and a repeated failure fails (and is
+        metered) afresh.
         """
-        if not (coalesce and self.method.supports_batching):
-            return BurstResult(tuple(self.answer(vs, vt) for vs, vt in queries))
-
-        combined: "BatchResponse | None" = None
-        # One shared-gate acquisition covers the cache scan and the
-        # miss computation, so the whole burst observes a single graph
-        # version — an update either precedes the burst (hits are
-        # retired by the version sync) or follows it entirely.
         with self._update_gate.read():
             version = self._version()
-            served: "list[ServedResponse | None]" = [None] * len(queries)
-            miss_indices: "dict[tuple[int, int], list[int]]" = {}
-            for index, (vs, vt) in enumerate(queries):
-                served[index] = self._hit(time.perf_counter(), vs, vt, version)
-                if served[index] is None:
-                    miss_indices.setdefault((vs, vt), []).append(index)
-
-            batch_start = time.perf_counter()
-            responses: "dict[tuple[int, int], QueryResponse]" = {}
-            for pair in miss_indices:
-                try:
-                    responses[pair] = self.method.answer(pair[0], pair[1])
-                except ReproError as exc:
-                    failed = self._error(batch_start, exc)
-                    for extra in miss_indices[pair][1:]:
-                        # Errors are not cached, so repeats fail afresh.
-                        self.metrics.record(0.0, 0, cached=False)
-                    for index in miss_indices[pair]:
-                        served[index] = failed
-                    batch_start = time.perf_counter()
-
-            amortized_wire: "int | None" = None
-            if len(responses) > 1:
-                combined = combine_responses(self.method, list(responses),
-                                             list(responses.values()))
-                amortized_wire = -(-combined.total_bytes // len(responses))
-            if responses:
-                per_query = (time.perf_counter() - batch_start) / len(responses)
-                for pair, response in responses.items():
-                    encoded = self._store(pair[0], pair[1], version, response)
-                    proof_bytes = len(encoded)
-                    first, *duplicates = miss_indices[pair]
-                    wire = amortized_wire if amortized_wire is not None else proof_bytes
-                    self.metrics.record(per_query, wire, cached=False)
-                    served[first] = ServedResponse(response, False, per_query,
-                                                   proof_bytes, encoded=encoded)
-                    for index in duplicates:
-                        # Repeats within the burst replay the entry just
-                        # cached, mirroring the non-coalesced path.
-                        self.metrics.record(0.0, proof_bytes, cached=True)
-                        served[index] = ServedResponse(
-                            response, True, 0.0, proof_bytes, encoded=encoded)
-        return BurstResult(
-            tuple(s for s in served if s is not None), combined)
+            return [self._serve(time.perf_counter(), vs, vt, version)
+                    for vs, vt in queries]
 
     # ------------------------------------------------------------------
     def answer_concurrent(self, queries: "list[tuple[int, int]]", *,

@@ -11,6 +11,9 @@ Three layers under test:
 * **the hostile path** — a tampered, truncated, or omitted shared blob
   produces per-slot failure verdicts, never an exception, and error
   slots ride alongside a shared proof for the ok ones.
+
+Every method's burst takes the same path, so the last two layers run
+on DIJ, FULL, LDM and HYP alike.
 """
 
 from __future__ import annotations
@@ -29,13 +32,40 @@ from repro.api.envelope import (
 )
 from repro.api.transport import InProcessTransport
 from repro.core.batch import MultiProofBatch
+from repro.core.dij import DijMethod
+from repro.core.full import FullMethod
+from repro.core.hyp import HypMethod
+from repro.core.ldm import LdmMethod
+from repro.service.server import ProofServer
 
 BAD_NODE = 10**9
+
+BUILDERS = {
+    "DIJ": lambda graph, signer: DijMethod.build(graph, signer),
+    "FULL": lambda graph, signer: FullMethod.build(graph, signer),
+    "LDM": lambda graph, signer: LdmMethod.build(graph, signer, c=20),
+    "HYP": lambda graph, signer: HypMethod.build(graph, signer, num_cells=16),
+}
 
 
 @pytest.fixture()
 def client(dispatcher, signer):
     return RemoteClient(InProcessTransport(dispatcher), signer.verify)
+
+
+@pytest.fixture(scope="module", params=sorted(BUILDERS))
+def method(request, road300, signer):
+    return BUILDERS[request.param](road300, signer)
+
+
+@pytest.fixture()
+def method_dispatcher(method, signer):
+    return ProofServer(method, cache_size=64).dispatcher()
+
+
+@pytest.fixture()
+def method_client(method_dispatcher, signer):
+    return RemoteClient(InProcessTransport(method_dispatcher), signer.verify)
 
 
 class TestEnvelopeCompatibility:
@@ -80,57 +110,61 @@ class TestEnvelopeCompatibility:
 
 
 class TestMultiproofRoundtrip:
-    def test_recovered_responses_byte_identical(self, client, dij, workload):
-        results = client.query_batch(workload)
+    def test_recovered_responses_byte_identical(self, method_client, method,
+                                                workload):
+        results = method_client.query_batch(workload)
         assert [(r.source, r.target) for r in results] == workload
         for result in results:
             assert result.ok, (result.verdict.reason, result.verdict.detail)
             assert result.response_bytes == \
-                dij.answer(result.source, result.target).encode()
+                method.answer(result.source, result.target).encode()
 
-    def test_batch_ships_fewer_bytes_than_legacy(self, client, workload):
-        multi = client.query_batch(workload)
-        legacy = client.query_batch(workload, multiproof=False)
+    def test_batch_ships_fewer_bytes_than_legacy(self, method_client,
+                                                 workload):
+        multi = method_client.query_batch(workload)
+        legacy = method_client.query_batch(workload, multiproof=False)
         assert sum(r.wire_bytes for r in multi) < \
             sum(r.wire_bytes for r in legacy)
 
-    def test_legacy_opt_out_still_carries_payloads(self, client, dij,
-                                                   workload):
-        results = client.query_batch(workload, multiproof=False)
+    def test_legacy_opt_out_still_carries_payloads(self, method_client,
+                                                   method, workload):
+        results = method_client.query_batch(workload, multiproof=False)
         for result in results:
             assert result.ok
             assert result.response_bytes == \
-                dij.answer(result.source, result.target).encode()
+                method.answer(result.source, result.target).encode()
 
-    def test_mixed_ok_and_error_slots(self, client, workload):
+    def test_mixed_ok_and_error_slots(self, method_client, workload):
         pairs = [workload[0], (BAD_NODE, 1), workload[1]]
-        results = client.query_batch(pairs)
+        results = method_client.query_batch(pairs)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert results[1].verdict.reason == codes.E_QUERY_FAILED
         # The error slot must not poison the shared proof of the rest.
         assert results[0].response_bytes and results[2].response_bytes
 
-    def test_all_error_batch_falls_back_to_legacy_layout(self, client):
-        results = client.query_batch([(BAD_NODE, 1), (BAD_NODE, 2)])
+    def test_all_error_batch_falls_back_to_legacy_layout(self,
+                                                         method_client):
+        results = method_client.query_batch([(BAD_NODE, 1), (BAD_NODE, 2)])
         assert all(not r.ok for r in results)
         assert all(r.verdict.reason == codes.E_QUERY_FAILED for r in results)
 
-    def test_duplicate_queries_in_one_batch(self, client, workload):
+    def test_duplicate_queries_in_one_batch(self, method_client, workload):
         pairs = [workload[0], workload[0], workload[1]]
-        results = client.query_batch(pairs)
+        results = method_client.query_batch(pairs)
         assert all(r.ok for r in results)
         assert results[0].response_bytes == results[1].response_bytes
 
-    def test_singleton_batch(self, client, workload):
-        (result,) = client.query_batch([workload[0]])
+    def test_singleton_batch(self, method_client, workload):
+        (result,) = method_client.query_batch([workload[0]])
         assert result.ok
 
-    def test_query_many_uses_multiproof_by_default(self, client, workload):
-        transport = client.transport
+    def test_query_many_uses_multiproof_by_default(self, method_client,
+                                                   workload):
+        transport = method_client.transport
         transport.wire_log.clear()
         transport._log_frames = True
-        client.query_many(workload)
+        method_client.query_many(workload)
         frames = list(transport.wire_log)
         transport._log_frames = False
         assert len(frames) == 1  # one BATCH frame for the whole burst
@@ -166,27 +200,28 @@ class TestHostileSharedBlob:
                 assert result.response_bytes is None
                 assert result.verdict.reason == reason
 
-    def test_truncated_shared_blob(self, dispatcher, signer, workload):
-        results = self.run_against(dispatcher, signer, workload,
+    def test_truncated_shared_blob(self, method_dispatcher, signer, workload):
+        results = self.run_against(method_dispatcher, signer, workload,
                                    lambda shared: shared[:-7])
         self.assert_all_rejected(results, codes.MALFORMED_PROOF)
 
-    def test_garbage_shared_blob(self, dispatcher, signer, workload):
-        results = self.run_against(dispatcher, signer, workload,
+    def test_garbage_shared_blob(self, method_dispatcher, signer, workload):
+        results = self.run_against(method_dispatcher, signer, workload,
                                    lambda shared: b"\xff" * len(shared))
         self.assert_all_rejected(results, codes.MALFORMED_PROOF)
 
-    def test_omitted_shared_section(self, dispatcher, signer, workload):
+    def test_omitted_shared_section(self, method_dispatcher, signer, workload):
         def drop_section(shared):
             batch = MultiProofBatch.decode(shared)
             name = sorted(batch.shared)[0]
             pruned = {k: v for k, v in batch.shared.items() if k != name}
             return replace(batch, shared=pruned).encode()
 
-        results = self.run_against(dispatcher, signer, workload, drop_section)
+        results = self.run_against(method_dispatcher, signer, workload,
+                                   drop_section)
         self.assert_all_rejected(results, codes.MALFORMED_PROOF)
 
-    def test_tampered_shared_digest_fails_root_check(self, dispatcher,
+    def test_tampered_shared_digest_fails_root_check(self, method_dispatcher,
                                                      signer, workload):
         def flip_digest(shared):
             batch = MultiProofBatch.decode(shared)
@@ -200,21 +235,47 @@ class TestHostileSharedBlob:
                 section, entries=[bad, *section.entries[1:]])
             return replace(batch, shared=sections).encode()
 
-        results = self.run_against(dispatcher, signer, workload, flip_digest)
+        results = self.run_against(method_dispatcher, signer, workload,
+                                   flip_digest)
         # Value tampering survives recovery and dies in per-query root
         # verification — the same verdict independent replies would get.
         self.assert_all_rejected(results)
         assert {r.verdict.reason for r in results} <= {
             codes.ROOT_MISMATCH, codes.MALFORMED_PROOF}
 
-    def test_reordered_batch_queries_rejected(self, dispatcher, signer,
-                                              workload):
+    def test_reordered_batch_queries_rejected(self, method_dispatcher,
+                                              signer, workload):
         def swap_queries(shared):
             batch = MultiProofBatch.decode(shared)
             queries = list(batch.queries)
             queries[0], queries[1] = queries[1], queries[0]
             return replace(batch, queries=tuple(queries)).encode()
 
-        results = self.run_against(dispatcher, signer, workload[:3],
+        results = self.run_against(method_dispatcher, signer, workload[:3],
                                    swap_queries)
         self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
+    def test_inflated_slot_cost_rejected_only_there(self, method_dispatcher,
+                                                    signer, workload):
+        def inflate_cost(shared):
+            batch = MultiProofBatch.decode(shared)
+            costs = list(batch.costs)
+            costs[1] *= 1.5
+            return replace(batch, costs=tuple(costs)).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:3],
+                                   inflate_cost)
+        assert results[0].ok and results[2].ok
+        assert not results[1].ok
+
+    def test_swapped_slot_paths_rejected(self, method_dispatcher, signer,
+                                         workload):
+        def swap_paths(shared):
+            batch = MultiProofBatch.decode(shared)
+            paths = list(batch.paths)
+            paths[0], paths[1] = paths[1], paths[0]
+            return replace(batch, paths=tuple(paths)).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:2],
+                                   swap_paths)
+        self.assert_all_rejected(results)

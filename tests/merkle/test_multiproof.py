@@ -1,11 +1,13 @@
 """Merkle multiproofs: one deduplicated ΓT for several disclosure sets.
 
 The two facts the wire-level BATCH layout rests on are proved here as
-byte-level equivalences, not just verification verdicts:
+byte-level equivalences, not just verification verdicts, on the pair
+production uses — :func:`merge_entries` on the server,
+:func:`expand_multi` on the client:
 
-* the shared multiproof is exactly ``prove(union)`` — and is assemblable
-  from the k *independent* per-set proofs (:func:`merge_entries`), which
-  is how the server builds it without touching the tree;
+* pooling the k *independent* per-set proofs yields exactly
+  ``prove(union)`` — which is how the server builds the shared cover
+  without touching the tree;
 * expansion recovers every per-set cover **byte-identical** to the
   standalone ``prove(set)``, so per-query verification is unchanged.
 
@@ -22,17 +24,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.hashing import get_hash
 from repro.errors import MerkleError
-from repro.merkle import (
-    MerkleBTree,
-    MerkleTree,
-    cover_indices,
-    expand_multi,
-    merge_entries,
-    union_indices,
-    verify_multi,
-)
+from repro.merkle import MerkleTree, cover_indices, expand_multi, merge_entries
 
 HASH = "sha1"
 
@@ -54,15 +47,21 @@ def random_sets(n, k, rng):
             for _ in range(k)]
 
 
-class TestUnionAndCovers:
-    def test_union_sorted_deduplicated(self):
-        assert union_indices([[3, 1], [1, 7], [3]]) == [1, 3, 7]
+def multiproof(tree, sets):
+    """The server's producer: pool the per-set proofs, cover the union."""
+    union = sorted(set().union(*sets))
+    pooled = {(entry.level, entry.index): entry.digest
+              for disclosed in sets for entry in tree.prove(disclosed)}
+    return union, merge_entries(tree.num_leaves, tree.fanout, union, pooled)
 
+
+class TestUnionAndCovers:
     def test_union_of_nothing_rejected(self):
+        tree = make_tree(8)
         with pytest.raises(MerkleError):
-            union_indices([])
+            merge_entries(tree.num_leaves, tree.fanout, [], {})
         with pytest.raises(MerkleError):
-            union_indices([[], []])
+            expand_multi(tree.num_leaves, tree.fanout, HASH, {}, [], [[]])
 
     def test_cover_indices_match_prove_coordinates(self):
         tree = make_tree(33, fanout=3)
@@ -76,26 +75,12 @@ class TestMultiproofEquivalence:
     @pytest.mark.parametrize("n,fanout", [(1, 2), (2, 2), (7, 2), (16, 4),
                                           (33, 3), (100, 8)])
     def test_shared_proof_is_union_proof(self, n, fanout):
+        """The server-side path: pool k standalone proofs, no tree."""
         tree = make_tree(n, fanout)
         rng = random.Random(n * 31 + fanout)
         sets = random_sets(n, 5, rng)
-        union, shared = tree.prove_multi(sets)
-        assert union == union_indices(sets)
+        union, shared = multiproof(tree, sets)
         assert shared == tree.prove(union)
-
-    @pytest.mark.parametrize("n,fanout", [(7, 2), (16, 4), (33, 3), (100, 8)])
-    def test_merged_independent_proofs_equal_shared(self, n, fanout):
-        """The server-side path: pool k standalone proofs, no tree."""
-        tree = make_tree(n, fanout)
-        rng = random.Random(n * 17 + fanout)
-        sets = random_sets(n, 4, rng)
-        union, shared = tree.prove_multi(sets)
-        pooled = {}
-        for disclosed in sets:
-            for entry in tree.prove(disclosed):
-                pooled[(entry.level, entry.index)] = entry.digest
-        merged = merge_entries(tree.num_leaves, tree.fanout, union, pooled)
-        assert merged == shared
 
     @pytest.mark.parametrize("n,fanout", [(1, 2), (7, 2), (16, 4), (33, 3),
                                           (100, 8)])
@@ -103,41 +88,33 @@ class TestMultiproofEquivalence:
         tree = make_tree(n, fanout)
         rng = random.Random(n * 13 + fanout)
         sets = random_sets(n, 5, rng)
-        union, shared = tree.prove_multi(sets)
+        union, shared = multiproof(tree, sets)
         root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
                                     leaf_map(tree, union), shared, sets)
         assert root == tree.root
         for disclosed, cover in zip(sets, covers):
             assert cover == tree.prove(disclosed)
 
-    def test_verify_multi_returns_root(self):
+    def test_expansion_returns_the_union_root(self):
         tree = make_tree(40, 4)
         sets = [[0, 9], [9, 22, 39], [3]]
-        union, shared = tree.prove_multi(sets)
-        assert verify_multi(tree.num_leaves, tree.fanout, HASH,
-                            leaf_map(tree, union), shared) == tree.root
-
-    def test_btree_multiproof_matches_key_lookup(self):
-        keys = [k * 10 for k in range(25)]
-        btree = MerkleBTree(keys, [f"v{k}".encode() for k in keys],
-                            fanout=4, hash_fn=HASH)
-        key_sets = [[0, 100], [100, 240], [50]]
-        index_sets, union, shared = btree.prove_multi(key_sets)
-        assert index_sets == [btree.indices_of(ks) for ks in key_sets]
-        assert (union, shared) == btree._tree.prove_multi(index_sets)
+        union, shared = multiproof(tree, sets)
+        root, _ = expand_multi(tree.num_leaves, tree.fanout, HASH,
+                               leaf_map(tree, union), shared, sets)
+        assert root == tree.root
 
 
 class TestBatchShapes:
     def test_singleton_batch_degenerates_to_plain_proof(self):
         tree = make_tree(20, 4)
-        union, shared = tree.prove_multi([[2, 11]])
+        union, shared = multiproof(tree, [[2, 11]])
         assert union == [2, 11]
         assert shared == tree.prove([2, 11])
 
     def test_duplicate_sets_share_everything(self):
         tree = make_tree(20, 4)
         sets = [[4, 7], [4, 7], [4, 7]]
-        union, shared = tree.prove_multi(sets)
+        union, shared = multiproof(tree, sets)
         assert union == [4, 7]
         _, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
                                  leaf_map(tree, union), shared, sets)
@@ -145,7 +122,7 @@ class TestBatchShapes:
 
     def test_all_leaves_disclosed_needs_no_entries(self):
         tree = make_tree(9, 3)
-        union, shared = tree.prove_multi([list(range(9))])
+        union, shared = multiproof(tree, [list(range(9))])
         assert shared == []
         root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
                                     leaf_map(tree, union), shared,
@@ -154,7 +131,7 @@ class TestBatchShapes:
 
     def test_leaf_set_outside_disclosure_rejected(self):
         tree = make_tree(20, 4)
-        union, shared = tree.prove_multi([[2, 11]])
+        union, shared = multiproof(tree, [[2, 11]])
         with pytest.raises(MerkleError):
             expand_multi(tree.num_leaves, tree.fanout, HASH,
                          leaf_map(tree, union), shared, [[2, 12]])
@@ -165,7 +142,7 @@ class TestTamperBattery:
     def setting(self):
         tree = make_tree(48, 4)
         sets = [[1, 30], [7, 30, 42], [19]]
-        union, shared = tree.prove_multi(sets)
+        union, shared = multiproof(tree, sets)
         return tree, sets, union, shared
 
     def test_tampered_digest_moves_the_root(self, setting):
@@ -204,9 +181,6 @@ class TestTamperBattery:
             with pytest.raises(MerkleError):
                 expand_multi(tree.num_leaves, tree.fanout, HASH,
                              leaf_map(tree, union), bad, sets)
-            with pytest.raises(MerkleError):
-                verify_multi(tree.num_leaves, tree.fanout, HASH,
-                             leaf_map(tree, union), bad)
 
     def test_conflicting_duplicate_entries_rejected(self, setting):
         tree, sets, union, shared = setting
@@ -214,14 +188,16 @@ class TestTamperBattery:
         flipped = bytes([entry.digest[0] ^ 0x01]) + entry.digest[1:]
         doubled = [*shared, replace(entry, digest=flipped)]
         with pytest.raises(MerkleError):
-            verify_multi(tree.num_leaves, tree.fanout, HASH,
-                         leaf_map(tree, union), doubled)
+            expand_multi(tree.num_leaves, tree.fanout, HASH,
+                         leaf_map(tree, union), doubled, sets)
 
     def test_benign_duplicate_entries_tolerated(self, setting):
         tree, sets, union, shared = setting
-        assert verify_multi(tree.num_leaves, tree.fanout, HASH,
-                            leaf_map(tree, union),
-                            [*shared, shared[0]]) == tree.root
+        root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
+                                    leaf_map(tree, union),
+                                    [*shared, shared[0]], sets)
+        assert root == tree.root
+        assert covers == [tree.prove(s) for s in sets]
 
     def test_reordered_entries_are_benign(self, setting):
         """Lookup is by (level, index): shuffling cannot weaken anything
@@ -248,13 +224,13 @@ class TestSavings:
         for n, fanout in [(16, 2), (50, 4), (100, 8)]:
             tree = make_tree(n, fanout)
             sets = random_sets(n, 6, rng)
-            _, shared = tree.prove_multi(sets)
+            _, shared = multiproof(tree, sets)
             independent = sum(len(tree.prove(s)) for s in sets)
             assert len(shared) <= independent
 
     def test_overlapping_sets_actually_save(self):
         tree = make_tree(64, 2)
         sets = [[0, 1, i] for i in range(2, 10)]
-        _, shared = tree.prove_multi(sets)
+        _, shared = multiproof(tree, sets)
         independent = sum(len(tree.prove(s)) for s in sets)
         assert len(shared) < independent / 2

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MerkleError
-from repro.merkle.btree import MerkleBTree
 from repro.merkle.tree import MerkleTree
 
 
@@ -62,22 +61,3 @@ class TestTreeState:
                 sizes = MerkleTree.level_sizes(count, fanout)
                 assert sizes == [tree.level_size(level)
                                  for level in range(tree.num_levels)]
-
-
-class TestBTreeState:
-    def test_roundtrip(self):
-        keys = [3, 7, 11, 40, 41]
-        btree = MerkleBTree(keys, _payloads(5), fanout=3)
-        keys_state, tree_state = btree.dump_state()
-        clone = MerkleBTree.load_state(keys_state, tree_state, fanout=3)
-        assert clone.root == btree.root
-        assert clone.prove([7, 40]) == btree.prove([7, 40])
-        assert clone.index_of(11) == btree.index_of(11)
-
-    def test_invalid_keys_rejected(self):
-        btree = MerkleBTree([1, 2, 3], _payloads(3))
-        _, tree_state = btree.dump_state()
-        with pytest.raises(MerkleError):
-            MerkleBTree.load_state([3, 2, 1], tree_state)
-        with pytest.raises(MerkleError):
-            MerkleBTree.load_state([1, 2], tree_state)

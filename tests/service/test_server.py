@@ -1,18 +1,34 @@
-"""ProofServer integration tests: caching, coalescing, concurrency.
+"""ProofServer integration tests: caching, bursts, concurrency.
 
 Every path asserts the serving-layer invariant: a served response —
-fresh, cached, or materialized from a coalesced batch — verifies
-against a fresh client holding only the owner's public key.
+fresh, cached, or served inside a burst — verifies against a fresh
+client holding only the owner's public key.
 """
+
+import threading
+import time
 
 import pytest
 
-from repro.core.batch import verify_batch
+from repro.api.envelope import (
+    BatchQueryReply,
+    BatchQueryRequest,
+    decode_frame,
+    decode_message,
+)
 from repro.core.dij import DijMethod
+from repro.core.full import FullMethod
+from repro.core.hyp import HypMethod
+from repro.core.ldm import LdmMethod
 from repro.core.framework import Client
 from repro.crypto.signer import NullSigner
 from repro.errors import ServiceError
-from repro.service.server import ProofRequest, ProofServer, ServedResponse
+from repro.service.server import (
+    ProofRequest,
+    ProofServer,
+    ServedResponse,
+    UpdateRequest,
+)
 
 
 def fresh_client(signer):
@@ -67,11 +83,11 @@ class TestSingleQueryPath:
         assert snap.p50_ms <= snap.p95_ms
 
 
-class TestCoalescing:
+class TestBursts:
     def test_batch_responses_all_verify(self, dij, signer, workload):
         server = ProofServer(dij)
         client = fresh_client(signer)
-        served = server.answer_many(workload, coalesce=True)
+        served = server.answer_many(workload, )
         assert len(served) == len(workload)
         for (vs, vt), item in zip(workload, served):
             assert not item.cached
@@ -83,7 +99,7 @@ class TestCoalescing:
         served = server.answer_many(workload)
         assert all(item.cached for item in served)
 
-    def test_coalesced_entries_serve_single_queries(self, dij, signer, workload):
+    def test_burst_entries_serve_single_queries(self, dij, signer, workload):
         """A proof cached by the batch path is replayed for a solo query."""
         server = ProofServer(dij)
         server.answer_many(workload)
@@ -99,27 +115,22 @@ class TestCoalescing:
         assert len(served) == 1
         assert not served[0].cached
 
-    def test_non_batchable_method_falls_back(self, full, signer, workload):
+    def test_full_burst_verifies(self, full, signer, workload):
         server = ProofServer(full)
         client = fresh_client(signer)
-        served = server.answer_many(workload, coalesce=True)
+        served = server.answer_many(workload, )
         for (vs, vt), item in zip(workload, served):
             assert client.verify(vs, vt, item.response).ok
 
-    def test_combined_cover_is_a_verifiable_batch(self, dij, signer, workload):
-        """The burst's wire object passes the batch client check."""
-        server = ProofServer(dij)
-        burst = server.serve_burst(workload)
-        assert burst.combined is not None
-        assert all(r.ok for r in verify_batch(burst.combined, signer.verify))
-        # The combined cover is what ships; it beats standalone totals.
-        standalone = sum(item.proof_bytes for item in burst.served)
-        assert burst.combined.total_bytes < standalone
-
-    def test_warm_burst_has_no_combined_cover(self, dij, workload):
-        server = ProofServer(dij)
-        server.serve_burst(workload)
-        assert server.serve_burst(workload).combined is None
+    @pytest.mark.parametrize("name", ["dij", "ldm"])
+    def test_cold_burst_meters_what_ships(self, request, workload, name):
+        """A burst bills each miss its own encoding, as single queries do."""
+        server = ProofServer(request.getfixturevalue(name))
+        queries = list(dict.fromkeys(workload))[:4]
+        served = server.answer_many(queries)
+        assert len(served) >= 2 and not any(item.cached for item in served)
+        assert server.snapshot().proof_bytes == \
+            sum(len(item.encoded) for item in served)
 
     def test_duplicate_queries_computed_once(self, dij, workload):
         server = ProofServer(dij)
@@ -178,7 +189,7 @@ class TestErrorResponses:
         server = ProofServer(dij)
         client = fresh_client(signer)
         queries = [workload[0], (999_999, 3), workload[1]]
-        served = server.answer_many(queries, coalesce=True)
+        served = server.answer_many(queries, )
         assert len(served) == 3
         assert served[0].ok and served[2].ok
         assert not served[1].ok
@@ -196,7 +207,7 @@ class TestErrorResponses:
     def test_repeated_failed_query_is_metered_per_request(self, dij, workload):
         server = ProofServer(dij)
         queries = [(999_999, 3), workload[0], (999_999, 3)]
-        served = server.answer_many(queries, coalesce=True)
+        served = server.answer_many(queries, )
         assert [item.ok for item in served] == [False, True, False]
         assert server.snapshot().requests == 3
 
@@ -223,3 +234,77 @@ class TestInvalidation:
         assert client.verify(vs, vt, served.response).ok
         # The pre-update response carries the superseded descriptor root.
         assert first.response.descriptor.encode() != served.response.descriptor.encode()
+
+
+class TestOneBurstOneVersion:
+    """A push queued mid-burst lands after the whole burst, every method."""
+
+    BUILDERS = {
+        "DIJ": lambda graph, signer: DijMethod.build(graph, signer),
+        "FULL": lambda graph, signer: FullMethod.build(graph, signer),
+        "LDM": lambda graph, signer: LdmMethod.build(graph, signer, c=20),
+        "HYP": lambda graph, signer: HypMethod.build(graph, signer,
+                                                    num_cells=16),
+    }
+
+    def racing_server(self, road300, name):
+        """A server whose first proof queues a writer on the update gate.
+
+        The wrapped ``answer`` starts ``apply_updates`` on a thread and
+        returns only once that writer waits on the gate, so any query
+        that re-acquires the gate after the first one sees the push.
+        """
+        signer = NullSigner()
+        graph = road300.copy()
+        method = self.BUILDERS[name](graph, signer)
+        server = ProofServer(method)
+        u, v, w = next(iter(graph.edges()))
+        push = UpdateRequest("update-weight", u, v, w * 2)
+        writers = []
+        answer = method.answer
+
+        def answer_then_queue_writer(source, target):
+            response = answer(source, target)
+            if not writers:
+                writer = threading.Thread(target=server.apply_updates,
+                                          args=([push], signer))
+                writers.append(writer)
+                writer.start()
+                deadline = time.monotonic() + 10
+                while not server._update_gate._writers_waiting:
+                    assert time.monotonic() < deadline, "writer never queued"
+                    time.sleep(0.001)
+            return response
+
+        method.answer = answer_then_queue_writer
+        return server, writers
+
+    def finish(self, server, writers, base_version):
+        (writer,) = writers
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert server.descriptor_version > base_version
+
+    @pytest.mark.parametrize("name", ["DIJ", "FULL", "LDM", "HYP"])
+    def test_burst_responses_share_one_version(self, road300, workload,
+                                               name):
+        server, writers = self.racing_server(road300, name)
+        base = server.descriptor_version
+        served = server.answer_many(workload[:4])
+        self.finish(server, writers, base)
+        versions = {item.response.descriptor.version
+                    for item in served if item.ok}
+        assert versions == {base}
+
+    @pytest.mark.parametrize("name", ["DIJ", "FULL", "LDM", "HYP"])
+    def test_dispatcher_ships_the_shared_layout(self, road300, workload,
+                                                name):
+        server, writers = self.racing_server(road300, name)
+        base = server.descriptor_version
+        request = BatchQueryRequest(tuple(workload[:4]), multiproof=True)
+        reply = decode_message(decode_frame(
+            server.dispatcher().dispatch(request.to_frame())))
+        self.finish(server, writers, base)
+        assert isinstance(reply, BatchQueryReply)
+        assert reply.shared
+        assert all(item.response_bytes == b"" for item in reply.items)

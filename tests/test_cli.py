@@ -150,12 +150,14 @@ class TestLoadtest:
         assert code == 2
         assert "--artifact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--http", "--no-coalesce"])
-    def test_serve_only_flags_are_not_loadtest_flags(self, graph_file,
-                                                     capsys, flag):
-        # loadtest always crosses the wire; coalescing is serve's knob.
+    @pytest.mark.parametrize("command,flag", [("loadtest", "--http"),
+                                              ("loadtest", "--no-coalesce"),
+                                              ("serve", "--no-coalesce")])
+    def test_removed_flags_are_rejected(self, graph_file, capsys, command,
+                                        flag):
+        # loadtest always crosses the wire; every burst takes one path.
         with pytest.raises(SystemExit) as excinfo:
-            main(["loadtest", str(graph_file), "--insecure", flag])
+            main([command, str(graph_file), "--insecure", flag])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
