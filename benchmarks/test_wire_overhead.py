@@ -15,12 +15,15 @@ proof-size story.  Every wire response must verify.
 
 import pytest
 
+import repro.core.ldm
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_RANGE, DEFAULT_SCALE, emit
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
 from repro.bench.serving import SloReport, run_loadtest
 from repro.service.server import ProofServer
+from repro.shortestpath.kernel import indexed_ball
 from repro.workload.traffic import replay_trace
+from tests.shortestpath.test_kernel_equivalence import _legacy_ldm_answer
 
 METHODS = ["DIJ", "FULL", "LDM", "HYP"]
 
@@ -37,6 +40,11 @@ BATCH_K = 16
 #: independent QUERY frames (measured 45–55% across the four methods;
 #: the gate holds the architectural win, not the best case).
 MIN_BATCH_SAVINGS = 0.25
+
+#: LDM's provider A* may expand at most this fraction of the nodes
+#: DIJ's Lemma-1 ball settles on the same pairs (measured ~1/10 on the
+#: default workload).
+MAX_CONE_TO_BALL = 0.25
 
 
 @pytest.fixture(scope="module")
@@ -134,4 +142,57 @@ def test_multiproof_batch_savings(ctx, results):
         f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, range={DEFAULT_RANGE:g})",
         ["method", "k", "KB/query solo", "KB/query batch", "savings %"],
         rows,
+    )
+
+
+def test_ldm_cone_search_and_bytes(ctx, results, monkeypatch):
+    """LDM searches only the cone it proves, and ships no more for it.
+
+    Counts and bytes, not wall time: the nodes the provider's bounded
+    A* expands per query against the nodes DIJ's ball settles on the
+    same pairs, and LDM's reply bytes against the older rule (the
+    ``D + margin`` Dijkstra ball filtered by the Lemma-4 bound), which
+    the test-side reference rebuilds.
+    """
+    graph = ctx.dataset()
+    index = graph.to_index()
+    queries = list(ctx.workload())
+    method = ctx.method("LDM")
+    expanded = []
+    real_cone = repro.core.ldm.indexed_cone
+
+    def counting_cone(*args, **kwargs):
+        cone = real_cone(*args, **kwargs)
+        expanded.append(len(cone.settled_order))
+        return cone
+
+    monkeypatch.setattr(repro.core.ldm, "indexed_cone", counting_cone)
+    cone_bytes = legacy_bytes = ball = 0
+    for vs, vt in queries:
+        cone_bytes += len(method.answer(vs, vt).encode())
+        legacy_bytes += len(_legacy_ldm_answer(method, vs, vt).encode())
+        ball += len(indexed_ball(index, vs, vt).settled_order)
+    assert len(expanded) == len(queries)
+    mean_cone = sum(expanded) / len(queries)
+    mean_ball = ball / len(queries)
+    assert mean_cone <= MAX_CONE_TO_BALL * mean_ball, (
+        f"LDM expands {mean_cone:.1f} nodes per query, more than "
+        f"{MAX_CONE_TO_BALL:g} of DIJ's {mean_ball:.1f}-node ball")
+    assert cone_bytes <= legacy_bytes, (
+        f"LDM ships {cone_bytes} reply bytes, the filter rule "
+        f"{legacy_bytes}")
+    emit(
+        f"LDM provider search — A* cone vs DIJ ball "
+        f"({DEFAULT_DATASET}-like, |V|={graph.num_nodes}, range={DEFAULT_RANGE:g})",
+        ["queries", "cone expanded/query", "DIJ ball/query",
+         "reply B/query", "filter-rule B/query"],
+        [[len(queries), mean_cone, mean_ball,
+          cone_bytes / len(queries), legacy_bytes / len(queries)]],
+    )
+    results.add(
+        "ldm_cone_search", dataset=DEFAULT_DATASET, scale=DEFAULT_SCALE,
+        nodes=graph.num_nodes, query_range=DEFAULT_RANGE,
+        queries=len(queries), cone_expanded_per_query=mean_cone,
+        dij_ball_per_query=mean_ball, reply_bytes=cone_bytes,
+        filter_rule_reply_bytes=legacy_bytes, gate=MAX_CONE_TO_BALL,
     )

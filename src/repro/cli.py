@@ -710,32 +710,33 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         # verification (``repro-spv verify``), so accept any signature
         # here rather than pretending to check one.
         verify_signature = lambda message, signature: True  # noqa: E731
-    client = RemoteClient(HttpTransport(args.url), verify_signature,
-                          min_descriptor_version=args.min_version)
-    hello = client.hello()
-    print(f"service: method {hello.method}, protocol v{hello.version}, "
-          f"descriptor version {hello.descriptor_version}")
-    if args.descriptor_out:
-        _, descriptor_bytes = client.fetch_descriptor()
-        with open(args.descriptor_out, "wb") as out:
-            out.write(descriptor_bytes)
-        print(f"wrote descriptor ({len(descriptor_bytes)} bytes) "
-              f"to {args.descriptor_out}")
-    result = client.query(args.source, args.target)
-    if result.response_bytes is None:
-        print(f"error: server refused: {result.verdict.reason} "
-              f"{result.verdict.detail}", file=sys.stderr)
-        return 1
-    with open(args.out, "wb") as out:
-        out.write(result.response_bytes)
-    print(f"wrote response ({len(result.response_bytes)} bytes, "
-          f"{result.wire_bytes} on the wire) to {args.out}")
-    if args.key:
-        print(f"verdict: {'ok' if result.ok else result.verdict.reason}")
-        return 0 if result.ok else 1
-    print("verdict: not checked (no --key); verify offline with "
-          "`repro-spv verify`")
-    return 0
+    with HttpTransport(args.url) as transport:
+        client = RemoteClient(transport, verify_signature,
+                              min_descriptor_version=args.min_version)
+        hello = client.hello()
+        print(f"service: method {hello.method}, protocol v{hello.version}, "
+              f"descriptor version {hello.descriptor_version}")
+        if args.descriptor_out:
+            _, descriptor_bytes = client.fetch_descriptor()
+            with open(args.descriptor_out, "wb") as out:
+                out.write(descriptor_bytes)
+            print(f"wrote descriptor ({len(descriptor_bytes)} bytes) "
+                  f"to {args.descriptor_out}")
+        result = client.query(args.source, args.target)
+        if result.response_bytes is None:
+            print(f"error: server refused: {result.verdict.reason} "
+                  f"{result.verdict.detail}", file=sys.stderr)
+            return 1
+        with open(args.out, "wb") as out:
+            out.write(result.response_bytes)
+        print(f"wrote response ({len(result.response_bytes)} bytes, "
+              f"{result.wire_bytes} on the wire) to {args.out}")
+        if args.key:
+            print(f"verdict: {'ok' if result.ok else result.verdict.reason}")
+            return 0 if result.ok else 1
+        print("verdict: not checked (no --key); verify offline with "
+              "`repro-spv verify`")
+        return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

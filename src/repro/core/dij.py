@@ -20,7 +20,12 @@ from repro.core.checks import (
 )
 from repro.core.framework import REL_TOL, VerificationResult, distances_close
 from repro.core.incremental import edge_endpoints, needs_layout_rebuild
-from repro.core.method import SignatureVerifier, VerificationMethod, register_method
+from repro.core.method import (
+    SignatureVerifier,
+    VerificationMethod,
+    check_algo_sp,
+    register_method,
+)
 from repro.core.state import dump_bundle, load_bundle
 from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeConfig
 from repro.crypto.signer import Signer
@@ -51,6 +56,7 @@ class DijMethod(VerificationMethod):
               algo_sp: str = "dijkstra", **params) -> "DijMethod":
         if params:
             raise EncodingError(f"DIJ takes no extra parameters, got {sorted(params)}")
+        check_algo_sp(algo_sp)
         bundle = NetworkTreeBundle(
             graph, lambda v: BaseTuple.from_graph(graph, v),
             ordering=ordering, fanout=fanout, hash_name=hash_name,
@@ -115,15 +121,14 @@ class DijMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
-        if forced_path is None and self.algo_sp == "dijkstra":
+        if forced_path is None:
             # Hot path: one fused kernel expansion yields both the
             # shortest path and the Lemma-1 ball.
             result = indexed_ball(self._graph.to_index(), source, target)
             path = result.path_to(target)  # NoPathError if unreachable
             ball_ids = result.settled_ids()
         else:
-            path = forced_path if forced_path is not None else \
-                self._shortest_path(source, target)
+            path = forced_path
             ball = indexed_dijkstra(self._graph.to_index(), source,
                                     radius=path.cost)
             ball_ids = ball.settled_ids()

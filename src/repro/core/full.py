@@ -32,7 +32,12 @@ from repro.core.incremental import (
     edge_endpoints,
     needs_layout_rebuild,
 )
-from repro.core.method import SignatureVerifier, VerificationMethod, register_method
+from repro.core.method import (
+    SignatureVerifier,
+    VerificationMethod,
+    check_algo_sp,
+    register_method,
+)
 from repro.core.state import dump_bundle, load_bundle, load_descriptor_tree
 from repro.core.proofs import (
     DISTANCE_TREE,
@@ -89,6 +94,7 @@ class FullMethod(VerificationMethod):
               **params) -> "FullMethod":
         if params:
             raise EncodingError(f"FULL takes no extra parameters, got {sorted(params)}")
+        check_algo_sp(algo_sp)
         if graph.num_nodes < 2:
             raise MethodError("FULL needs at least two nodes")
         bundle = NetworkTreeBundle(
@@ -279,12 +285,10 @@ class FullMethod(VerificationMethod):
             raise MethodError("degenerate query: source equals target")
         if forced_path is not None:
             path = forced_path
-        elif self.algo_sp == "dijkstra":
+        else:
             path = self._matrix_path(source, target)
             if path is None:
                 path = self._shortest_path(source, target)
-        else:
-            path = self._shortest_path(source, target)
         sections = {
             NETWORK_TREE: self._bundle.section_for(path.nodes),
             DISTANCE_TREE: self._distance_section(source, target),

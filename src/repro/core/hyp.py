@@ -42,7 +42,12 @@ from repro.core.incremental import (
     edge_endpoints,
     needs_layout_rebuild,
 )
-from repro.core.method import SignatureVerifier, VerificationMethod, register_method
+from repro.core.method import (
+    SignatureVerifier,
+    VerificationMethod,
+    check_algo_sp,
+    register_method,
+)
 from repro.core.state import dump_bundle, load_bundle, load_descriptor_tree
 from repro.core.proofs import (
     DIRECTORY_TREE,
@@ -136,6 +141,7 @@ class HypMethod(VerificationMethod):
               **params) -> "HypMethod":
         if params:
             raise EncodingError(f"HYP got unknown parameters {sorted(params)}")
+        check_algo_sp(algo_sp)
         start = time.perf_counter()
         partition = GridPartition(graph, num_cells)
         hyper = compute_hyperedges(graph, partition.all_borders())

@@ -6,18 +6,23 @@ threshold ξ (Lemma 4).  The vector information rides inside each
 extended tuple Φ(v) (Eq. 4) and is therefore authenticated by the
 network Merkle tree.
 
-The proof ΓS is the *A\\* cone* (Lemma 2): every node ``v`` with
-``dist(vs, v) + LB(v, vt) <= dist(vs, vt)``, together with the tuples
-of its neighbors and of every referenced representative node.  The
-client re-runs A\\* over the disclosed subgraph using the same lower
-bound.
+The proof ΓS is the *A\\* cone* (Lemma 2): the nodes an A\\* search
+under the signed bound can expand with keys up to ``dist(vs, vt)``
+(plus a float margin), together with the tuples of their neighbors
+and of every referenced representative node.  The client re-runs
+A\\* over the disclosed subgraph using the same lower bound.
 
 The quantized/compressed bound is admissible but *not consistent*, so
-the client's A\\* allows node re-opening; admissibility alone then
-guarantees that the target's first settlement is optimal, and the
-Lemma-2 cone covers every node such a search can pop before the target
-(each pop's key lower-bounds the optimum, so pops never exceed
-``dist(vs, vt)`` while the target is unsettled).
+both parties' A\\* re-open nodes; admissibility alone then guarantees
+that the target's first settlement is optimal.  The provider runs that
+search over the graph index (:func:`~repro.shortestpath.kernel.indexed_cone`),
+taking the bound only at the nodes it reaches, out to a margin twice
+the client's, and discloses what it expanded: a
+client pop is reachable by a route whose every prefix key stays within
+the client's margin, so the provider expanded it too.  Under a
+consistent bound this set is Lemma 2's ``dist(vs, v) + LB(v, vt) <=
+dist(vs, vt)``; under the quantized one it is a subset, because a node
+that only an over-limit prefix leads to is popped by no search.
 """
 
 from __future__ import annotations
@@ -42,7 +47,12 @@ from repro.core.incremental import (
     edge_endpoints,
     needs_layout_rebuild,
 )
-from repro.core.method import SignatureVerifier, VerificationMethod, register_method
+from repro.core.method import (
+    SignatureVerifier,
+    VerificationMethod,
+    check_algo_sp,
+    register_method,
+)
 from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeConfig
 from repro.core.state import dump_bundle, load_bundle
 from repro.crypto.signer import Signer
@@ -65,7 +75,7 @@ from repro.landmarks.selection import select_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.order import hilbert_order
 from repro.shortestpath.bulk import repair_distances
-from repro.shortestpath.kernel import indexed_ball, indexed_dijkstra
+from repro.shortestpath.kernel import indexed_cone
 from repro.shortestpath.path import Path
 
 
@@ -105,11 +115,8 @@ class LdmParams:
 
 
 def _lemma2_margin(distance: float) -> float:
-    """Provider-side cone slack: twice the client's comparison margin.
-
-    One shared definition keeps the fused kernel's ball radius and the
-    cone-qualification threshold bit-identical.
-    """
+    """Provider-side cone slack: twice the client's comparison margin,
+    so float noise can never make an honest proof incomplete."""
     return 2 * (REL_TOL * distance + ABS_TOL)
 
 
@@ -224,14 +231,14 @@ class LdmMethod(VerificationMethod):
         self._compressed = compressed
         self._params = params
         self._descriptor = descriptor
-        # Dense effective-vector arrays aligned with the graph index
-        # (ascending id order), for vectorized cone selection in
-        # :meth:`answer`.  The node set is fixed for the method's life
-        # (node additions force a full rebuild), so the alignment is
-        # stable; weight updates refresh the arrays in place.  Callers
-        # that already hold the arrays (the artifact loader, via
-        # ``apply_compression_plan``) pass them in instead of paying
-        # the per-node resolution again.
+        # Effective codes, (n, c) in the narrowest signed dtype, and ε
+        # units, aligned with the graph index (ascending id order): the
+        # search bound of :meth:`answer`, one row per node reached.  The
+        # node set is fixed for the method's life (node additions force
+        # a full rebuild), so the alignment is stable; weight updates
+        # refresh the arrays in place.  Callers that already hold the
+        # arrays (the artifact loader, via ``apply_compression_plan``)
+        # pass them in instead of paying the per-node resolution again.
         if effective is None:
             effective = compressed.effective_arrays(graph.node_ids())
         self._eff_codes, self._eff_eps = effective
@@ -258,6 +265,7 @@ class LdmMethod(VerificationMethod):
         """
         if params:
             raise EncodingError(f"LDM got unknown parameters {sorted(params)}")
+        check_algo_sp(algo_sp)
         start = time.perf_counter()
         if landmarks is None:
             # Landmark placement is the expensive, graph-global choice;
@@ -458,44 +466,35 @@ class LdmMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
-        # Lemma 2 cone: server margin is wider than the client's expansion
-        # margin so float noise can never make an honest proof incomplete.
         index = self._graph.to_index()
-        if forced_path is None and self.algo_sp == "dijkstra":
-            # One fused expansion yields the path and the margin ball.
-            result = indexed_ball(index, source, target,
-                                  margin=_lemma2_margin)
-            path = result.path_to(target)
-            ball = result
-        else:
-            path = forced_path if forced_path is not None else \
-                self._shortest_path(source, target)
-            ball = None
-        distance = path.cost
-        margin = _lemma2_margin(distance)
-        if ball is None:
-            ball = indexed_dijkstra(index, source, radius=distance + margin)
-
-        # Vectorized Lemma 4 bound over every settled node: identical
-        # float arithmetic to CompressedVectors.lower_bound, one NumPy
-        # pass instead of a Python call per node.
-        settled = np.fromiter(ball.settled_order, dtype=np.intp,
-                              count=len(ball.settled_order))
-        dists = np.fromiter((ball.dist[u] for u in ball.settled_order),
-                            dtype=np.float64, count=len(ball.settled_order))
+        t = index.index(target)
         lam = self._params.lam
-        t_idx = index.index_of[target]
-        units = np.abs(self._eff_codes[settled] - self._eff_codes[t_idx]).max(axis=1)
-        loose = np.maximum(0.0, lam * (units - 1))
-        lb = np.maximum(0.0, loose - lam * (self._eff_eps[settled]
-                                            + self._eff_eps[t_idx]))
-        qualifying = settled[dists + lb <= distance + margin]
+        codes, eps = self._eff_codes, self._eff_eps
+        code_t, eps_t = codes[t], int(eps[t])
+        diff = np.empty_like(code_t)
+        subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
+
+        def bound(v: int) -> float:
+            # Lemma 4 bound from node index v to the target: identical
+            # float arithmetic to the client's ``_bounds_to``.
+            subtract(codes[v], code_t, out=diff)
+            units = int(peak(absolute(diff, out=diff)))
+            loose = max(0.0, lam * (units - 1))
+            return max(0.0, loose - lam * (int(eps[v]) + eps_t))
+
+        radius = None
+        if forced_path is not None:
+            radius = forced_path.cost + _lemma2_margin(forced_path.cost)
+        cone = indexed_cone(index, source, target, bound,
+                            margin=_lemma2_margin, radius=radius)
+        path = forced_path if forced_path is not None \
+            else cone.path_to(target)
 
         ids = index.ids
         indptr = index.indptr
         nbrs = index.neighbors
         include: set[int] = {source, target}
-        for u in qualifying.tolist():
+        for u in cone.settled_order:
             include.add(ids[u])
             for k in range(indptr[u], indptr[u + 1]):
                 include.add(ids[nbrs[k]])

@@ -61,6 +61,17 @@ class UpdateReport:
     version: int = 0
 
 
+def check_algo_sp(algo_sp: str) -> None:
+    """Reject any provider search but ``dijkstra``, the one left.
+
+    The name stays a build parameter and an artifact field, so a build
+    checks it once here instead of failing every query.
+    """
+    if algo_sp != "dijkstra":
+        raise MethodError(
+            f"unknown provider algorithm {algo_sp!r}; choose 'dijkstra'")
+
+
 class VerificationMethod(ABC):
     """Base class for DIJ / FULL / LDM / HYP."""
 
@@ -90,30 +101,12 @@ class VerificationMethod(ABC):
         self._publish_params: dict = {}
 
     def _shortest_path(self, source: int, target: int) -> "Path":
-        """Run the provider's chosen ``algo_sp``.
-
-        ``dijkstra`` runs on the array kernel over the graph's compiled
-        index (the hot path); ``dijkstra-dict`` keeps the original
-        dict-of-dicts kernel (reference backend, used by the kernel
-        equivalence tests); ``bidirectional`` is the meet-in-the-middle
-        variant.  The proofs never depend on the choice.
-        """
-        from repro.shortestpath.bidirectional import bidirectional_search
-        from repro.shortestpath.dijkstra import dijkstra
+        """The provider's ``algo_sp``: the array Dijkstra over the
+        graph's compiled index.  The proofs never depend on it."""
         from repro.shortestpath.kernel import indexed_dijkstra
 
-        graph = self._graph  # every concrete method holds the graph
-        if self.algo_sp == "dijkstra":
-            result = indexed_dijkstra(graph.to_index(), source, target=target)
-            return result.path_to(target)
-        if self.algo_sp == "dijkstra-dict":
-            return dijkstra(graph, source, target=target).path_to(target)
-        if self.algo_sp == "bidirectional":
-            return bidirectional_search(graph, source, target)
-        raise MethodError(
-            f"unknown provider algorithm {self.algo_sp!r}; "
-            f"choose 'dijkstra', 'dijkstra-dict' or 'bidirectional'"
-        )
+        index = self._graph.to_index()  # every concrete method holds the graph
+        return indexed_dijkstra(index, source, target=target).path_to(target)
 
     # ------------------------------------------------------------------
     # live updates
@@ -234,6 +227,9 @@ class VerificationMethod(ABC):
                 f"graph version {state.graph.version} does not match the "
                 f"recorded version {state.graph_version}"
             )
+        if state.algo_sp != "dijkstra":
+            raise ArtifactError(
+                f"unknown provider algorithm {state.algo_sp!r}")
         method = cls._load_sections(state)
         method.algo_sp = state.algo_sp
         method._synced_version = state.graph_version

@@ -91,21 +91,27 @@ class CompressedVectors:
     def effective_arrays(self, ids: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
         """Dense ``(codes, eps_units)`` arrays aligned with *ids*.
 
-        ``codes`` is ``(len(ids), c)`` int64 (each row the node's
-        representative vector), ``eps_units`` is ``(len(ids),)`` int64.
-        This is the batch form of :meth:`effective` for vectorized
-        bound evaluation over many nodes at once (the provider's
-        Lemma-2 cone selection); values match :meth:`lower_bound`
-        bit for bit.
+        ``codes`` is ``(len(ids), c)`` in the narrowest signed dtype
+        that holds a code difference (each row the node's
+        representative vector), ``eps_units`` is ``(len(ids),)``
+        int64.  This is the dense form of :meth:`effective` that the
+        provider's A* reads its search bound from; values match
+        :meth:`lower_bound` bit for bit.
         """
         c = len(next(iter(self.codes_of.values())))
-        codes = np.empty((len(ids), c), dtype=np.int64)
+        codes = np.empty((len(ids), c), dtype=_code_dtype(self.spec.bits))
         eps_units = np.empty(len(ids), dtype=np.int64)
         for i, node_id in enumerate(ids):
             row, eps = self.effective(node_id)
             codes[i] = row
             eps_units[i] = eps
         return codes, eps_units
+
+
+def _code_dtype(bits: int) -> np.dtype:
+    """Narrowest signed dtype holding ±(2^bits − 1): a difference of
+    two codes never overflows it (int16 at 12 bits)."""
+    return np.min_scalar_type(-((1 << bits) - 1))
 
 
 def _xi_units(xi: float, spec: QuantizationSpec) -> int:
@@ -196,7 +202,7 @@ def apply_compression_plan(
     cols = np.ascontiguousarray(codes.T)
     index_of = {node_id: i for i, node_id in enumerate(ids)}
     result = CompressedVectors(spec=spec)
-    eff_codes = cols.astype(np.int64)
+    eff_codes = cols.astype(_code_dtype(spec.bits))
     eff_eps = np.zeros(len(ids), dtype=np.int64)
     planned = sorted(plan)
     if planned:

@@ -17,13 +17,15 @@ only.  Semantics are identical (see
 
 A *multi-source* mode (:func:`indexed_multi_source`) is the pure-Python
 reference the SciPy-backed :mod:`repro.shortestpath.bulk` is tested
-against.
+against.  :func:`indexed_cone` is the bounded A* the LDM provider
+runs instead of a Dijkstra ball.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import inf
+from typing import Callable
 
 from repro.errors import GraphError, NoPathError
 from repro.graph.index import GraphIndex
@@ -32,6 +34,7 @@ from repro.shortestpath.path import Path
 __all__ = [
     "IndexedSearchResult",
     "indexed_ball",
+    "indexed_cone",
     "indexed_dijkstra",
     "indexed_multi_source",
     "indexed_shortest_path",
@@ -39,7 +42,7 @@ __all__ = [
 
 
 class IndexedSearchResult:
-    """Outcome of one indexed Dijkstra expansion.
+    """Outcome of one indexed expansion (Dijkstra, or the A* cone).
 
     Distances and parents are arrays keyed by node *index*;
     ``settled_order`` lists settled indices in settlement order.  The
@@ -171,17 +174,13 @@ def indexed_ball(
     index: GraphIndex,
     source: int,
     target: int,
-    *,
-    margin=None,
 ) -> IndexedSearchResult:
     """One fused expansion: settle *target*, then fill the Lemma-1 ball.
 
     Equivalent to a target-mode run followed by a radius-mode run with
-    ``radius = dist(source, target) + margin(dist)`` (*margin* is an
-    optional callable evaluated once, when the target settles; without
-    it the radius is the target distance itself) — the proof methods
-    need both the path and the ball, and the two runs share their
-    entire prefix, so fusing them halves the provider's search cost.
+    ``radius = dist(source, target)`` — DIJ needs both the path and the
+    ball, and the two runs share their entire prefix, so fusing them
+    halves its search cost.
     Identical output is guaranteed because the heap/relaxation sequence
     matches the separate runs step for step: parents of settled nodes
     are frozen, so the path is the target-run's path, and the settled
@@ -226,7 +225,7 @@ def indexed_ball(
         dist[u] = d
         order.append(u)
         if u == t:
-            radius = d + margin(d) if margin is not None else d
+            radius = d
         for k in range(indptr[u], indptr[u + 1]):
             v = nbrs[k]
             if settled[v]:
@@ -236,6 +235,91 @@ def indexed_ball(
                 best[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))
+    return IndexedSearchResult(index, source, dist, parent, order)
+
+
+def indexed_cone(
+    index: GraphIndex,
+    source: int,
+    target: int,
+    bound: "Callable[[int], float]",
+    *,
+    margin: "Callable[[float], float]",
+    radius: "float | None" = None,
+) -> IndexedSearchResult:
+    """Label-correcting A* under *bound*, out to the Lemma-2 radius.
+
+    ``bound(i)`` lower-bounds the distance from node index ``i`` to
+    *target*.  It is called once per node the search reaches, so its
+    cost follows the cone, not the graph.  It must be admissible but
+    need not be consistent, so a node whose distance improves after its
+    expansion is re-opened and the target's first pop is still optimal.
+    When the target first pops at distance ``d`` the search admits only
+    keys ``<= d + margin(d)``; a given *radius* sets that limit from the
+    first pop instead, and the target's pop then changes nothing.  Every
+    node expands with a key within the final limit, so the expanded set
+    is every node reachable by a path whose every prefix stays within
+    it: whatever order a search under the same bound pops in, it pops
+    nothing outside that set.
+
+    ``settled_order`` lists expanded indices in first-expansion order,
+    and ``dist`` holds their final distances (``inf`` elsewhere, the
+    unexpanded frontier included).  A target the limit cuts off stays
+    unexpanded, so ``path_to`` raises :class:`NoPathError` only then.
+    """
+    try:
+        s = index.index_of[source]
+    except KeyError:
+        raise GraphError(f"unknown source node {source}") from None
+    try:
+        t = index.index_of[target]
+    except KeyError:
+        raise GraphError(f"unknown target node {target}") from None
+
+    n = index.num_nodes
+    indptr = index.indptr
+    nbrs = index.neighbors
+    wts = index.weights
+    best = [inf] * n
+    parent = [-1] * n
+    h: "list[float | None]" = [None] * n
+    expanded = bytearray(n)
+    order: list[int] = []
+
+    best[s] = 0.0
+    heap: list[tuple[float, float, int]] = [(bound(s), 0.0, s)]
+    pop = heapq.heappop
+    push = heapq.heappush
+    limit = inf if radius is None else radius
+    waiting = radius is None
+
+    while heap:
+        key, d, u = pop(heap)
+        if d > best[u]:
+            continue  # superseded by a re-opening
+        if key > limit:
+            break
+        if not expanded[u]:
+            expanded[u] = 1
+            order.append(u)
+        if u == t and waiting:
+            limit = d + margin(d)
+            waiting = False
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbrs[k]
+            nd = d + wts[k]
+            if nd < best[v]:
+                best[v] = nd
+                parent[v] = u
+                hv = h[v]
+                if hv is None:
+                    hv = h[v] = bound(v)
+                push(heap, (nd + hv, nd, v))
+    # An expanded node's distance is final: a later improvement has a
+    # smaller key, so it re-expands before the limit stops the search.
+    dist = [inf] * n
+    for u in order:
+        dist[u] = best[u]
     return IndexedSearchResult(index, source, dist, parent, order)
 
 

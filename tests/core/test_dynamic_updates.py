@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.dij import DijMethod
 from repro.core.method import get_method
-from repro.errors import MethodError
+from repro.errors import ArtifactError, MethodError
 from repro.merkle.tree import MerkleTree, reconstruct_root
 from repro.shortestpath.dijkstra import dijkstra
+from repro.store.artifact import load_method, save_method
 
 
 class TestMerkleLeafUpdate:
@@ -161,26 +162,32 @@ class TestDijIncrementalUpdate:
 
 
 class TestProviderAlgorithmChoice:
+    def test_unknown_algorithm_rejected(self, road300, signer):
+        with pytest.raises(MethodError, match="choose 'dijkstra'"):
+            DijMethod.build(road300, signer, algo_sp="teleport")
+
     @pytest.mark.parametrize("name,params", [
         ("DIJ", {}),
         ("FULL", {}),
         ("LDM", dict(c=8)),
         ("HYP", dict(num_cells=25)),
     ])
-    def test_bidirectional_provider_produces_valid_proofs(
-        self, road300, signer, workload, name, params
-    ):
-        method = get_method(name).build(road300, signer,
-                                        algo_sp="bidirectional", **params)
-        vs, vt = workload.queries[0]
-        response = method.answer(vs, vt)
-        result = get_method(name).verify(vs, vt, response, signer.verify)
-        assert result.ok, (name, result.reason, result.detail)
-        expected = dijkstra(road300, vs, target=vt).dist[vt]
-        assert response.path_cost == pytest.approx(expected)
+    @pytest.mark.parametrize("algo_sp", ["dijkstra-dict", "bidirectional"])
+    def test_removed_algorithms_rejected(self, road300, signer, name, params,
+                                         algo_sp):
+        # The array Dijkstra is the one provider search; every method
+        # rejects the old variant names once, at build.
+        with pytest.raises(MethodError, match="choose 'dijkstra'"):
+            get_method(name).build(road300, signer, algo_sp=algo_sp,
+                                   **params)
 
-    def test_unknown_algorithm_rejected(self, road300, signer, workload):
-        method = DijMethod.build(road300, signer, algo_sp="teleport")
-        vs, vt = workload.queries[0]
-        with pytest.raises(MethodError):
-            method.answer(vs, vt)
+    def test_artifact_with_removed_algorithm_rejected(self, road300, signer,
+                                                      tmp_path):
+        # An artifact packed while 'bidirectional' was a choice fails at
+        # load, not on every query after it.
+        method = DijMethod.build(road300, signer)
+        method.algo_sp = "bidirectional"
+        path = str(tmp_path / "old.rspv")
+        save_method(method, path)
+        with pytest.raises(ArtifactError, match="bidirectional"):
+            load_method(path)

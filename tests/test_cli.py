@@ -81,8 +81,10 @@ class TestServe:
         assert out.count(" ok") >= 5
 
     def test_reads_stdin(self, graph_file, workload_file, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", workload_file.open())
-        code = main(["serve", str(graph_file), "--method", "DIJ", "--insecure"])
+        with workload_file.open() as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code = main(["serve", str(graph_file), "--method", "DIJ",
+                         "--insecure"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "serving metrics" in out
@@ -411,6 +413,33 @@ class TestFetch:
         assert code == 0, out
         assert "not checked" in out
         assert (tmp_path / "r.bin").exists()
+
+    def test_fetch_closes_its_connection(self, graph_file, tmp_path, capsys,
+                                         monkeypatch):
+        from repro.api.transport import HttpTransport
+        from repro.core.dij import DijMethod
+        from repro.crypto.signer import NullSigner
+        from repro.graph.io import read_graph
+        from repro.service.aio import AsyncProofHttpServer
+        from repro.service.server import ProofServer
+
+        closed = []
+        real_close = HttpTransport.close
+
+        def spy(transport):
+            closed.append(transport._conn is not None)
+            real_close(transport)
+
+        monkeypatch.setattr(HttpTransport, "close", spy)
+        graph = read_graph(str(graph_file))
+        vs, vt = graph.node_ids()[:2]
+        server = ProofServer(DijMethod.build(graph, NullSigner()))
+        with AsyncProofHttpServer(server.dispatcher()) as http_server:
+            code = main(["fetch", http_server.url, str(vs), str(vt),
+                         "--out", str(tmp_path / "r.bin")])
+        assert code == 0, capsys.readouterr().out
+        # Closed once, while it still held the socket it had dialled.
+        assert closed == [True]
 
 
 class TestPackAndArtifactServe:
