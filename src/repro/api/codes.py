@@ -107,6 +107,10 @@ JUNCTION_MISMATCH = "junction-mismatch"
 #: The concatenated segment paths disagree with the composite's claimed
 #: end-to-end path.
 STITCH_MISMATCH = "stitch-mismatch"
+#: The accepting verdict of a stitched composite, weaker than ``ok``:
+#: every segment is optimal within its shard, but the router's choice
+#: of junctions is not certified, so the path may not be the shortest.
+SHARD_LOCAL_OPTIMAL = "shard-local-optimal"
 
 #: Every reason code a :class:`VerificationResult` may carry.
 VERIFICATION_REASONS = frozenset({
@@ -121,7 +125,7 @@ VERIFICATION_REASONS = frozenset({
     MISSING_REPRESENTATIVE, ENDPOINT_MISSING, DIRECTORY_MISMATCH,
     INCOMPLETE_CELL, INCOMPLETE_HYPEREDGES,
     MALFORMED_MANIFEST, UNKNOWN_SHARD, SHARD_DESCRIPTOR_MISMATCH,
-    JUNCTION_MISMATCH, STITCH_MISMATCH,
+    JUNCTION_MISMATCH, STITCH_MISMATCH, SHARD_LOCAL_OPTIMAL,
 })
 
 # ----------------------------------------------------------------------

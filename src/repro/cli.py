@@ -732,7 +732,9 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         print(f"wrote response ({len(result.response_bytes)} bytes, "
               f"{result.wire_bytes} on the wire) to {args.out}")
         if args.key:
-            print(f"verdict: {'ok' if result.ok else result.verdict.reason}")
+            verdict = result.verdict
+            print(f"verdict: {verdict.reason}"
+                  + (f" ({verdict.detail})" if verdict.ok and verdict.detail else ""))
             return 0 if result.ok else 1
         print("verdict: not checked (no --key); verify offline with "
               "`repro-spv verify`")
@@ -767,7 +769,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 1
     result = client.verify_bytes(source, target, data)
     if result.ok:
-        print(f"ok: {source} -> {target} verified "
+        print(f"{result.reason}: {source} -> {target} verified "
               f"({len(data)} response bytes)")
         return 0
     print(f"reject: {result.reason} — {result.detail}")

@@ -28,8 +28,9 @@ that only an over-limit prefix leads to is popped by no search.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from repro.core.state import dump_bundle, load_bundle
 from repro.crypto.signer import Signer
 from repro.encoding import Decoder, Encoder, encode_uvarint, pack_codes_rows
 from repro.errors import ArtifactError, EncodingError, GraphError
-from repro.graph.graph import GraphMutation, SpatialGraph
+from repro.graph.graph import UPDATE_WEIGHT, GraphMutation, SpatialGraph
 from repro.graph.tuples import LdmTuple, TupleColumns, decode_columns, unpack_codes
 from repro.landmarks.compression import (
     CompressedVectors,
@@ -88,6 +89,9 @@ class LdmParams:
     d_max: float
     lam: float
     xi: float
+    #: Δ, in weight units: how far the codes' graph G₀ may overstate a
+    #: distance on the current graph.  The bound subtracts it last.
+    slack: float = 0.0
 
     def encode(self) -> bytes:
         """Canonical encoding."""
@@ -97,6 +101,7 @@ class LdmParams:
         enc.write_f64(self.d_max)
         enc.write_f64(self.lam)
         enc.write_f64(self.xi)
+        enc.write_f64(self.slack)
         return enc.getvalue()
 
     @classmethod
@@ -109,9 +114,18 @@ class LdmParams:
             d_max=dec.read_f64(),
             lam=dec.read_f64(),
             xi=dec.read_f64(),
+            slack=dec.read_f64(),
         )
         dec.expect_end()
         return params
+
+
+def _slack(graph: SpatialGraph, drift: "dict[tuple[int, int], float]") -> float:
+    """Δ = Σ max(0, w₀ − w) over the drifted edges: no path, and so no
+    distance, got shorter than that since the codes' graph G₀.  ``fsum``
+    makes it independent of the order the edges drifted in."""
+    return math.fsum(max(0.0, w0 - graph.weight(u, v))
+                     for (u, v), w0 in drift.items())
 
 
 def _lemma2_margin(distance: float) -> float:
@@ -255,14 +269,16 @@ class LdmMethod(VerificationMethod):
               landmarks: "tuple[int, ...] | None" = None,
               d_max: "float | None" = None,
               compression_plan_pin: "dict[int, int] | None" = None,
+              drift_pin: "dict[tuple[int, int], float] | None" = None,
               **params) -> "LdmMethod":
         """Owner build; the ``landmarks`` / ``d_max`` /
         ``compression_plan_pin`` extras pin the three graph-global
         choices (placement, quantization grid, follower assignment) so
         a rebuild can reproduce an incrementally-updated method byte
         for byte — ``apply_update`` records them in the method's
-        rebuild parameters automatically.
-        """
+        rebuild parameters automatically.  ``drift_pin`` maps each edge
+        re-weighted since the last rebase to its weight then (the G₀ of
+        the vectors); Δ covers the drift."""
         if params:
             raise EncodingError(f"LDM got unknown parameters {sorted(params)}")
         check_algo_sp(algo_sp)
@@ -279,7 +295,11 @@ class LdmMethod(VerificationMethod):
             for landmark in landmarks:
                 if not graph.has_node(landmark):
                     raise GraphError(f"unknown landmark node {landmark}")
-        vectors = LandmarkVectors(graph, landmarks)
+        drift = dict(drift_pin or {})
+        base = graph.copy() if drift else graph
+        for (u, v), w0 in drift.items():
+            base.update_edge_weight(u, v, w0)
+        vectors = LandmarkVectors(base, landmarks)
         spec = None
         if d_max is not None:
             spec = QuantizationSpec(bits=bits, d_max=d_max,
@@ -303,7 +323,7 @@ class LdmMethod(VerificationMethod):
 
         ldm_params = LdmParams(
             landmarks=tuple(landmarks), bits=bits,
-            d_max=spec.d_max, lam=spec.lam, xi=xi,
+            d_max=spec.d_max, lam=spec.lam, xi=xi, slack=_slack(graph, drift),
         )
         bundle = NetworkTreeBundle(
             graph, _make_tuple_factory(graph, compressed, bits),
@@ -333,7 +353,7 @@ class LdmMethod(VerificationMethod):
         method._build_params = dict(
             method._publish_params,
             landmarks=tuple(landmarks), d_max=spec.d_max,
-            compression_plan_pin=plan,
+            compression_plan_pin=plan, drift_pin=drift,
         )
         # Update-path state: the exact vectors/codes behind the current
         # hints plus the pinned grid and follower plan.
@@ -375,6 +395,11 @@ class LdmMethod(VerificationMethod):
             raise ArtifactError(
                 "pinned compression plan references unknown node ids"
             )
+        try:
+            if _slack(graph, state.build_params["drift_pin"]) != params.slack:
+                raise ValueError("it does not reproduce the signed slack")
+        except (AttributeError, GraphError, KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"malformed drift record: {exc}") from exc
         c, n = len(params.landmarks), len(ids)
         vectors = state.array("ldm/vectors", dtype=np.float64, shape=(c, n))
         codes = state.array("ldm/codes", dtype=np.int32, shape=(c, n))
@@ -396,7 +421,36 @@ class LdmMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def _apply_mutations(self, mutations: "list[GraphMutation]",
                          signer: Signer) -> tuple[str, int, int]:
-        """Repair in place: the pinned choices stay, the rest re-derives.
+        """Absorb re-weights as slack: the codes stay, admissible once
+        the bound subtracts Δ (:func:`_slack`), so only the endpoint
+        tuples re-encode before the re-sign.  The drift record lives in
+        ``_build_params``: the server trims the changelog after every
+        push.  An insertion, a removal or a Δ past ½ξ (where the cone
+        grows ~15 %) rebases instead."""
+        if needs_layout_rebuild(mutations, self._bundle.ordering):
+            self._build_params["drift_pin"] = {}
+            return self._rebuild(signer)
+        graph = self._graph
+        if all(m.kind == UPDATE_WEIGHT for m in mutations):
+            drift = dict(self._build_params["drift_pin"])
+            for m in mutations:
+                drift.setdefault((min(m.u, m.v), max(m.u, m.v)), m.old_weight)
+            drift = {e: w0 for e, w0 in drift.items() if graph.weight(*e) != w0}
+            slack = _slack(graph, drift)
+            if slack <= self._params.xi / 2:
+                factory = _make_tuple_factory(graph, self._compressed,
+                                              self._params.bits)
+                patched = self._bundle.refresh_payloads({
+                    n: factory(n).encode() for n in edge_endpoints(mutations)})
+                self._build_params["drift_pin"] = drift
+                self._params = replace(self._params, slack=slack)
+                self._resign(signer)
+                return "incremental", patched, 0
+        return self._rebase(mutations, signer)
+
+    def _rebase(self, mutations: "list[GraphMutation]",
+                signer: Signer) -> tuple[str, int, int]:
+        """Repair in place against the drift and the batch; Δ drops to 0.
 
         Landmark placement, the quantization grid (λ) and the
         compression plan are pinned from the original build — they are
@@ -413,22 +467,29 @@ class LdmMethod(VerificationMethod):
         pins (exactly what :meth:`_rebuild` does via
         ``_build_params``).
         """
-        if needs_layout_rebuild(mutations, self._bundle.ordering):
-            return self._rebuild(signer)
         graph = self._graph
         index = graph.to_index()
         ids = index.ids
         landmarks = self._params.landmarks
+        # Each drifted edge moves from its weight at the last rebase;
+        # listed first, that is the weight the repair diffs against.
+        repair = [GraphMutation(UPDATE_WEIGHT, u, v, old_weight=w0,
+                                weight=graph.weight(u, v)
+                                if graph.has_edge(u, v) else w0)
+                  for (u, v), w0 in self._build_params["drift_pin"].items()]
+        repair += mutations
         # The index's ascending-id columns are the vectors' columns.
-        affected = affected_sources(self._vectors, mutations, index.index_of)
+        affected = affected_sources(self._vectors, repair, index.index_of)
         rows, cols, values = repair_distances(
             index, self._vectors, affected,
-            [landmarks[i] for i in affected.tolist()], mutations)
+            [landmarks[i] for i in affected.tolist()], repair)
         if np.isinf(values).any():
             raise GraphError(
                 "graph is disconnected: landmark vectors contain infinite "
                 "distances; restrict to the largest component first"
             )
+        self._build_params["drift_pin"] = {}
+        self._params = replace(self._params, slack=0.0)
         self._vectors[rows, cols] = values
         codes = quantize_values(values, self._spec)
         moved = codes != self._codes[rows, cols]
@@ -452,23 +513,27 @@ class LdmMethod(VerificationMethod):
             self._bundle, old_ref_of, compressed, bits, changed_nodes,
             endpoints, _make_tuple_factory(graph, compressed, bits))
         patched = self._bundle.refresh_payloads(payloads)
-        self._synced_version = graph.version  # a failed re-sign replays from here
+        self._resign(signer)
+        return "rebase", patched, 0
+
+    def _resign(self, signer: Signer) -> None:
+        """Sign the patched roots, the current Δ and the graph version."""
+        self._synced_version = self._graph.version  # a failed re-sign replays from here
         old = self._descriptor
         self._descriptor = resign_descriptor(
             old, signer,
             trees=(TreeConfig(NETWORK_TREE, self._bundle.tree.num_leaves,
                               old.tree(NETWORK_TREE).fanout,
                               self._bundle.tree.root),),
-            version=graph.version,
+            version=self._graph.version, params=self._params.encode(),
         )
-        return "incremental", patched, 0
 
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
         index = self._graph.to_index()
         t = index.index(target)
-        lam = self._params.lam
+        lam, slack = self._params.lam, self._params.slack
         codes, eps = self._eff_codes, self._eff_eps
         code_t, eps_t = codes[t], int(eps[t])
         diff = np.empty_like(code_t)
@@ -480,7 +545,7 @@ class LdmMethod(VerificationMethod):
             subtract(codes[v], code_t, out=diff)
             units = int(peak(absolute(diff, out=diff)))
             loose = max(0.0, lam * (units - 1))
-            return max(0.0, loose - lam * (int(eps[v]) + eps_t))
+            return max(0.0, loose - lam * (int(eps[v]) + eps_t) - slack)
 
         radius = None
         if forced_path is not None:
@@ -572,7 +637,8 @@ def _bounds_to(target: int, columns: TupleColumns,
     units = np.abs(codes[rep] - codes[rep[target]]).max(axis=1, initial=0)
     loose = np.maximum(0.0, params.lam * (units - 1))
     eps = tail["eps_units"]
-    return (np.maximum(0.0, loose - params.lam * (eps + eps[target])),
+    return (np.maximum(0.0, loose - params.lam * (eps + eps[target])
+                       - params.slack),
             (rep >= 0) & carrier[rep])
 
 

@@ -39,7 +39,10 @@ class UpdateReport:
 
     * ``"noop"`` — nothing was pending;
     * ``"incremental"`` — only the touched hint tuples were recomputed
-      and the changed Merkle leaves patched via ``update_leaves``;
+      and the changed Merkle leaves patched via ``update_leaves`` (for
+      LDM: the endpoint tuples, with the drift taken up by its slack Δ);
+    * ``"rebase"`` — LDM only: the landmark rows were repaired against
+      every edge changed since the last rebase, and Δ reset to 0;
     * ``"partial-rebuild"`` — HYP only: a structural mutation flipped a
       border flag, so the hyper-edge tree was rebuilt over the new
       border set while the network tree was patched;

@@ -36,7 +36,9 @@ optimal *within its shard* and whose handoffs are owner-declared
 junctions.  It does not certify that the router picked the globally
 optimal junction sequence — that needs an authenticated cross-shard
 distance directory (the HYP hyperedge idea lifted one level), which is
-ROADMAP follow-up work, not a property this format quietly claims.
+ROADMAP follow-up work, not a property this format quietly claims: an
+accepted composite carries the reason ``shard-local-optimal``, never
+the single-box ``ok``.
 """
 
 from __future__ import annotations
@@ -276,4 +278,7 @@ def verify_composite(source: int, target: int, composite_bytes: bytes,
                 f"segment {index} (shard {segment.shard_id}): "
                 f"{verdict.detail}",
             )
-    return VerificationResult.success()
+    return VerificationResult(
+        ok=True, reason=codes.SHARD_LOCAL_OPTIMAL,
+        detail="each segment is optimal within its shard; the junction "
+               "choice is not certified")

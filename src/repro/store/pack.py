@@ -52,8 +52,9 @@ ARTIFACT_MAGIC = b"RSPVPK\x00\x01"
 
 #: Container format version; bump on breaking layout changes.  2: HYP's
 #: distance tree stores its leaves by cell pair, so the proofs a
-#: version-1 pack would serve point at the wrong leaves.
-ARTIFACT_VERSION = 2
+#: version-1 pack would serve point at the wrong leaves.  3: LDM's
+#: signed parameters carry the slack Δ and its build params the drift.
+ARTIFACT_VERSION = 3
 
 #: Section alignment: one cache line covers every numpy dtype this
 #: package stores, and keeps mapped views alignment-safe.
@@ -101,6 +102,7 @@ _P_STR = 2
 _P_BOOL = 3
 _P_INT_SEQ = 4
 _P_INT_MAP = 5
+_P_EDGE_WEIGHTS = 6
 
 #: Parameter value shapes the methods actually record; anything else in
 #: a params dict is a programming error surfaced at pack time.
@@ -137,6 +139,11 @@ def encode_params(params: dict) -> bytes:
             enc.write_uint(_P_INT_MAP).write_uint(len(value))
             for k in sorted(value):
                 enc.write_int(k).write_int(value[k])
+        elif isinstance(value, dict) and \
+                all(isinstance(w, float) for w in value.values()):
+            enc.write_uint(_P_EDGE_WEIGHTS).write_uint(len(value))
+            for (u, v), w in sorted(value.items()):
+                enc.write_int(u).write_int(v).write_f64(w)
         else:
             raise ArtifactError(
                 f"parameter {key!r} has unsupported type {type(value).__name__}"
@@ -168,6 +175,9 @@ def decode_params(data: bytes) -> dict:
                 entries = [(dec.read_int(), dec.read_int())
                            for _ in range(dec.read_count(2))]
                 params[key] = dict(entries)
+            elif tag == _P_EDGE_WEIGHTS:
+                params[key] = {(dec.read_int(), dec.read_int()): dec.read_f64()
+                               for _ in range(dec.read_count(10))}
             else:
                 raise ArtifactError(f"unknown parameter tag {tag}")
         dec.expect_end()

@@ -320,8 +320,9 @@ class _BoundEvaluator:
     def lower_bound(self, u_eff: "tuple[np.ndarray, int]",
                     v_eff: "tuple[np.ndarray, int]") -> float:
         """Lemma 4 bound between two resolved nodes."""
-        return lemma4_lower_bound(u_eff[0], u_eff[1], v_eff[0], v_eff[1],
-                                  self._params.lam)
+        return max(0.0, lemma4_lower_bound(u_eff[0], u_eff[1], v_eff[0],
+                                           v_eff[1], self._params.lam)
+                   - self._params.slack)
 
 
 def _client_astar(source: int, target: int, reported: float,

@@ -1,10 +1,12 @@
 """Differential oracle: the columnar verifier against the one it replaced.
 
-``reference_verifier`` is the old client path, verbatim.  New and old
+``reference_verifier`` is the old client path, verbatim but for one
+line: its LDM bound subtracts the signed slack Δ.  New and old
 must return the same ``(ok, reason)`` — and the same ``checks`` when
 they accept — on honest replies, on every attack in
 ``repro.core.adversary``, on replies that disclose a different (validly
-re-proved) set of authentic tuples, and on payloads with a byte
+re-proved) set of authentic tuples, on LDM replies taken between
+rebases (Δ > 0), and on payloads with a byte
 flipped, cut short or padded.  One divergence is tolerated: a varint of
 63 bits or more, which no owner can encode, used to decode and die at
 the root (``root-mismatch``) and is now refused by the decoder
@@ -12,6 +14,7 @@ the root (``root-mismatch``) and is now refused by the decoder
 """
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -246,6 +249,73 @@ def test_ldm_code_width_disagrees_with_signed_params(road300, signer):
     vs, vt = generate_workload(road300, 1500.0, count=1, seed=3).queries[0]
     verdict = agree("LDM", vs, vt, method.answer(vs, vt), signer)
     assert verdict.reason == "missing-representative"
+
+
+@pytest.fixture(scope="module")
+def drifted(road300, signer):
+    """LDM between rebases: six re-weights absorbed as slack, Δ = 24."""
+    from repro.core.ldm import LdmParams
+
+    graph = road300.copy()
+    method = get_method("LDM").build(graph, signer, **BUILD["LDM"])
+    for u, v, w in sorted(graph.edges())[::40][:6]:
+        graph.update_edge_weight(u, v, w - 4.0)
+    assert method.apply_update(signer).mode == "incremental"
+    assert LdmParams.decode(method.descriptor.params).slack == 24.0
+    pairs = generate_workload(graph, 1500.0, count=30, seed=5).queries
+    return method, pairs
+
+
+class TestBetweenRebases:
+    def test_honest_and_attacked_replies(self, drifted, signer):
+        method, pairs = drifted
+        for vs, vt in pairs[:10]:
+            honest = method.answer(vs, vt)
+            assert agree("LDM", vs, vt, honest, signer).ok
+            for attack in (adversary.tamper_weight, adversary.strip_signature,
+                           adversary.inflate_cost):
+                assert not agree("LDM", vs, vt, attack(honest), signer).ok
+            try:
+                detour = adversary.suboptimal_path(method, method.graph, vs, vt)
+            except MethodError:
+                continue
+            assert not agree("LDM", vs, vt, detour, signer).ok
+
+    def test_zero_slack_cone_under_signed_slack(self, drifted, signer):
+        """A provider that searches as if Δ were 0 discloses a smaller
+        cone than the signed Δ asks for; where the two differ, the
+        client runs off the disclosure."""
+        method, pairs = drifted
+        honest_params = method._params
+        differ = 0
+        for vs, vt in pairs:
+            method._params = dataclasses.replace(honest_params, slack=0.0)
+            try:
+                cheat = method.answer(vs, vt)
+            finally:
+                method._params = honest_params
+            if cheat.section(NETWORK_TREE).positions == \
+                    method.answer(vs, vt).section(NETWORK_TREE).positions:
+                continue
+            differ += 1
+            assert agree("LDM", vs, vt, cheat, signer).reason == \
+                "incomplete-subgraph"
+        assert differ
+
+    def test_edited_slack_fails_signature(self, drifted, signer):
+        from repro.core.ldm import LdmParams
+
+        method, pairs = drifted
+        vs, vt = pairs[0]
+        honest = method.answer(vs, vt)
+        params = LdmParams.decode(honest.descriptor.params)
+        for slack in (0.0, 12.0, 1e9):
+            forged = copy.copy(honest)
+            forged.descriptor = dataclasses.replace(
+                honest.descriptor,
+                params=dataclasses.replace(params, slack=slack).encode())
+            assert agree("LDM", vs, vt, forged, signer).reason == \
+                "bad-signature"
 
 
 def mutations(payload):

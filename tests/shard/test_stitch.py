@@ -11,6 +11,7 @@ import dataclasses
 
 from repro.api import codes
 from repro.core.framework import distances_close
+from repro.errors import ReproError
 from repro.shard import (
     CompositeResponse,
     CompositeSegment,
@@ -68,6 +69,13 @@ class TestHonestComposite:
         verdict = _verify(case, case.composite.encode(),
                           manifest_verified=True)
         assert verdict.ok
+
+    def test_verdict_is_the_weaker_shard_local_one(self, case):
+        """An accepted composite never reads as the single-box ``ok``."""
+        verdict = _verify(case, case.composite.encode())
+        assert verdict.ok
+        assert verdict.reason == codes.SHARD_LOCAL_OPTIMAL != codes.OK
+        assert codes.SHARD_LOCAL_OPTIMAL in codes.VERIFICATION_REASONS
 
 
 class TestMalformedComposite:
@@ -206,6 +214,32 @@ class TestAdversaryBattery:
         )
         _expect(case, fake.encode(), codes.PATH_CYCLE,
                 source=u, target=u)
+
+    def test_valid_but_suboptimal_junction(self, case, composite_maker):
+        """The known gap: a router may hand off at a declared junction
+        that is off the shortest path.  Every segment is still optimal
+        in its shard, so the composite is accepted, but only with the
+        weaker verdict."""
+        (first, source, _), *_ = case.segments
+        last, target = case.segments[-1][0], case.target
+        best = case.composite.path_cost
+        entry = case.manifest.entries[last]
+        for junction in entry.boundary:
+            if not case.build.methods[first].graph.has_node(junction):
+                continue
+            try:
+                segments = [(first, source, junction), (last, junction, target)]
+                detour = composite_maker(case.providers, segments)
+            except ReproError:
+                continue  # no route inside one of the shards
+            if detour.path_cost <= best + 1e-6 or \
+                    len(set(detour.path_nodes)) != len(detour.path_nodes):
+                continue
+            verdict = _verify(case, detour.encode())
+            assert verdict.ok, (verdict.reason, verdict.detail)
+            assert verdict.reason == codes.SHARD_LOCAL_OPTIMAL
+            return
+        raise AssertionError("no valid suboptimal junction found")
 
     def test_all_battery_reasons_are_registered(self):
         for reason in (codes.MALFORMED_RESPONSE, codes.ENDPOINT_MISMATCH,

@@ -92,6 +92,38 @@ class TestUpdateComposition:
         assert fresh.descriptor.encode() == method.descriptor.encode()
 
 
+def test_ldm_packed_between_rebases(road300, signer, workload, tmp_path):
+    """An LDM artifact packed while Δ > 0 loads to the same answers, and
+    its next pushes (one slack, one rebase) go the same way."""
+    from repro.core.ldm import LdmParams
+
+    graph = road300.copy()
+    method = get_method("LDM").build(graph, signer, c=12)
+    edges = sorted(graph.edges())
+    for u, v, w in edges[:3]:
+        graph.update_edge_weight(u, v, w - 3.0)
+    assert method.apply_update(signer).mode == "incremental"
+    assert LdmParams.decode(method.descriptor.params).slack == 9.0
+    path = str(tmp_path / "drift.rspv")
+    save_method(method, path)
+    loaded = load_method(path)
+
+    def assert_same():
+        assert loaded.descriptor.encode() == method.descriptor.encode()
+        for vs, vt in workload:
+            assert loaded.answer(vs, vt).encode() == \
+                method.answer(vs, vt).encode()
+
+    assert_same()
+    for (u, v, w), delta, mode in ((edges[3], -4.0, "incremental"),
+                                   (edges[4], -40.0, "rebase")):
+        reports = [m.update_edge_weight(u, v, w + delta, signer)
+                   for m in (method, loaded)]
+        assert [(r.mode, r.leaves_patched) for r in reports] == \
+            [(mode, reports[0].leaves_patched)] * 2
+        assert_same()
+
+
 @pytest.mark.parametrize("name", METHOD_NAMES)
 class TestServingStack:
     def test_proof_server_from_artifact(self, artifact_paths, workload,

@@ -33,6 +33,7 @@ class TestParamsCodec:
             "flag": True,
             "landmarks": (3, 1, 4),
             "plan": {10: 3, 7: 1},
+            "drift": {(4, 9): 61.25, (1, 2): 0.5},
         }
         decoded = decode_params(encode_params(params))
         assert decoded == params
