@@ -15,13 +15,14 @@ proof-size story.  Every wire response must verify.
 
 import pytest
 
-import repro.core.ldm
+import repro.shortestpath.kernel
 from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_RANGE, DEFAULT_SCALE, emit
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
 from repro.bench.serving import SloReport, run_loadtest
+from repro.core.framework import provider_margin
 from repro.service.server import ProofServer
-from repro.shortestpath.kernel import indexed_ball
+from repro.shortestpath.kernel import indexed_search
 from repro.workload.traffic import replay_trace
 from tests.shortestpath.test_kernel_equivalence import _legacy_ldm_answer
 
@@ -159,19 +160,21 @@ def test_ldm_cone_search_and_bytes(ctx, results, monkeypatch):
     queries = list(ctx.workload())
     method = ctx.method("LDM")
     expanded = []
-    real_cone = repro.core.ldm.indexed_cone
+    real_search = repro.shortestpath.kernel.search
 
-    def counting_cone(*args, **kwargs):
-        cone = real_cone(*args, **kwargs)
-        expanded.append(len(cone.settled_order))
-        return cone
+    def counting_search(*args, **kwargs):
+        run = real_search(*args, **kwargs)
+        expanded.append(len(run.order))
+        return run
 
-    monkeypatch.setattr(repro.core.ldm, "indexed_cone", counting_cone)
-    cone_bytes = legacy_bytes = ball = 0
+    # DIJ's ball is the same search with no bound, run before the hook.
+    ball = sum(len(indexed_search(index, vs, vt, margin=provider_margin)
+                   .settled_order) for vs, vt in queries)
+    monkeypatch.setattr(repro.shortestpath.kernel, "search", counting_search)
+    cone_bytes = legacy_bytes = 0
     for vs, vt in queries:
         cone_bytes += len(method.answer(vs, vt).encode())
         legacy_bytes += len(_legacy_ldm_answer(method, vs, vt).encode())
-        ball += len(indexed_ball(index, vs, vt).settled_order)
     assert len(expanded) == len(queries)
     mean_cone = sum(expanded) / len(queries)
     mean_ball = ball / len(queries)

@@ -61,7 +61,7 @@ from repro.shard import (
     save_manifest,
     verify_composite,
 )
-from repro.shortestpath import Path, dijkstra, shortest_path
+from repro.shortestpath import Path
 from repro.store import load_method, save_method
 from repro.workload import generate_workload, load_dataset
 
@@ -98,8 +98,6 @@ __all__ = [
     "grid_network",
     "road_network",
     "Path",
-    "dijkstra",
-    "shortest_path",
     "generate_workload",
     "load_dataset",
     "save_method",

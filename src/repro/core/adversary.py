@@ -40,7 +40,7 @@ from repro.graph.graph import SpatialGraph
 from repro.graph.tuples import BaseTuple
 from repro.merkle.proof import MerkleProofEntry
 from repro.merkle.tree import leaf_digest
-from repro.shortestpath.dijkstra import dijkstra
+from repro.shortestpath.kernel import indexed_search, indexed_shortest_path
 from repro.shortestpath.path import Path
 
 
@@ -53,15 +53,16 @@ def suboptimal_path(method: VerificationMethod, graph: SpatialGraph,
     longer path, exactly as a profit-motivated provider would.
     Raises :class:`MethodError` if the network offers no detour.
     """
-    honest = dijkstra(graph, source, target=target).path_to(target)
+    honest = indexed_shortest_path(graph.to_index(), source, target)
     if honest.num_edges == 0:
         raise MethodError("degenerate query: source equals target")
     working = graph.copy()
     for u, v in honest.edges():
         working.remove_edge(u, v)
-        alt = dijkstra(working, source, target=target)
+        alt = indexed_search(working.to_index(), source, target)
         working.add_edge(u, v, graph.weight(u, v))
-        if target in alt.dist and alt.dist[target] > honest.cost * (1 + 1e-9):
+        cost = alt.dist_of(target)
+        if cost is not None and cost > honest.cost * (1 + 1e-9):
             detour_nodes = alt.path_to(target).nodes
             detour = Path.from_nodes(graph, detour_nodes)
             return method.answer(source, target, forced_path=detour)

@@ -10,7 +10,6 @@ only the method-specific shortest path reasoning.
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Callable
 
@@ -136,47 +135,6 @@ def check_reported_path(
             f"authenticated path cost {cost} != reported {response.path_cost}",
         )
     return None
-
-
-def search_disclosed(
-    indptr: "list[int]",
-    nbrs: "list[int]",
-    weights: "list[float]",
-    source: int,
-    target: int,
-    margin: float,
-) -> "tuple[float | None, int | None]":
-    """Heap Dijkstra from row *source* until row *target* settles.
-
-    The graph is CSR over rows in ascending node id order, so equal
-    distances pop in id order; ``nbrs[k] == -1`` marks a neighbour that
-    was not disclosed.  Returns ``(distance, None)`` on success and
-    ``(None, None)`` when the target is unreachable.  An edge that
-    reaches an undisclosed node within *margin* ends the search with
-    ``(tentative distance, k)``: Lemma 1 requires the whole ball of
-    radius ``dist(vs, vt)``, while relaxations beyond it may
-    legitimately leave the proof.
-    """
-    done = [False] * (len(indptr) - 1)
-    best = [float("inf")] * len(done)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == target:
-            return d, None
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            nd = d + weights[k]
-            if v < 0:
-                if nd <= margin:
-                    return nd, k
-            elif not done[v] and nd < best[v]:
-                best[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return None, None
 
 
 # ----------------------------------------------------------------------

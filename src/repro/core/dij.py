@@ -2,23 +2,25 @@
 
 No authenticated hints.  The proof ΓS is the *Dijkstra ball*: the
 extended tuple of every node within ``dist(vs, vt)`` of the source
-(Lemma 1).  The client re-runs Dijkstra on the disclosed subgraph; the
-proof is valid only if every node the search needs is present, which
-is what defeats the tuple-dropping attack described in the paper.
+(Lemma 1), out to twice the client's float margin past it.  The client
+re-runs Dijkstra on the disclosed subgraph; the proof is valid only if
+every node the search needs is present, which is what defeats the
+tuple-dropping attack described in the paper.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
     resign_descriptor,
-    search_disclosed,
     sign_descriptor,
     verify_descriptor,
     verify_section_root,
 )
-from repro.core.framework import REL_TOL, VerificationResult, distances_close
+from repro.core.framework import VerificationResult, client_limit, distances_close
 from repro.core.incremental import edge_endpoints, needs_layout_rebuild
 from repro.core.method import (
     SignatureVerifier,
@@ -29,10 +31,10 @@ from repro.core.method import (
 from repro.core.state import dump_bundle, load_bundle
 from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeConfig
 from repro.crypto.signer import Signer
-from repro.errors import EncodingError, NoPathError
+from repro.errors import EncodingError
 from repro.graph.graph import GraphMutation, SpatialGraph
 from repro.graph.tuples import BaseTuple, decode_columns
-from repro.shortestpath.kernel import indexed_ball, indexed_dijkstra
+from repro.shortestpath.kernel import search
 from repro.shortestpath.path import Path
 
 
@@ -121,18 +123,8 @@ class DijMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
-        if forced_path is None:
-            # Hot path: one fused kernel expansion yields both the
-            # shortest path and the Lemma-1 ball.
-            result = indexed_ball(self._graph.to_index(), source, target)
-            path = result.path_to(target)  # NoPathError if unreachable
-            ball_ids = result.settled_ids()
-        else:
-            path = forced_path
-            ball = indexed_dijkstra(self._graph.to_index(), source,
-                                    radius=path.cost)
-            ball_ids = ball.settled_ids()
-        section = self._bundle.section_for(ball_ids)
+        path, ball = self._proof_search(source, target, forced_path)
+        section = self._bundle.section_for(ball.settled_ids())
         return QueryResponse(
             method=self.name,
             source=source,
@@ -165,22 +157,21 @@ class DijMethod(VerificationMethod):
             return failure
 
         # Lemma 1: the search is only valid if every node it needs —
-        # reachable within the reported distance — was disclosed.
+        # reachable within the reported distance — was disclosed.  The
+        # path check has proven both endpoints disclosed.
         reported = response.path_cost
-        start = columns.row_of(source)
-        if start < 0:
-            return VerificationResult.failure("source-missing",
-                                              f"no tuple for source node {source}")
-        computed, gap = search_disclosed(
-            *columns.search_lists(), start, columns.row_of(target),
-            reported * (1 + REL_TOL) + 1e-9)
-        if gap is not None:
+        goal = columns.row_of(target)
+        run = search(*columns.search_lists(), columns.row_of(source), goal,
+                     gap=client_limit(reported))
+        if run.gap is not None:
+            _, k, tentative = run.gap
             return VerificationResult.failure(
                 "incomplete-subgraph",
-                f"node {columns.nbr_ids[gap]} at distance {computed} <= "
+                f"node {columns.nbr_ids[k]} at distance {tentative} <= "
                 f"{reported} was not disclosed",
             )
-        if computed is None:
+        computed = run.dist[goal]
+        if computed == inf:
             return VerificationResult.failure(
                 "target-unreachable",
                 f"target {target} is unreachable in the disclosed subgraph",

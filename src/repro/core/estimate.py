@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.errors import MethodError
 from repro.graph.graph import SpatialGraph
 from repro.graph.tuples import BaseTuple
-from repro.shortestpath.dijkstra import dijkstra
+from repro.shortestpath.kernel import indexed_search
 
 #: Digest size for SHA-1; parameterized in the entry points.
 _DEFAULT_DIGEST = 20
@@ -69,19 +69,16 @@ class BallProfile:
         sources = [ids[rng.randrange(len(ids))] for _ in range(num_sources)]
         all_sorted: list[list[float]] = []
         hop_weights: list[float] = []
+        index = graph.to_index()
         for source in sources:
-            result = dijkstra(graph, source)
-            dists = sorted(result.dist.values())
-            all_sorted.append(dists)
+            result = indexed_search(index, source)
+            distances = result.distances()
+            all_sorted.append(sorted(distances.values()))
             # Depth of a handful of far nodes gives the mean hop weight.
-            for node in list(result.dist)[-5:]:
-                depth = 0
-                cursor = node
-                while cursor != source:
-                    cursor = result.parent[cursor]
-                    depth += 1
-                if depth:
-                    hop_weights.append(result.dist[node] / depth)
+            for node in list(distances)[-5:]:
+                path = result.path_to(node)
+                if path.num_edges:
+                    hop_weights.append(path.cost / path.num_edges)
         diameter = max(d[-1] for d in all_sorted)
         radii = tuple(diameter * i / 40 for i in range(1, 41))
         sizes = []

@@ -23,6 +23,20 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-6
 
 
+def client_limit(distance: float) -> float:
+    """The farthest a client's search looks past a reported *distance*
+    before a route counts as longer: the comparison margin of
+    :func:`distances_close`."""
+    return distance + REL_TOL * distance + ABS_TOL
+
+
+def provider_margin(distance: float) -> float:
+    """How far past *distance* a provider's proof search runs: twice the
+    client's margin, so float noise never makes an honest proof
+    incomplete."""
+    return 2 * (REL_TOL * distance + ABS_TOL)
+
+
 def distances_close(a: float, b: float) -> bool:
     """Whether two path distances should be considered equal."""
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)

@@ -65,6 +65,7 @@ from repro.graph.tuples import (
 from repro.hiti.hyperedges import triangle_index
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import all_pairs_distances, repair_distances
+from repro.shortestpath.kernel import indexed_shortest_path
 from repro.shortestpath.path import Path
 
 
@@ -288,7 +289,8 @@ class FullMethod(VerificationMethod):
         else:
             path = self._matrix_path(source, target)
             if path is None:
-                path = self._shortest_path(source, target)
+                path = indexed_shortest_path(self._graph.to_index(),
+                                             source, target)
         sections = {
             NETWORK_TREE: self._bundle.section_for(path.nodes),
             DISTANCE_TREE: self._distance_section(source, target),

@@ -24,6 +24,7 @@ docs/architecture.md — the paper leaves this completeness check implicit).
 from __future__ import annotations
 
 import time
+from math import inf
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from repro.core.checks import (
     NetworkTreeBundle,
     check_reported_path,
     resign_descriptor,
-    search_disclosed,
     sign_descriptor,
     verify_descriptor,
     verify_section_root,
@@ -74,6 +74,7 @@ from repro.hiti.hyperedges import HyperEdgeSet, TileLayout, compute_hyperedges
 from repro.hiti.partition import GridPartition, GridSpec
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import repair_distances
+from repro.shortestpath.kernel import indexed_shortest_path, search
 from repro.shortestpath.path import Path
 
 
@@ -380,10 +381,8 @@ class HypMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
-        if forced_path is None:
-            path = self._shortest_path(source, target)
-        else:
-            path = forced_path
+        path = forced_path if forced_path is not None else \
+            indexed_shortest_path(self._graph.to_index(), source, target)
         cell_s = self._partition.cell(source)
         cell_t = self._partition.cell(target)
         members = set(self._partition.members_of(cell_s))
@@ -518,7 +517,7 @@ class HypMethod(VerificationMethod):
         # required hyper-edges; edges that leave the cells are what the
         # hyper-edges stand for.  Parallel edges need no merging — the
         # search takes the cheaper one — and none is undisclosed, so the
-        # search's completeness margin is moot.
+        # search needs no gap rule.
         in_cells = (cell == cell_s) | (cell == cell_t)
         tail = np.repeat(np.arange(len(columns)), np.diff(columns.indptr))
         head = columns.nbrs
@@ -530,11 +529,11 @@ class HypMethod(VerificationMethod):
         tail, head = np.concatenate((tail, head)), np.concatenate((head, tail))
         order = np.argsort(tail, kind="stable")
         indptr = np.searchsorted(tail[order], np.arange(len(columns) + 1))
-        coarse_distance, _ = search_disclosed(
+        coarse_distance = search(
             indptr.tolist(), head[order].tolist(),
             np.concatenate((weight, weight))[order].tolist(),
-            start, goal, 0.0)
-        if coarse_distance is None:
+            start, goal).dist[goal]
+        if coarse_distance == inf:
             return VerificationResult.failure(
                 "target-unreachable",
                 "target is unreachable in the coarse proof graph",

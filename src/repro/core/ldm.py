@@ -14,10 +14,10 @@ A\\* over the disclosed subgraph using the same lower bound.
 
 The quantized/compressed bound is admissible but *not consistent*, so
 both parties' A\\* re-open nodes; admissibility alone then guarantees
-that the target's first settlement is optimal.  The provider runs that
-search over the graph index (:func:`~repro.shortestpath.kernel.indexed_cone`),
-taking the bound only at the nodes it reaches, out to a margin twice
-the client's, and discloses what it expanded: a
+that the target's first settlement is optimal.  Both run the one search
+(:func:`~repro.shortestpath.kernel.search`): the provider over the graph
+index, taking the bound only at the nodes it reaches, out to a margin
+twice the client's, and discloses what it expanded: a
 client pop is reachable by a route whose every prefix key stays within
 the client's margin, so the provider expanded it too.  Under a
 consistent bound this set is Lemma 2's ``dist(vs, v) + LB(v, vt) <=
@@ -27,7 +27,6 @@ that only an over-limit prefix leads to is popped by no search.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, replace
@@ -42,7 +41,7 @@ from repro.core.checks import (
     verify_descriptor,
     verify_section_root,
 )
-from repro.core.framework import ABS_TOL, REL_TOL, VerificationResult, distances_close
+from repro.core.framework import VerificationResult, client_limit, distances_close
 from repro.core.incremental import (
     affected_sources,
     edge_endpoints,
@@ -76,7 +75,7 @@ from repro.landmarks.selection import select_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.order import hilbert_order
 from repro.shortestpath.bulk import repair_distances
-from repro.shortestpath.kernel import indexed_cone
+from repro.shortestpath.kernel import search
 from repro.shortestpath.path import Path
 
 
@@ -126,12 +125,6 @@ def _slack(graph: SpatialGraph, drift: "dict[tuple[int, int], float]") -> float:
     makes it independent of the order the edges drifted in."""
     return math.fsum(max(0.0, w0 - graph.weight(u, v))
                      for (u, v), w0 in drift.items())
-
-
-def _lemma2_margin(distance: float) -> float:
-    """Provider-side cone slack: twice the client's comparison margin,
-    so float noise can never make an honest proof incomplete."""
-    return 2 * (REL_TOL * distance + ABS_TOL)
 
 
 def _make_tuple_factory(graph: SpatialGraph, compressed: CompressedVectors,
@@ -547,14 +540,7 @@ class LdmMethod(VerificationMethod):
             loose = max(0.0, lam * (units - 1))
             return max(0.0, loose - lam * (int(eps[v]) + eps_t) - slack)
 
-        radius = None
-        if forced_path is not None:
-            radius = forced_path.cost + _lemma2_margin(forced_path.cost)
-        cone = indexed_cone(index, source, target, bound,
-                            margin=_lemma2_margin, radius=radius)
-        path = forced_path if forced_path is not None \
-            else cone.path_to(target)
-
+        path, cone = self._proof_search(source, target, forced_path, bound)
         ids = index.ids
         indptr = index.indptr
         nbrs = index.neighbors
@@ -642,60 +628,51 @@ def _bounds_to(target: int, columns: TupleColumns,
             (rep >= 0) & carrier[rep])
 
 
+class _Unresolvable(Exception):
+    """The client's search reached a row whose vector it cannot resolve."""
+
+
 def _search_cone(source: int, target: int, reported: float,
                  columns: TupleColumns,
                  params: LdmParams) -> "float | VerificationResult":
-    """Validity-checked A* (with re-opening) over the disclosed subgraph."""
+    """Validity-checked A* (with re-opening) over the disclosed subgraph,
+    whose endpoints the path check has proven disclosed."""
     start, goal = columns.row_of(source), columns.row_of(target)
-    if start < 0:
-        return VerificationResult.failure("source-missing",
-                                          f"no tuple for source node {source}")
-    if goal < 0:
-        return VerificationResult.failure("target-missing",
-                                          f"no tuple for target node {target}")
     bound, resolvable = _bounds_to(goal, columns, params)
     for row, name in ((goal, "target"), (start, "source")):
         if not resolvable[row]:
             return VerificationResult.failure(
                 "missing-representative",
                 f"cannot resolve vector of {name} {columns.ids[row]}")
-    margin = reported + REL_TOL * reported + ABS_TOL
     bound, resolvable = bound.tolist(), resolvable.tolist()
-    indptr, nbrs, weights = columns.search_lists()
 
-    best = [float("inf")] * len(columns)
-    best[start] = 0.0
-    # Rows are in node id order, so ties pop in id order.
-    heap: list[tuple[float, float, int]] = [(bound[start], 0.0, start)]
-    while heap:
-        key, g, u = heapq.heappop(heap)
-        if g > best[u]:
-            continue  # superseded by a re-opening
-        if u == goal:
-            return g
-        if key > margin:
-            return VerificationResult.failure(
-                "not-optimal",
-                f"every remaining route exceeds the reported distance {reported}",
-            )
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            nd = g + weights[k]
-            if v < 0:
-                return VerificationResult.failure(
-                    "incomplete-subgraph",
-                    f"neighbor {columns.nbr_ids[k]} of expanded node "
-                    f"{columns.ids[u]} was not disclosed",
-                )
-            if nd >= best[v]:
-                continue
-            if not resolvable[v]:
-                return VerificationResult.failure(
-                    "missing-representative",
-                    f"cannot resolve vector of node {columns.ids[v]}",
-                )
-            best[v] = nd
-            heapq.heappush(heap, (nd + bound[v], nd, v))
+    def bound_of(row: int) -> float:
+        if not resolvable[row]:
+            raise _Unresolvable(row)
+        return bound[row]
+
+    try:
+        run = search(*columns.search_lists(), start, goal, bound=bound_of,
+                     limit=client_limit(reported), gap=math.inf)
+    except _Unresolvable as exc:
+        return VerificationResult.failure(
+            "missing-representative",
+            f"cannot resolve vector of node {columns.ids[exc.args[0]]}",
+        )
+    if run.gap is not None:
+        u, k, _ = run.gap
+        return VerificationResult.failure(
+            "incomplete-subgraph",
+            f"neighbor {columns.nbr_ids[k]} of expanded node "
+            f"{columns.ids[u]} was not disclosed",
+        )
+    if run.dist[goal] < math.inf:
+        return run.dist[goal]
+    if run.cut:
+        return VerificationResult.failure(
+            "not-optimal",
+            f"every remaining route exceeds the reported distance {reported}",
+        )
     return VerificationResult.failure(
         "target-unreachable",
         f"target {target} is unreachable in the disclosed subgraph",

@@ -20,9 +20,10 @@ from typing import TYPE_CHECKING, Callable, Sequence, Type
 
 from repro.crypto.signer import Signer
 from repro.errors import MethodError
-from repro.core.framework import VerificationResult
+from repro.core.framework import VerificationResult, provider_margin
 from repro.core.proofs import QueryResponse, SignedDescriptor
 from repro.graph.graph import GraphMutation, SpatialGraph
+from repro.shortestpath.kernel import IndexedSearchResult, indexed_search
 from repro.shortestpath.path import Path
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -103,13 +104,22 @@ class VerificationMethod(ABC):
         #: :attr:`_build_params`).
         self._publish_params: dict = {}
 
-    def _shortest_path(self, source: int, target: int) -> "Path":
-        """The provider's ``algo_sp``: the array Dijkstra over the
-        graph's compiled index.  The proofs never depend on it."""
-        from repro.shortestpath.kernel import indexed_dijkstra
-
-        index = self._graph.to_index()  # every concrete method holds the graph
-        return indexed_dijkstra(index, source, target=target).path_to(target)
+    def _proof_search(self, source: int, target: int,
+                      forced_path: "Path | None",
+                      bound: "Callable[[int], float] | None" = None,
+                      ) -> "tuple[Path, IndexedSearchResult]":
+        """The path and the search whose expanded nodes the proof
+        discloses: A* under *bound* (DIJ's is zero, the Lemma-1 ball)
+        out to :func:`provider_margin` past the target's distance, or
+        past a forced path's cost."""
+        index = self._graph.to_index()
+        if forced_path is None:
+            found = indexed_search(index, source, target, bound=bound,
+                                   margin=provider_margin)
+            return found.path_to(target), found  # NoPathError if unreachable
+        limit = forced_path.cost + provider_margin(forced_path.cost)
+        return forced_path, indexed_search(index, source, bound=bound,
+                                           limit=limit)
 
     # ------------------------------------------------------------------
     # live updates

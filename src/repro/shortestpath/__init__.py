@@ -1,37 +1,32 @@
 """Shortest path computation.
 
-The pure-Python dict Dijkstra, the array kernels over the compiled
-graph index (:mod:`repro.shortestpath.kernel`: Dijkstra, and the
-bounded A* cone LDM proves) used by providers, plus NumPy/SciPy bulk
-backends (Floyd-Warshall, multi-source Dijkstra) used by the data
-owner when materializing authenticated hints.
+One search (:mod:`repro.shortestpath.kernel`): A* with re-opening over
+CSR lists under an admissible bound, a stop rule on the goal's pop and
+a gap rule for undisclosed neighbours.  Every provider and every
+client runs it.  The data owner's NumPy/SciPy bulk backends
+(:mod:`repro.shortestpath.bulk`: all-pairs and multi-source distances,
+incremental repair) materialize the authenticated hints.
 """
 
 from repro.shortestpath.bulk import all_pairs_distances, multi_source_distances
-from repro.shortestpath.dijkstra import SearchResult, dijkstra, shortest_path
-from repro.shortestpath.floyd_warshall import floyd_warshall
 from repro.shortestpath.kernel import (
     IndexedSearchResult,
-    indexed_ball,
-    indexed_cone,
+    Search,
     indexed_dijkstra,
-    indexed_multi_source,
+    indexed_search,
     indexed_shortest_path,
+    search,
 )
 from repro.shortestpath.path import Path
 
 __all__ = [
     "Path",
-    "SearchResult",
+    "Search",
     "IndexedSearchResult",
-    "dijkstra",
-    "shortest_path",
-    "indexed_ball",
-    "indexed_cone",
+    "search",
+    "indexed_search",
     "indexed_dijkstra",
     "indexed_shortest_path",
-    "indexed_multi_source",
-    "floyd_warshall",
     "all_pairs_distances",
     "multi_source_distances",
 ]

@@ -1,31 +1,30 @@
-"""Array-based Dijkstra kernel over a compiled :class:`GraphIndex`.
+"""The one shortest path search, for provider and client alike.
 
-This is the provider's hot path.  The dict kernel in
-:mod:`repro.shortestpath.dijkstra` pays a method call, a mapping-proxy
-wrapper and a dict-items iterator per expanded node, plus hashed dict
-lookups per relaxed edge; this kernel runs over the flat
-``indptr`` / ``neighbors`` / ``weights`` arrays with list indexing
-only.  Semantics are identical (see
-``tests/shortestpath/test_kernel_equivalence.py``):
+:func:`search` is A\\* with re-opening over CSR lists (``indptr``,
+``nbrs``, ``weights``; ``nbrs[k] == -1`` marks a neighbour that was not
+disclosed) from row ``start`` towards row ``goal``.  Every proof method
+runs it, on both sides of the wire, and differs only in three rules:
 
-* *target* mode — stop as soon as the target is settled;
-* *radius* mode — settle every node with ``dist <= radius`` (radius
-  takes precedence over target for stopping);
-* neither — settle the whole connected component;
-* heap ties break on node order, and node index order equals node id
-  order, so tie-breaking matches the dict kernel too.
+* **bound** — an admissible lower bound on the distance to the goal,
+  called once per row the search reaches, so its cost follows the cone;
+  ``None`` is the zero bound, i.e. Dijkstra;
+* **stop** — on the goal's pop, stop (no *margin*), or admit only keys
+  ``<= d + margin(d)`` from then on; a fixed *limit* caps keys from the
+  start;
+* **gap** — an edge into an undisclosed row at tentative distance
+  ``<= gap`` ends the search and is reported.
 
-A *multi-source* mode (:func:`indexed_multi_source`) is the pure-Python
-reference the SciPy-backed :mod:`repro.shortestpath.bulk` is tested
-against.  :func:`indexed_cone` is the bounded A* the LDM provider
-runs instead of a Dijkstra ball.
+Rows are in ascending node id order, so equal keys pop in id order.
+:func:`indexed_search` is the by-node-id entry point over a compiled
+:class:`GraphIndex`; :func:`indexed_dijkstra` and
+:func:`indexed_shortest_path` are its Dijkstra spellings.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import inf
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.errors import GraphError, NoPathError
 from repro.graph.index import GraphIndex
@@ -33,52 +32,134 @@ from repro.shortestpath.path import Path
 
 __all__ = [
     "IndexedSearchResult",
-    "indexed_ball",
-    "indexed_cone",
+    "Search",
     "indexed_dijkstra",
-    "indexed_multi_source",
+    "indexed_search",
     "indexed_shortest_path",
+    "search",
 ]
 
 
-class IndexedSearchResult:
-    """Outcome of one indexed expansion (Dijkstra, or the A* cone).
+class Search(NamedTuple):
+    """What one :func:`search` found, by row.
 
-    Distances and parents are arrays keyed by node *index*;
-    ``settled_order`` lists settled indices in settlement order.  The
-    id-keyed adapters (:meth:`distances`, :meth:`settled_ids`,
-    :meth:`path_to`) make the result a drop-in replacement for the dict
-    kernel's :class:`~repro.shortestpath.dijkstra.SearchResult`.
+    ``order`` lists the expanded rows in first-expansion order, ``dist``
+    their final distances (``inf`` elsewhere, the unexpanded frontier
+    included) and ``parent`` each reached row's predecessor (-1 at the
+    start).  ``gap`` is ``(row, edge, distance)`` when an edge into an
+    undisclosed node ended the search; ``cut`` is true when the limit
+    stopped it with routes still queued.
+    """
+
+    dist: "list[float]"
+    parent: "list[int]"
+    order: "list[int]"
+    gap: "tuple[int, int, float] | None"
+    cut: bool
+
+
+def search(
+    indptr: "list[int]",
+    nbrs: "list[int]",
+    weights: "list[float]",
+    start: int,
+    goal: int = -1,
+    *,
+    bound: "Callable[[int], float] | None" = None,
+    margin: "Callable[[float], float] | None" = None,
+    limit: float = inf,
+    gap: float = -inf,
+) -> Search:
+    """A\\* from row *start* under the three rules of the module doc.
+
+    The bound must be admissible but need not be consistent: a row whose
+    distance improves after its expansion is re-opened, so the goal's
+    first pop is still optimal.  Every row expands with a key within the
+    final limit, so the expanded set is every row reachable by a path
+    whose every prefix stays within it, whatever the pop order.  An
+    expanded row's distance is final once the limit stops the search or
+    the heap runs dry: a later improvement has a smaller key, so it
+    re-expands first.  A stopping goal's own distance is final at its
+    pop, and that pop is never cut.  ``goal = -1`` means no goal.
+    """
+    n = len(indptr) - 1
+    best = [inf] * n
+    dist = [inf] * n
+    parent = [-1] * n
+    h: "list[float | None]" = [None] * n if bound is not None else []
+    order: list[int] = []
+    pop = heapq.heappop
+    push = heapq.heappush
+    hit = None
+    cut = False
+
+    best[start] = 0.0
+    heap: list[tuple[float, float, int]] = [
+        (0.0 if bound is None else bound(start), 0.0, start)]
+    while heap:
+        key, d, u = pop(heap)
+        if d > best[u]:
+            continue  # superseded by a re-opening
+        if u == goal:
+            if margin is not None:
+                limit = d + margin(d)
+                goal = -1
+        elif key > limit:
+            cut = True
+            break
+        if dist[u] == inf:
+            order.append(u)
+        dist[u] = d
+        if u == goal:
+            break
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbrs[k]
+            nd = d + weights[k]
+            if v < 0:
+                if nd <= gap:
+                    hit = (u, k, nd)
+                    break
+            elif nd < best[v]:
+                best[v] = nd
+                parent[v] = u
+                if bound is None:
+                    push(heap, (nd, nd, v))
+                else:
+                    hv = h[v]
+                    if hv is None:
+                        hv = h[v] = bound(v)
+                    push(heap, (nd + hv, nd, v))
+        else:
+            continue
+        break  # a gap
+    return Search(dist, parent, order, hit, cut)
+
+
+class IndexedSearchResult:
+    """A :func:`search` over a :class:`GraphIndex`, readable by node id.
+
+    ``dist`` and ``parent`` are arrays keyed by node *index*;
+    ``settled_order`` lists expanded indices in expansion order.
     """
 
     __slots__ = ("index", "source", "dist", "parent", "settled_order")
 
-    def __init__(self, index: GraphIndex, source: int, dist: "list[float]",
-                 parent: "list[int]", settled_order: "list[int]") -> None:
+    def __init__(self, index: GraphIndex, source: int, run: Search) -> None:
         self.index = index
         self.source = source
-        #: Settled distance per node index (``inf`` when unsettled).
-        self.dist = dist
-        #: Predecessor node index per node index (-1 at the source/unreached).
-        self.parent = parent
-        #: Node indices in settlement order.
-        self.settled_order = settled_order
+        self.dist = run.dist
+        self.parent = run.parent
+        self.settled_order = run.order
 
-    # -- id-keyed adapters ---------------------------------------------
     def settled_ids(self) -> "list[int]":
         """Ids of all settled nodes, in settlement order."""
         ids = self.index.ids
         return [ids[i] for i in self.settled_order]
 
-    def settled_items(self) -> "list[tuple[int, float]]":
-        """``(node id, distance)`` for all settled nodes, in settle order."""
-        ids = self.index.ids
-        dist = self.dist
-        return [(ids[i], dist[i]) for i in self.settled_order]
-
     def distances(self) -> "dict[int, float]":
-        """Id-keyed settled-distance mapping (dict-kernel compatible)."""
-        return dict(self.settled_items())
+        """Settled distance by node id, in settlement order."""
+        ids, dist = self.index.ids, self.dist
+        return {ids[i]: dist[i] for i in self.settled_order}
 
     def dist_of(self, node_id: int) -> "float | None":
         """Settled distance of *node_id*, or ``None`` when unsettled."""
@@ -101,6 +182,31 @@ class IndexedSearchResult:
         return Path(nodes=tuple(nodes), cost=self.dist[t])
 
 
+def indexed_search(
+    index: GraphIndex,
+    source: int,
+    target: "int | None" = None,
+    *,
+    bound: "Callable[[int], float] | None" = None,
+    margin: "Callable[[float], float] | None" = None,
+    limit: float = inf,
+) -> IndexedSearchResult:
+    """:func:`search` from node id *source* towards *target* (or no goal).
+
+    Raises :class:`GraphError` for an unknown node.  A target the search
+    does not reach stays unsettled, so ``path_to`` raises
+    :class:`NoPathError`.
+    """
+    index_of = index.index_of
+    for role, node_id in (("source", source), ("target", target)):
+        if node_id is not None and node_id not in index_of:
+            raise GraphError(f"unknown {role} node {node_id}")
+    run = search(index.indptr, index.neighbors, index.weights,
+                 index_of[source], index_of.get(target, -1),
+                 bound=bound, margin=margin, limit=limit)
+    return IndexedSearchResult(index, source, run)
+
+
 def indexed_dijkstra(
     index: GraphIndex,
     source: int,
@@ -108,235 +214,14 @@ def indexed_dijkstra(
     target: "int | None" = None,
     radius: "float | None" = None,
 ) -> IndexedSearchResult:
-    """Run Dijkstra from *source* over the compiled arrays.
-
-    Mirrors :func:`repro.shortestpath.dijkstra.dijkstra` exactly: with
-    *target* it stops when the target is settled; with *radius* it
-    settles every node at distance <= radius (radius takes precedence
-    for stopping); with neither it settles the component.
-    """
-    try:
-        s = index.index_of[source]
-    except KeyError:
-        raise GraphError(f"unknown source node {source}") from None
-    t = -1
-    if target is not None:
-        try:
-            t = index.index_of[target]
-        except KeyError:
-            raise GraphError(f"unknown target node {target}") from None
-
-    n = index.num_nodes
-    indptr = index.indptr
-    nbrs = index.neighbors
-    wts = index.weights
-    dist = [inf] * n
-    best = [inf] * n
-    parent = [-1] * n
-    settled = bytearray(n)
-    order: list[int] = []
-
-    best[s] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, s)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    bounded = radius is not None
-
-    while heap:
-        d, u = pop(heap)
-        if settled[u]:
-            continue  # stale entry
-        if bounded and d > radius:
-            break
-        settled[u] = 1
-        dist[u] = d
-        order.append(u)
-        if u == t and not bounded:
-            break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            if settled[v]:
-                continue
-            nd = d + wts[k]
-            if nd < best[v]:
-                best[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    return IndexedSearchResult(index, source, dist, parent, order)
+    """Dijkstra from *source*: with *radius*, settle every node at
+    distance ``<= radius``; else with *target*, stop once it settles;
+    with neither, settle the component."""
+    if radius is not None:
+        return indexed_search(index, source, limit=radius)
+    return indexed_search(index, source, target)
 
 
 def indexed_shortest_path(index: GraphIndex, source: int, target: int) -> Path:
     """Shortest path between two nodes (raises :class:`NoPathError`)."""
-    return indexed_dijkstra(index, source, target=target).path_to(target)
-
-
-def indexed_ball(
-    index: GraphIndex,
-    source: int,
-    target: int,
-) -> IndexedSearchResult:
-    """One fused expansion: settle *target*, then fill the Lemma-1 ball.
-
-    Equivalent to a target-mode run followed by a radius-mode run with
-    ``radius = dist(source, target)`` — DIJ needs both the path and the
-    ball, and the two runs share their entire prefix, so fusing them
-    halves its search cost.
-    Identical output is guaranteed because the heap/relaxation sequence
-    matches the separate runs step for step: parents of settled nodes
-    are frozen, so the path is the target-run's path, and the settled
-    set is the radius-run's ball.
-
-    When the target is unreachable, the returned result leaves it
-    unsettled (``path_to`` raises :class:`NoPathError`), matching the
-    unbounded kernel.
-    """
-    try:
-        s = index.index_of[source]
-    except KeyError:
-        raise GraphError(f"unknown source node {source}") from None
-    try:
-        t = index.index_of[target]
-    except KeyError:
-        raise GraphError(f"unknown target node {target}") from None
-
-    n = index.num_nodes
-    indptr = index.indptr
-    nbrs = index.neighbors
-    wts = index.weights
-    dist = [inf] * n
-    best = [inf] * n
-    parent = [-1] * n
-    settled = bytearray(n)
-    order: list[int] = []
-
-    best[s] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, s)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    radius = inf
-
-    while heap:
-        d, u = pop(heap)
-        if settled[u]:
-            continue  # stale entry
-        if d > radius:
-            break
-        settled[u] = 1
-        dist[u] = d
-        order.append(u)
-        if u == t:
-            radius = d
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            if settled[v]:
-                continue
-            nd = d + wts[k]
-            if nd < best[v]:
-                best[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    return IndexedSearchResult(index, source, dist, parent, order)
-
-
-def indexed_cone(
-    index: GraphIndex,
-    source: int,
-    target: int,
-    bound: "Callable[[int], float]",
-    *,
-    margin: "Callable[[float], float]",
-    radius: "float | None" = None,
-) -> IndexedSearchResult:
-    """Label-correcting A* under *bound*, out to the Lemma-2 radius.
-
-    ``bound(i)`` lower-bounds the distance from node index ``i`` to
-    *target*.  It is called once per node the search reaches, so its
-    cost follows the cone, not the graph.  It must be admissible but
-    need not be consistent, so a node whose distance improves after its
-    expansion is re-opened and the target's first pop is still optimal.
-    When the target first pops at distance ``d`` the search admits only
-    keys ``<= d + margin(d)``; a given *radius* sets that limit from the
-    first pop instead, and the target's pop then changes nothing.  Every
-    node expands with a key within the final limit, so the expanded set
-    is every node reachable by a path whose every prefix stays within
-    it: whatever order a search under the same bound pops in, it pops
-    nothing outside that set.
-
-    ``settled_order`` lists expanded indices in first-expansion order,
-    and ``dist`` holds their final distances (``inf`` elsewhere, the
-    unexpanded frontier included).  A target the limit cuts off stays
-    unexpanded, so ``path_to`` raises :class:`NoPathError` only then.
-    """
-    try:
-        s = index.index_of[source]
-    except KeyError:
-        raise GraphError(f"unknown source node {source}") from None
-    try:
-        t = index.index_of[target]
-    except KeyError:
-        raise GraphError(f"unknown target node {target}") from None
-
-    n = index.num_nodes
-    indptr = index.indptr
-    nbrs = index.neighbors
-    wts = index.weights
-    best = [inf] * n
-    parent = [-1] * n
-    h: "list[float | None]" = [None] * n
-    expanded = bytearray(n)
-    order: list[int] = []
-
-    best[s] = 0.0
-    heap: list[tuple[float, float, int]] = [(bound(s), 0.0, s)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    limit = inf if radius is None else radius
-    waiting = radius is None
-
-    while heap:
-        key, d, u = pop(heap)
-        if d > best[u]:
-            continue  # superseded by a re-opening
-        if key > limit:
-            break
-        if not expanded[u]:
-            expanded[u] = 1
-            order.append(u)
-        if u == t and waiting:
-            limit = d + margin(d)
-            waiting = False
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            nd = d + wts[k]
-            if nd < best[v]:
-                best[v] = nd
-                parent[v] = u
-                hv = h[v]
-                if hv is None:
-                    hv = h[v] = bound(v)
-                push(heap, (nd + hv, nd, v))
-    # An expanded node's distance is final: a later improvement has a
-    # smaller key, so it re-expands before the limit stops the search.
-    dist = [inf] * n
-    for u in order:
-        dist[u] = best[u]
-    return IndexedSearchResult(index, source, dist, parent, order)
-
-
-def indexed_multi_source(index: GraphIndex, sources: "list[int]"):
-    """Distances from each source to every node, as a dense array.
-
-    Pure-Python reference for
-    :func:`repro.shortestpath.bulk.multi_source_distances`: returns a
-    ``(len(sources), |V|)`` float64 NumPy array in index (== ascending
-    id) order, with ``inf`` for unreachable nodes.
-    """
-    import numpy as np
-
-    out = np.empty((len(sources), index.num_nodes))
-    for row, source in enumerate(sources):
-        if source not in index.index_of:
-            raise GraphError(f"unknown source node {source}")
-        result = indexed_dijkstra(index, source)
-        out[row] = result.dist
-    return out
+    return indexed_search(index, source, target).path_to(target)

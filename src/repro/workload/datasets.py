@@ -28,7 +28,7 @@ from repro.errors import WorkloadError
 from repro.graph.components import largest_component
 from repro.graph.graph import SpatialGraph
 from repro.graph.synthetic import road_network
-from repro.shortestpath.dijkstra import dijkstra
+from repro.shortestpath.kernel import indexed_search
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ def _approximate_diameter(graph: SpatialGraph, sweeps: int = 2) -> float:
     start = ids[0]
     best = 0.0
     for _ in range(sweeps):
-        result = dijkstra(graph, start)
-        far_node, far_dist = max(result.dist.items(), key=lambda kv: kv[1])
+        result = indexed_search(graph.to_index(), start)
+        far_node, far_dist = max(result.distances().items(), key=lambda kv: kv[1])
         best = max(best, far_dist)
         start = far_node
     return best

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.graph.graph import SpatialGraph
-from repro.shortestpath.dijkstra import dijkstra
+from repro.shortestpath.kernel import indexed_search
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ def generate_workload(
         raise WorkloadError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     ids = graph.node_ids()
+    index = graph.to_index()
     queries: list[tuple[int, int]] = []
     attempts = 0
     max_attempts = max_attempts_factor * count
@@ -67,10 +68,11 @@ def generate_workload(
                 f"beyond the network diameter?"
             )
         source = ids[rng.randrange(len(ids))]
-        ball = dijkstra(graph, source, radius=query_range * (1 + tolerance))
+        ball = indexed_search(index, source,
+                              limit=query_range * (1 + tolerance))
         best_target = None
         best_error = float("inf")
-        for node, dist in ball.dist.items():
+        for node, dist in ball.distances().items():
             if node == source:
                 continue
             error = abs(dist - query_range)

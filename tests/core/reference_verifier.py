@@ -43,7 +43,7 @@ from repro.graph.tuples import (
 )
 from repro.hiti.partition import GridSpec
 from repro.landmarks.compression import lemma4_lower_bound
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestSubgraphDropAttack:
         still reconstructs, the reported path is genuine, and the only
         evidence of the shorter route is the withheld tuples.
         """
-        from repro.shortestpath.dijkstra import dijkstra
+        from tests.shortestpath.reference import dijkstra
 
         attacks = 0
         for vs, vt in workload.queries[:4]:

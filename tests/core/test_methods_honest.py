@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.method import get_method
 from repro.core.proofs import QueryResponse
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 METHOD_NAMES = ["DIJ", "FULL", "LDM", "HYP"]
 

@@ -12,7 +12,7 @@ from repro.graph.synthetic import road_network
 from repro.graph.tuples import HypTuple
 from repro.hiti.hyperedges import compute_hyperedges
 from repro.hiti.partition import GridPartition
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 from repro.workload.queries import generate_workload
 
 

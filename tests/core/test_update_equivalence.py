@@ -18,7 +18,7 @@ from repro.core.method import get_method
 from repro.crypto.signer import NullSigner
 from repro.errors import GraphError
 from repro.service.server import ProofServer, UpdateRequest
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 from repro.workload.updates import (
     ADD_EDGE,
     REMOVE_EDGE,

@@ -13,7 +13,7 @@ from repro.hiti.hyperedges import (
     triangle_size,
 )
 from repro.hiti.partition import GridPartition
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 
 @pytest.fixture(scope="module")

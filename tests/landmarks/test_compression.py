@@ -14,7 +14,7 @@ from repro.landmarks.quantization import loose_lower_bound, quantize_vectors
 from repro.landmarks.selection import farthest_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.order import hilbert_order
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 
 @pytest.fixture(scope="module")

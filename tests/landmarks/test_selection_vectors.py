@@ -7,7 +7,7 @@ from repro.errors import GraphError
 from repro.graph.synthetic import road_network
 from repro.landmarks.selection import farthest_landmarks, random_landmarks, select_landmarks
 from repro.landmarks.vectors import LandmarkVectors, exact_lower_bound
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,11 @@
-"""Dijkstra's algorithm with early termination and radius expansion.
+"""Test-only shortest path references.
 
-Both stopping modes the paper needs are supported:
-
-* *target* — stop as soon as the target is settled (provider answering
-  a query);
-* *radius* — settle **every** node whose distance is at most the
-  radius (the DIJ subgraph proof of Lemma 1 needs exactly the set
-  ``{v : dist(vs, v) <= dist(vs, vt)}``).
+The dict-of-dicts Dijkstra (with the *target* and *radius* stopping
+modes the paper needs), the textbook Floyd-Warshall of the paper's FULL
+precomputation (§IV-B), and a per-source multi-source loop over the
+index kernel.  None of them serves a query: each is the independent
+answer the production search (:mod:`repro.shortestpath.kernel`) and
+the SciPy backends (:mod:`repro.shortestpath.bulk`) are held to.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import GraphError, NoPathError
 from repro.graph.graph import SpatialGraph
+from repro.graph.index import GraphIndex
+from repro.shortestpath.kernel import indexed_dijkstra
 from repro.shortestpath.path import Path
 
 
@@ -92,3 +93,56 @@ def shortest_path(graph: SpatialGraph, source: int, target: int) -> Path:
     """The shortest path between two nodes (raises :class:`NoPathError`)."""
     result = dijkstra(graph, source, target=target)
     return result.path_to(target)
+
+
+INF = float("inf")
+
+
+def floyd_warshall(graph: SpatialGraph) -> "tuple[list[list[float]], list[int]]":
+    """All-pairs shortest path distances.
+
+    Returns ``(matrix, ids)`` where ``matrix[i][j]`` is the distance
+    between ``ids[i]`` and ``ids[j]`` (``inf`` when disconnected).
+    """
+    ids = graph.node_ids()
+    index_of = {node_id: i for i, node_id in enumerate(ids)}
+    n = len(ids)
+    dist = [[INF] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0.0
+    for u, v, w in graph.edges():
+        i, j = index_of[u], index_of[v]
+        if w < dist[i][j]:
+            dist[i][j] = w
+            dist[j][i] = w
+    for k in range(n):
+        row_k = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == INF:
+                continue
+            row_i = dist[i]
+            for j in range(n):
+                alt = dik + row_k[j]
+                if alt < row_i[j]:
+                    row_i[j] = alt
+    return dist, ids
+
+
+def indexed_multi_source(index: GraphIndex, sources: "list[int]"):
+    """Distances from each source to every node, as a dense array.
+
+    Pure-Python reference for
+    :func:`repro.shortestpath.bulk.multi_source_distances`: returns a
+    ``(len(sources), |V|)`` float64 NumPy array in index (== ascending
+    id) order, with ``inf`` for unreachable nodes.
+    """
+    import numpy as np
+
+    out = np.empty((len(sources), index.num_nodes))
+    for row, source in enumerate(sources):
+        if source not in index.index_of:
+            raise GraphError(f"unknown source node {source}")
+        result = indexed_dijkstra(index, source)
+        out[row] = result.dist
+    return out

