@@ -50,16 +50,7 @@ from repro.service import (
     ProofServer,
     ServedResponse,
     ServerMetrics,
-    ShardRouter,
     UpdateRequest,
-)
-from repro.shard import (
-    CompositeResponse,
-    ShardManifest,
-    build_shards,
-    load_manifest,
-    save_manifest,
-    verify_composite,
 )
 from repro.shortestpath import Path
 from repro.store import load_method, save_method
@@ -102,12 +93,5 @@ __all__ = [
     "load_dataset",
     "save_method",
     "load_method",
-    "ShardRouter",
-    "ShardManifest",
-    "CompositeResponse",
-    "build_shards",
-    "save_manifest",
-    "load_manifest",
-    "verify_composite",
     "__version__",
 ]

@@ -26,8 +26,6 @@ from repro.api.envelope import (
     ErrorMessage,
     HelloReply,
     HelloRequest,
-    ManifestReply,
-    ManifestRequest,
     Message,
     MetricsReply,
     MetricsRequest,
@@ -62,10 +60,6 @@ class RemoteResult:
     response_bytes: "bytes | None"
     wire_bytes: int
     cached: bool = False
-    #: True when ``response_bytes`` holds a stitched cross-shard
-    #: :class:`~repro.shard.stitch.CompositeResponse` instead of a
-    #: plain :class:`~repro.core.proofs.QueryResponse`.
-    composite: bool = False
 
     @property
     def ok(self) -> bool:
@@ -74,28 +68,15 @@ class RemoteResult:
 
     @property
     def response(self) -> "QueryResponse | None":
-        """The decoded response (re-decoded on access; None on error).
-
-        Composite results have no single ``QueryResponse``; use
-        :attr:`composite_response` for those.
-        """
-        if self.response_bytes is None or self.composite:
+        """The decoded response (re-decoded on access; None on error)."""
+        if self.response_bytes is None:
             return None
         return QueryResponse.decode(self.response_bytes)
 
     @property
-    def composite_response(self):
-        """The decoded stitched answer (None unless ``composite``)."""
-        if self.response_bytes is None or not self.composite:
-            return None
-        from repro.shard.stitch import CompositeResponse
-
-        return CompositeResponse.decode(self.response_bytes)
-
-    @property
     def path(self) -> "tuple | None":
-        """``(path_nodes, path_cost)`` regardless of response shape."""
-        decoded = self.composite_response if self.composite else self.response
+        """``(path_nodes, path_cost)`` of the response (None on error)."""
+        decoded = self.response
         if decoded is None:
             return None
         return decoded.path_nodes, decoded.path_cost
@@ -121,9 +102,6 @@ class RemoteClient:
         #: The bytes-first verifier doing the actual checking.
         self.client = Client(verify_signature,
                              min_descriptor_version=min_descriptor_version)
-        #: Cached, already-signature-checked shard manifest (set after
-        #: the first composite reply or an explicit fetch).
-        self._manifest = None
 
     # ------------------------------------------------------------------
     def require_version(self, version: int) -> None:
@@ -192,75 +170,8 @@ class RemoteClient:
             self._exchange(DescriptorRequest(), DescriptorReply))
         return SignedDescriptor.decode(reply.descriptor_bytes), reply.descriptor_bytes
 
-    def fetch_manifest(self):
-        """The served shard manifest: decoded, verified, plus raw bytes.
-
-        Routers only.  The manifest is the sharded counterpart of the
-        descriptor: owner-signed, so the router cannot misrepresent the
-        partition.  Raises :class:`ProtocolError` when the server has
-        none or the bytes do not decode; the signature/freshness check
-        is the returned manifest's and is performed here — a manifest
-        that fails it raises too, since nothing it says can be trusted.
-        """
-        if self.transport is None:
-            raise ProtocolError(
-                "a transport-free client cannot fetch a manifest; its "
-                "caller carries the exchange (interpret_manifest_reply)")
-        reply_frame = self._roundtrip(ManifestRequest().to_frame())
-        return self.interpret_manifest_reply(reply_frame)
-
-    def interpret_manifest_reply(self, reply_frame: bytes):
-        """Decode, verify and adopt one manifest reply frame.
-
-        The transport-free half of :meth:`fetch_manifest`: a driver that
-        carried the exchange on its own connection hands the reply here,
-        and later composite replies verify against the adopted manifest
-        with no further roundtrip.
-        """
-        from repro.shard.manifest import ShardManifest, verify_manifest
-
-        reply = self._raise_on_error(
-            self.interpret_exchange(reply_frame, ManifestReply))
-        try:
-            manifest = ShardManifest.decode(reply.manifest_bytes)
-        except ReproError as exc:
-            raise ProtocolError(f"served manifest does not decode: {exc}") from exc
-        verdict = verify_manifest(manifest, self.client.verify_signature,
-                                  min_version=self.client.min_descriptor_version)
-        if not verdict.ok:
-            raise ProtocolError(
-                f"served manifest rejected ({verdict.reason}): {verdict.detail}"
-            )
-        self._manifest = manifest
-        return manifest, reply.manifest_bytes
-
-    def _composite_verdict(self, source: int, target: int,
-                           composite_bytes: bytes) -> VerificationResult:
-        """Verify a stitched reply, fetching the manifest on first use."""
-        from repro.shard.stitch import verify_composite
-
-        floor = self.client.min_descriptor_version
-        manifest = self._manifest
-        if manifest is None or (floor is not None and manifest.version < floor):
-            try:
-                manifest, _ = self.fetch_manifest()
-            except ProtocolError as exc:
-                return VerificationResult.failure(
-                    codes.MALFORMED_MANIFEST,
-                    f"cannot obtain a trusted shard manifest: {exc}",
-                )
-        return verify_composite(source, target, composite_bytes, manifest,
-                                self.client.verify_signature,
-                                min_version=floor, manifest_verified=True)
-
     def query(self, source: int, target: int) -> RemoteResult:
-        """One verified shortest path query over the wire.
-
-        Against a shard router the reply may be a stitched composite
-        (``result.composite``); the verdict then covers every per-shard
-        segment plus the cross-shard glue (see
-        :func:`repro.shard.stitch.verify_composite`).
-        """
+        """One verified shortest path query over the wire."""
         request = QueryRequest(source, target)
         reply_frame = self._roundtrip(request.to_frame())
         return self.interpret_query_reply(source, target, reply_frame)
@@ -271,7 +182,7 @@ class RemoteClient:
 
         The transport-free half of :meth:`query`: callers that already
         carried the frame (async drivers, recorded traffic) get the
-        identical decoding, composite handling and verification.
+        identical decoding and verification.
         """
         wire_bytes = len(reply_frame)
         message = decode_message(decode_frame(reply_frame))
@@ -285,11 +196,6 @@ class RemoteClient:
             raise ProtocolError(
                 f"expected QueryReply or ErrorMessage, got {type(message).__name__}"
             )
-        if message.composite:
-            verdict = self._composite_verdict(source, target, message.composite)
-            return RemoteResult(source, target, verdict, message.composite,
-                                wire_bytes, cached=message.cached,
-                                composite=True)
         verdict = self.client.verify_bytes(source, target, message.response_bytes)
         return RemoteResult(source, target, verdict, message.response_bytes,
                             wire_bytes, cached=message.cached)
@@ -342,9 +248,8 @@ class RemoteClient:
                 f"batch reply has {len(message.items)} items for "
                 f"{len(pairs)} queries"
             )
-        if message.shared and not message.composite_slots:
+        if message.shared:
             return self._verify_shared(pairs, message, len(reply_frame))
-        composite_slots = frozenset(message.composite_slots)
         # The frame's framing bytes are charged to the batch's first
         # item; per-item payload sizes dominate by orders of magnitude.
         overhead = len(reply_frame) - sum(
@@ -358,14 +263,6 @@ class RemoteClient:
                     VerificationResult.failure(item.error_code, item.error_detail),
                     None, wire,
                 ))
-                continue
-            if index in composite_slots:
-                verdict = self._composite_verdict(source, target,
-                                                  item.response_bytes)
-                results.append(RemoteResult(source, target, verdict,
-                                            item.response_bytes, wire,
-                                            cached=item.cached,
-                                            composite=True))
                 continue
             verdict = self.client.verify_bytes(source, target, item.response_bytes)
             results.append(RemoteResult(source, target, verdict,

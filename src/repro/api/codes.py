@@ -93,25 +93,6 @@ INCOMPLETE_CELL = "incomplete-cell"
 #: HYP: the hyper-edge disclosure between border sets is incomplete.
 INCOMPLETE_HYPEREDGES = "incomplete-hyperedges"
 
-# -- sharded serving (composite responses, manifests) ------------------
-#: The shard manifest is missing, undecodable, or internally broken.
-MALFORMED_MANIFEST = "malformed-manifest"
-#: A composite segment names a shard the manifest does not cover.
-UNKNOWN_SHARD = "unknown-shard"
-#: A segment's embedded descriptor is not the one the manifest pins
-#: for its shard (swapped root or a stale per-shard replay).
-SHARD_DESCRIPTOR_MISMATCH = "shard-descriptor-mismatch"
-#: A stitch junction is not a declared boundary node of the shard that
-#: is supposed to own it, or adjacent segments fail to chain there.
-JUNCTION_MISMATCH = "junction-mismatch"
-#: The concatenated segment paths disagree with the composite's claimed
-#: end-to-end path.
-STITCH_MISMATCH = "stitch-mismatch"
-#: The accepting verdict of a stitched composite, weaker than ``ok``:
-#: every segment is optimal within its shard, but the router's choice
-#: of junctions is not certified, so the path may not be the shortest.
-SHARD_LOCAL_OPTIMAL = "shard-local-optimal"
-
 #: Every reason code a :class:`VerificationResult` may carry.
 VERIFICATION_REASONS = frozenset({
     OK,
@@ -124,8 +105,6 @@ VERIFICATION_REASONS = frozenset({
     SOURCE_MISSING, TARGET_MISSING, WRONG_DISTANCE_TUPLE,
     MISSING_REPRESENTATIVE, ENDPOINT_MISSING, DIRECTORY_MISMATCH,
     INCOMPLETE_CELL, INCOMPLETE_HYPEREDGES,
-    MALFORMED_MANIFEST, UNKNOWN_SHARD, SHARD_DESCRIPTOR_MISMATCH,
-    JUNCTION_MISMATCH, STITCH_MISMATCH, SHARD_LOCAL_OPTIMAL,
 })
 
 # ----------------------------------------------------------------------
@@ -151,15 +130,12 @@ E_INTERNAL = "internal-error"
 #: The request body never arrived in full within the handler timeout
 #: (a short body or a slow-loris client); the connection is closed.
 E_REQUEST_TIMEOUT = "request-timeout"
-#: A router could not reach (or got garbage from) a shard worker the
-#: query needed; the query may succeed once the worker recovers.
-E_SHARD_UNAVAILABLE = "shard-unavailable"
 
 #: Every code a wire-level :class:`ErrorMessage` may carry.
 WIRE_ERRORS = frozenset({
     E_MALFORMED_FRAME, E_UNSUPPORTED_VERSION, E_UNKNOWN_MESSAGE,
     E_BAD_REQUEST, E_QUERY_FAILED, E_UPDATES_DISABLED, E_UPDATE_FAILED,
-    E_INTERNAL, E_REQUEST_TIMEOUT, E_SHARD_UNAVAILABLE,
+    E_INTERNAL, E_REQUEST_TIMEOUT,
 })
 
 #: The complete taxonomy (wire + verification), for documentation tools

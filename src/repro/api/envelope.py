@@ -63,7 +63,6 @@ MSG_BATCH_QUERY = 0x03
 MSG_GET_DESCRIPTOR = 0x04
 MSG_PUSH_UPDATES = 0x05
 MSG_GET_METRICS = 0x06
-MSG_GET_MANIFEST = 0x07
 
 #: Reply types mirror their request with the high bit set.
 REPLY_BIT = 0x80
@@ -73,7 +72,6 @@ MSG_BATCH_OK = MSG_BATCH_QUERY | REPLY_BIT
 MSG_DESCRIPTOR_OK = MSG_GET_DESCRIPTOR | REPLY_BIT
 MSG_UPDATE_OK = MSG_PUSH_UPDATES | REPLY_BIT
 MSG_METRICS_OK = MSG_GET_METRICS | REPLY_BIT
-MSG_MANIFEST_OK = MSG_GET_MANIFEST | REPLY_BIT
 
 #: Protocol-level failure reply (any request may draw one).
 MSG_ERROR = 0x7F
@@ -248,26 +246,15 @@ class QueryReply(Message):
     provider produced it — the wire adds framing around the proof, never
     inside it, so a remote verification sees byte-identical input to an
     in-process one.  ``cached`` is advisory (latency attribution).
-
-    ``composite`` is the append-only sharded-serving extension: when
-    non-empty it holds one encoded
-    :class:`~repro.shard.stitch.CompositeResponse` (a stitched
-    cross-shard answer) and ``response_bytes`` is empty.  It is written
-    only when present, so single-box replies are byte-identical to
-    before, and the decoder defaults a missing tail to ``b""`` —
-    replies from older builds still parse.
     """
 
     response_bytes: bytes
     cached: bool = False
-    composite: bytes = b""
     MSG_TYPE: ClassVar[int] = MSG_QUERY_OK
 
     def encode(self) -> bytes:
         enc = Encoder()
         enc.write_bytes(self.response_bytes).write_bool(self.cached)
-        if self.composite:
-            enc.write_bytes(self.composite)
         return enc.getvalue()
 
     @classmethod
@@ -275,11 +262,8 @@ class QueryReply(Message):
         dec = cls._decoder(payload)
         response_bytes = _strict(cls.__name__, dec.read_bytes)
         cached = _strict(cls.__name__, dec.read_bool)
-        composite = b""
-        if dec.remaining:
-            composite = _strict(cls.__name__, dec.read_bytes)
         cls._finish(dec)
-        return cls(response_bytes, cached, composite)
+        return cls(response_bytes, cached)
 
 
 @dataclass(frozen=True)
@@ -354,18 +338,10 @@ class BatchQueryReply(Message):
     written only when present, so legacy replies are byte-identical to
     before, and the decoder defaults a missing tail to ``b""`` —
     replies from older builds still parse.
-
-    ``composite_slots`` is the second append-only tail (sharded
-    serving): the ascending item indices whose ``response_bytes`` hold
-    an encoded :class:`~repro.shard.stitch.CompositeResponse` instead
-    of a plain ``QueryResponse``.  Because tails are positional, writing
-    it forces the ``shared`` tail to be written too (possibly empty);
-    a reply with neither tail stays byte-identical to legacy ones.
     """
 
     items: tuple
     shared: bytes = b""
-    composite_slots: tuple = ()
     MSG_TYPE: ClassVar[int] = MSG_BATCH_OK
 
     def encode(self) -> bytes:
@@ -379,10 +355,8 @@ class BatchQueryReply(Message):
             else:
                 enc.write_str(item.error_code)
                 enc.write_str(item.error_detail)
-        if self.shared or self.composite_slots:
+        if self.shared:
             enc.write_bytes(self.shared)
-        if self.composite_slots:
-            enc.write_uint_seq(self.composite_slots)
         return enc.getvalue()
 
     @classmethod
@@ -402,11 +376,8 @@ class BatchQueryReply(Message):
         shared = b""
         if dec.remaining:
             shared = _strict(cls.__name__, dec.read_bytes)
-        composite_slots = ()
-        if dec.remaining:
-            composite_slots = tuple(_strict(cls.__name__, dec.read_uint_seq))
         cls._finish(dec)
-        return cls(tuple(items), shared, composite_slots)
+        return cls(tuple(items), shared)
 
 
 @dataclass(frozen=True)
@@ -611,47 +582,6 @@ class MetricsReply(Message):
 
 
 @dataclass(frozen=True)
-class ManifestRequest(Message):
-    """Fetch the owner-signed shard manifest a router serves under."""
-
-    MSG_TYPE: ClassVar[int] = MSG_GET_MANIFEST
-
-    def encode(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "ManifestRequest":
-        if payload:
-            raise ProtocolError(
-                f"ManifestRequest carries no payload, got {len(payload)} bytes"
-            )
-        return cls()
-
-
-@dataclass(frozen=True)
-class ManifestReply(Message):
-    """The signed shard manifest, verbatim (``ShardManifest.encode()``).
-
-    Like :class:`DescriptorReply`, the wire carries the owner-signed
-    bytes untouched — the client decodes and signature-checks them
-    itself, so a router cannot tamper with the partition it advertises.
-    """
-
-    manifest_bytes: bytes
-    MSG_TYPE: ClassVar[int] = MSG_MANIFEST_OK
-
-    def encode(self) -> bytes:
-        return Encoder().write_bytes(self.manifest_bytes).getvalue()
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "ManifestReply":
-        dec = cls._decoder(payload)
-        manifest_bytes = _strict(cls.__name__, dec.read_bytes)
-        cls._finish(dec)
-        return cls(manifest_bytes)
-
-
-@dataclass(frozen=True)
 class ErrorMessage(Message):
     """A protocol-level failure reply.
 
@@ -682,8 +612,7 @@ MESSAGE_TYPES = {
         HelloRequest, HelloReply, QueryRequest, QueryReply,
         BatchQueryRequest, BatchQueryReply, DescriptorRequest,
         DescriptorReply, UpdatePushRequest, UpdateReply,
-        MetricsRequest, MetricsReply, ManifestRequest, ManifestReply,
-        ErrorMessage,
+        MetricsRequest, MetricsReply, ErrorMessage,
     )
 }
 

@@ -14,8 +14,7 @@ protocol layer never looks inside one, so the same
   The connection is **persistent**: frames after the first reuse the
   established HTTP/1.1 keep-alive connection, which is what the server
   side has always advertised — reconnecting per frame buries proof
-  serving time under TCP setup and was precisely the defect behind the
-  sub-1x worker-scaling artifact.
+  serving time under TCP setup.
 * :class:`PooledHttpTransport` — the thread-safe variant for
   multi-threaded load drivers: one persistent connection per calling
   thread, all released by a single ``close()``.
@@ -196,8 +195,7 @@ class PooledHttpTransport(Transport):
     thread its own lazily-dialed persistent transport (thread-local
     lookup, no locking on the hot path) and releases them all in
     ``close()``.  From N driver threads it therefore holds exactly N
-    server-side connections — the pooled persistent-connection client
-    the worker-scaling benchmark drives.
+    server-side connections.
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:

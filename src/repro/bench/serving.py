@@ -13,14 +13,11 @@ serving stack.  Its three inputs are orthogonal:
   plus a coordinator connection that carries the owner's pushes;
 * **a topology** — exactly one of an inline
   :class:`~repro.service.aio.AsyncProofHttpServer` over a
-  :class:`~repro.service.server.ProofServer` for a built method, a
-  :class:`~repro.service.workers.WorkerPool` over an artifact, or any
-  running endpoint by URL (a shard router included).
+  :class:`~repro.service.server.ProofServer` for a built (or loaded)
+  method, or any running endpoint by URL.
 
 **Every reply is verified** by a client holding nothing but the owner's
-public key: single-box proofs, multiproof batch slots and stitched
-cross-shard composites alike (each client fetches and verifies the shard
-manifest over its own connection when the endpoint serves one).  Garbage
+public key: single proofs and multiproof batch slots alike.  Garbage
 events assert the error taxonomy: each hostile frame must draw its
 expected typed outcome, and an untyped exception fails the run.
 
@@ -42,7 +39,6 @@ enforces.  Speed is perfbench's to judge, not this driver's.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -53,7 +49,6 @@ from repro.api.envelope import (
     ErrorMessage,
     HelloReply,
     HelloRequest,
-    ManifestRequest,
     QueryReply,
     QueryRequest,
     SUPPORTED_VERSIONS,
@@ -126,11 +121,6 @@ class AsyncRemoteClient:
         """Negotiate a protocol version; learn what is being served."""
         return await self._exchange(HelloRequest(SUPPORTED_VERSIONS),
                                     HelloReply)
-
-    async def fetch_manifest(self):
-        """Fetch, verify and adopt the served shard manifest (routers)."""
-        reply = await self.transport.roundtrip(ManifestRequest().to_frame())
-        return self.client.interpret_manifest_reply(reply)
 
     async def query(self, source: int, target: int) -> RemoteResult:
         """One verified shortest path query over the wire."""
@@ -234,7 +224,6 @@ class SloReport:
     url: str
     phases: tuple[PhaseReport, ...]
     server_metrics: "dict | None" = None
-    worker_requests: tuple[int, ...] = ()
     final_version: int = 0
     freshness_failures: tuple[str, ...] = ()
 
@@ -308,7 +297,6 @@ class SloReport:
             "total_queries": self.total_queries,
             "updates_pushed": self.updates_pushed,
             "final_version": self.final_version,
-            "worker_requests": list(self.worker_requests),
             "server_metrics": self.server_metrics,
         }
 
@@ -589,20 +577,11 @@ async def _drive(url: str, trace: TrafficTrace, verify_signature, *,
                                  verify_signature)
                for _ in range(clients + 1)]
     coordinator, users = members[0], members[1:]
-
-    async def connect(member) -> HelloReply:
-        hello = await member.hello()
-        # Each client holds its own verified manifest so stitched replies
-        # verify with no extra roundtrip; a single box has none to serve.
-        with contextlib.suppress(ProtocolError):
-            await member.fetch_manifest()
-        return hello
-
     try:
         hellos = []
         for first in range(0, len(members), CONNECT_WAVE):
             hellos.extend(await asyncio.gather(
-                *(connect(m) for m in members[first:first + CONNECT_WAVE])))
+                *(m.hello() for m in members[first:first + CONNECT_WAVE])))
         reports = []
         for phase, events in trace.phases:
             if metrics is not None:
@@ -653,8 +632,6 @@ def run_loadtest(
     *,
     method: "VerificationMethod | None" = None,
     update_signer: "Signer | None" = None,
-    artifact_path: "str | None" = None,
-    workers: int = 1,
     url: "str | None" = None,
     clients: int = DEFAULT_CLIENTS,
     cache_size: int = DEFAULT_CAPACITY,
@@ -666,20 +643,15 @@ def run_loadtest(
     :class:`~repro.service.aio.AsyncProofHttpServer` over a fresh
     :class:`~repro.service.server.ProofServer` (pushes land when
     *update_signer* is given, and each phase carries the server's own
-    metrics window); *artifact_path* boots a
-    :class:`~repro.service.workers.WorkerPool` of *workers* processes
-    (the report gains per-worker request balance); *url* drives an
-    already-running endpoint.  ``time_scale`` stretches (>1) or
+    metrics window); *url* drives an already-running endpoint.  ``time_scale`` stretches (>1) or
     compresses (<1) every open-loop arrival timestamp.
     """
     from repro.service.aio import AsyncProofHttpServer
     from repro.service.server import ProofServer
-    from repro.service.workers import WorkerPool
 
-    if sum(x is not None for x in (method, artifact_path, url)) != 1:
+    if (method is None) == (url is None):
         raise ServiceError(
-            "a load test drives exactly one topology: method, "
-            "artifact_path or url")
+            "a load test drives exactly one topology: method or url")
     if clients < 1:
         raise ServiceError(f"clients must be >= 1, got {clients}")
     if time_scale <= 0:
@@ -699,16 +671,6 @@ def run_loadtest(
 
     if url is not None:
         return run(url)
-    if artifact_path is not None:
-        with WorkerPool(artifact_path, workers=workers,
-                        cache_size=cache_size) as pool:
-            report = run(pool.url)
-        aggregate = pool.aggregate
-        return replace(
-            report,
-            server_metrics=(aggregate.as_dict() if aggregate
-                            else report.server_metrics),
-            worker_requests=tuple(s.requests for s in pool.worker_snapshots))
     server = ProofServer(method, cache_size=cache_size)
     with AsyncProofHttpServer(
             server.dispatcher(update_signer=update_signer)) as http_server:

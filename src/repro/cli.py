@@ -8,16 +8,13 @@ Subcommands::
     repro-spv demo      net.txt --method HYP --queries 3
     repro-spv estimate  net.txt --range 2000
     repro-spv pack      net.txt --method LDM --out de.ldm.rspv --save-key owner.pub
-    repro-spv partition net.txt --shards 4 --out-prefix de --save-key owner.pub
     repro-spv serve     net.txt --method DIJ --workload queries.txt
     repro-spv serve     net.txt --method DIJ --http 8350 --save-key owner.pub
-    repro-spv serve     --artifact de.ldm.rspv --http 8350 --workers 4
-    repro-spv serve     net.txt --router --manifest de.manifest.rspm \\
-                        --shards de.shard0.rspv,de.shard1.rspv --http 8350
+    repro-spv serve     --artifact de.ldm.rspv --http 8350
     repro-spv fetch     http://host:8350 3 9 --out r.bin --descriptor-out d.bin
     repro-spv verify    r.bin --key owner.pub --descriptor d.bin
     repro-spv loadtest  net.txt --method DIJ --range 2000 --passes 3 --updates 2
-    repro-spv loadtest  --artifact de.ldm.rspv --workers 2 --key owner.pub
+    repro-spv loadtest  --artifact de.ldm.rspv --key owner.pub
     repro-spv loadtest  --scenario steady-burst --insecure --slo slo.json
     repro-spv loadtest  net.txt --scenario steady --url http://host:8350 \\
                         --key owner.pub
@@ -26,21 +23,8 @@ Subcommands::
 prints per-query proof sizes; ``estimate`` prints the predictive sizing
 model's ranking without building anything.  ``pack`` builds a method
 once and freezes it into a ``.rspv`` artifact — the owner's offline
-step; ``partition`` is the sharded variant of that step: it cuts the
-graph into k shards, packs each shard as its own ``.rspv`` under its
-own signed descriptor, and writes the owner-signed ``.rspm`` shard
-manifest binding the partition to those descriptors (``info`` on the
-manifest prints the shard map); ``serve --router`` then fronts the
-shard fleet — embedded in-process from ``--shards a.rspv,b.rspv``, or
-remote workers via ``--shard-urls`` — planning on the full graph,
-fanning cross-shard queries out and stitching per-shard proofs into
-one composite the client verifies against the manifest;
-``loadtest --scenario X --url URL`` soaks such an already-running
-router from outside.  ``serve --artifact`` boots from that file
-without the graph or the signer, and with ``--http`` plus ``--workers
-N`` pre-forks N ``SO_REUSEPORT`` worker processes that share the port
-(and the page-cached artifact), printing aggregated metrics on
-shutdown.  ``serve`` answers a request stream (workload file, or
+step; ``serve --artifact`` boots from that file without the graph or
+the signer.  ``serve`` answers a request stream (workload file, or
 interactive ``source target`` lines on stdin) through a cached
 :class:`~repro.service.server.ProofServer` — or, with ``--http PORT``,
 boots the wire-protocol HTTP frontend and serves until interrupted
@@ -52,9 +36,9 @@ the exit code is the verdict, so scripts can gate on it;
 ``loadtest`` drives a traffic trace — a registered ``--scenario`` or a
 replay of one workload for ``--passes`` passes (``--updates N`` owner
 re-weights per pass) — through ``--clients`` verifying clients against
-one topology (the graph built inline, ``--artifact`` behind a
-``--workers`` pool, or ``--url``) and prints one per-phase table; every
-reply is verified, and ``--slo`` gates the report (exit code 3).
+one topology (a server booted in-process over the graph built inline
+or over ``--artifact``, or ``--url``) and prints one per-phase table;
+every reply is verified, and ``--slo`` gates the report (exit code 3).
 """
 
 from __future__ import annotations
@@ -93,11 +77,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.shard import is_manifest
     from repro.store import is_artifact
 
-    if is_manifest(args.graph):
-        return _cmd_info_manifest(args.graph)
     if is_artifact(args.graph):
         return _cmd_info_artifact(args.graph)
     graph = read_graph(args.graph)
@@ -144,32 +125,6 @@ def _cmd_info_artifact(path: str) -> int:
     return 0
 
 
-def _cmd_info_manifest(path: str) -> int:
-    """``info`` on a ``.rspm`` shard manifest: the shard map."""
-    from repro.shard import manifest_info
-
-    info = manifest_info(path)
-    rows = [
-        ["kind", info["kind"]],
-        ["method", info["method"]],
-        ["graph version", info["version"]],
-        ["strategy", info["strategy"]],
-        ["shards", info["shards"]],
-        ["boundary nodes", info["boundary_nodes"]],
-    ]
-    print(format_table(["property", "value"], rows,
-                       title=f"{path} (.rspm shard manifest)"))
-    entry_rows = [
-        [entry["shard"], entry["nodes"], entry["boundary_nodes"],
-         entry["descriptor_digest"]]
-        for entry in info["entries"]
-    ]
-    print()
-    print(format_table(
-        ["shard", "core nodes", "boundary", "descriptor digest"], entry_rows))
-    return 0
-
-
 def _cmd_pack(args: argparse.Namespace) -> int:
     """``pack``: build once (owner side) and freeze the serve state."""
     from repro.store import artifact_info, save_method
@@ -188,61 +143,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
           f"{info.total_bytes / 1024:.1f} KB, "
           f"descriptor version {info.descriptor_version}")
     print(f"content digest {info.content_digest.hex()}")
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    """``partition``: the owner's sharded publish, frozen to disk.
-
-    Cuts the graph into ``--shards`` shards, builds one method per
-    shard (each over its core+halo subgraph, under its own signed
-    descriptor), packs each as ``PREFIX.shard<i>.rspv``, and writes the
-    owner-signed shard manifest as ``PREFIX.manifest.rspm``.
-    """
-    import os
-
-    from repro.shard import build_shards, save_manifest
-    from repro.store import save_method
-
-    graph = read_graph(args.graph)
-    signer = NullSigner() if args.insecure else RsaSigner(bits=1024)
-    params = {}
-    if args.method == "LDM":
-        params = dict(c=args.landmarks)
-    elif args.method == "HYP":
-        params = dict(num_cells=args.cells)
-    start = time.perf_counter()
-    build = build_shards(graph, signer, num_shards=args.shards,
-                         method=args.method, strategy=args.strategy,
-                         **params)
-    build_seconds = time.perf_counter() - start
-    if args.save_key:
-        save_public_key(signer, args.save_key)
-        print(f"wrote owner public key to {args.save_key}")
-    rows = []
-    for shard_id, method in enumerate(build.methods):
-        path = f"{args.out_prefix}.shard{shard_id}.rspv"
-        save_method(method, path)
-        entry = build.manifest.entries[shard_id]
-        rows.append([
-            shard_id, path, entry.num_nodes,
-            method.graph.num_nodes - entry.num_nodes,
-            len(entry.boundary),
-            os.path.getsize(path) / 1024,
-            entry.descriptor_digest.hex()[:16],
-        ])
-    manifest_path = f"{args.out_prefix}.manifest.rspm"
-    manifest_bytes = save_manifest(build.manifest, manifest_path)
-    print(format_table(
-        ["shard", "artifact", "core", "halo", "boundary", "KB", "digest"],
-        rows,
-        title=(f"{args.method} partition of {args.graph}: "
-               f"{args.shards} shards by {args.strategy}, "
-               f"{len(build.plan.cut_edges)} cut edges "
-               f"(build {build_seconds:.2f}s)"),
-    ))
-    print(f"\nwrote signed shard manifest ({manifest_bytes} bytes, "
-          f"graph version {build.manifest.version}) to {manifest_path}")
     return 0
 
 
@@ -358,121 +258,10 @@ def _metrics_table(s, title: str = "serving metrics") -> str:
     )
 
 
-def _cmd_serve_workers(args: argparse.Namespace) -> int:
-    """``serve --artifact --http --workers N``: the pre-forked pool."""
-    from repro.service.workers import WorkerPool
-
-    pool = WorkerPool(args.artifact, workers=args.workers, host=args.host,
-                      port=args.http, cache_size=args.cache_size)
-    pool.start()
-    print(f"{args.workers} workers serving {args.artifact} on "
-          f"{pool.url} (SO_REUSEPORT, cache {args.cache_size} per worker); "
-          f"POST frames to {pool.url}/rpc, Ctrl-C to stop", flush=True)
-    try:
-        while True:
-            time.sleep(3600.0)
-    except KeyboardInterrupt:
-        print("\nshutting down workers")
-    finally:
-        aggregate = pool.stop()
-    print(_metrics_table(aggregate, title="aggregated serving metrics"))
-    per_worker = ", ".join(str(s.requests) for s in pool.worker_snapshots)
-    print(f"requests per worker: [{per_worker}]")
-    return 0
-
-
-def _cmd_serve_router(args: argparse.Namespace) -> int:
-    """``serve --router``: front a shard fleet on one wire endpoint.
-
-    The graph positional is the *full* network — the router plans
-    global shortest paths on it, then fans segments out to the shard
-    workers.  Workers come from ``--shard-urls`` (already-running
-    remote endpoints, one pooled connection each) or ``--shards``
-    (per-shard ``.rspv`` artifacts served embedded in this process —
-    the single-box demo of the sharded topology).
-    """
-    import contextlib
-
-    from repro.api.transport import InProcessTransport, PooledHttpTransport
-    from repro.service.aio import AsyncProofHttpServer
-    from repro.service.router import ShardRouter
-    from repro.shard import load_manifest
-    from repro.store import load_method
-
-    if args.http is None:
-        raise ServiceError(
-            "serve --router fronts the wire protocol; add --http PORT")
-    if not args.graph:
-        raise ServiceError(
-            "serve --router needs the full graph file for route planning")
-    if args.artifact:
-        raise ServiceError(
-            "--artifact is the single-box path; a router takes --shards "
-            "(artifact list) or --shard-urls")
-    if not args.manifest:
-        raise ServiceError(
-            "serve --router needs --manifest (the signed .rspm file "
-            "written by repro-spv partition)")
-    if bool(args.shards) == bool(args.shard_urls):
-        raise ServiceError(
-            "serve --router needs exactly one of --shards (embedded "
-            "workers from artifacts) or --shard-urls (remote workers)")
-    manifest = load_manifest(args.manifest)
-    graph = read_graph(args.graph)
-    with contextlib.ExitStack() as stack:
-        if args.shard_urls:
-            backends = [url.strip() for url in args.shard_urls.split(",")]
-            transports = [
-                stack.enter_context(PooledHttpTransport(url))
-                for url in backends
-            ]
-            source = f"remote workers {backends}"
-        else:
-            paths = [path.strip() for path in args.shards.split(",")]
-            transports = []
-            for path in paths:
-                server = ProofServer(load_method(path),
-                                     cache_size=args.cache_size)
-                transports.append(InProcessTransport(server.dispatcher()))
-            source = f"embedded workers from {paths}"
-        router = stack.enter_context(
-            ShardRouter(manifest, transports, graph))
-        http_server = AsyncProofHttpServer(router, host=args.host,
-                                           port=args.http)
-        print(f"{manifest.method} shard router on {http_server.url}: "
-              f"{manifest.num_shards} shards "
-              f"({manifest.num_boundary_nodes} boundary nodes, "
-              f"manifest {args.manifest}), {source}; "
-              f"POST frames to {http_server.url}/rpc, Ctrl-C to stop",
-              flush=True)
-        try:
-            http_server.serve_forever()
-        except KeyboardInterrupt:
-            print("\nshutting down router")
-        finally:
-            http_server.close()
-        print(_metrics_table(router.metrics.snapshot(),
-                             title="router metrics"))
-    return 0
-
-
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     """``serve --http``: the wire-protocol frontend, until interrupted."""
     from repro.service.aio import AsyncProofHttpServer
 
-    if args.workers > 1:
-        if not args.artifact:
-            raise ServiceError(
-                "serve --http --workers N pre-forks worker processes, which "
-                "boot from a shared artifact; pack one first "
-                "(repro-spv pack) and pass --artifact"
-            )
-        if args.allow_updates:
-            raise ServiceError(
-                "worker processes hold no signing key; updates flow through "
-                "a new artifact from the owner, not wire pushes"
-            )
-        return _cmd_serve_workers(args)
     owner, method, build_seconds = _serving_method(args)
     if args.save_key:
         if owner is None:
@@ -482,8 +271,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             )
         save_public_key(owner.signer, args.save_key)
         print(f"wrote owner public key to {args.save_key}")
-    server = ProofServer(method, cache_size=args.cache_size,
-                         max_workers=args.workers)
+    server = ProofServer(method, cache_size=args.cache_size)
     # The wire protocol carries no authentication, so honouring update
     # pushes means anyone who can reach the socket can mutate the graph
     # and have this process re-sign it with the owner's key.  That is
@@ -520,12 +308,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.router:
-        return _cmd_serve_router(args)
-    if args.manifest or args.shards or args.shard_urls:
-        raise ServiceError(
-            "--manifest/--shards/--shard-urls configure the shard router; "
-            "add --router")
     if args.http is not None:
         return _cmd_serve_http(args)
     owner, method, build_seconds = _serving_method(args)
@@ -539,14 +321,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"wrote owner public key to {args.save_key}")
     verify_signature = _verifier_for(owner, args)
     client = Client(verify_signature) if verify_signature else None
-    server = ProofServer(method, cache_size=args.cache_size,
-                         max_workers=args.workers)
+    server = ProofServer(method, cache_size=args.cache_size)
     queries = _read_requests(args)
     server.reset_metrics()  # exclude stream reading from the window
-    if args.workers > 1:
-        served = server.answer_concurrent(queries)
-    else:
-        served = server.answer_many(queries)
+    served = server.answer_many(queries)
     snapshot = server.snapshot()  # freeze before verification/printing
     failures = 0
     rows = []
@@ -586,23 +364,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _loadtest_topology(args: argparse.Namespace):
     """``(owner | None, method | None, trace graph, source label)``.
 
-    Inline (a graph file, or the standard synthetic network for a
-    scenario) builds the method and keeps the owner, whose signer lands
-    the trace's pushes; ``--artifact`` and ``--url`` only need the graph
-    the endpoint answers about, to draw the trace from.
+    A graph file (or the standard synthetic network for a scenario)
+    builds the method and keeps the owner, whose signer lands the
+    trace's pushes; ``--artifact`` loads the method without a signer,
+    so pushes are dropped; ``--url`` only needs the graph the endpoint
+    answers about, to draw the trace from.
     """
-    if args.workers > 1 and not args.artifact:
-        raise ServiceError(
-            "--workers sizes a pre-forked worker pool, which boots from a "
-            "shared artifact; pack one first (repro-spv pack) and pass "
-            "--artifact")
     if args.artifact:
-        from repro.store import load_method
-
-        if args.graph:
-            raise ServiceError("pass a graph file or --artifact, not both")
-        return (None, None, load_method(args.artifact).graph,
-                f"artifact {args.artifact}, {args.workers} workers")
+        owner, method, _ = _serving_method(args)
+        return owner, method, method.graph, f"artifact {args.artifact}"
     if args.url:
         if not args.graph:
             raise ServiceError(
@@ -631,7 +401,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if owner is None and (args.save_key or args.updates):
         raise ServiceError(
             "--save-key and --updates need the owner's signer, which only "
-            "the inline topology (a graph file) holds")
+            "a build from a graph file holds")
     verify_signature = _verifier_for(owner, args)
     if verify_signature is None:
         raise ServiceError(
@@ -655,7 +425,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     report = run_loadtest(
         trace, verify_signature, method=method,
         update_signer=owner.signer if owner is not None else None,
-        artifact_path=args.artifact, workers=args.workers, url=args.url,
+        url=args.url,
         clients=args.clients, cache_size=args.cache_size,
         time_scale=args.time_scale,
     )
@@ -672,8 +442,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
           f"(final version {report.final_version}), "
           f"{report.verification_failures} verification failures, "
           f"{report.untyped_garbage} untyped garbage exceptions")
-    if report.worker_requests:
-        print(f"requests per worker: {list(report.worker_requests)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             json.dump(report.as_dict(), out, indent=2, sort_keys=True)
@@ -732,9 +500,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         print(f"wrote response ({len(result.response_bytes)} bytes, "
               f"{result.wire_bytes} on the wire) to {args.out}")
         if args.key:
-            verdict = result.verdict
-            print(f"verdict: {verdict.reason}"
-                  + (f" ({verdict.detail})" if verdict.ok and verdict.detail else ""))
+            print(f"verdict: {result.verdict.reason}")
             return 0 if result.ok else 1
         print("verdict: not checked (no --key); verify offline with "
               "`repro-spv verify`")
@@ -853,30 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "boxes never see the private key")
     pack.set_defaults(fn=_cmd_pack)
 
-    part = sub.add_parser(
-        "partition",
-        help="cut a graph into shards: per-shard .rspv artifacts plus a "
-             "signed .rspm shard manifest")
-    part.add_argument("graph")
-    part.add_argument("--shards", type=int, default=2,
-                      help="number of shards to cut the graph into")
-    part.add_argument("--strategy", choices=["hilbert", "grid"],
-                      default="hilbert",
-                      help="spatial ordering behind the balanced cut")
-    part.add_argument("--method", choices=["DIJ", "FULL", "LDM", "HYP"],
-                      default="DIJ")
-    part.add_argument("--landmarks", type=int, default=50)
-    part.add_argument("--cells", type=int, default=49)
-    part.add_argument("--insecure", action="store_true",
-                      help="use the keyed-hash stub signer (fast, no RSA)")
-    part.add_argument("--out-prefix", required=True,
-                      help="writes PREFIX.shard<i>.rspv and "
-                           "PREFIX.manifest.rspm")
-    part.add_argument("--save-key",
-                      help="also write the owner's public key file — one "
-                           "key verifies every shard and the manifest")
-    part.set_defaults(fn=_cmd_partition)
-
     def add_server_args(p: argparse.ArgumentParser,
                         default_method: str) -> None:
         p.add_argument("graph", nargs="?",
@@ -892,10 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the keyed-hash stub signer (fast, no RSA)")
         p.add_argument("--cache-size", type=int, default=1024,
                        help="LRU proof cache capacity")
-        p.add_argument("--workers", type=int, default=1,
-                       help="with --artifact over the wire: number of "
-                            "pre-forked SO_REUSEPORT worker processes; "
-                            "serve without --http: thread-pool size")
         p.add_argument("--save-key",
                        help="write the owner's public key file (for "
                             "`repro-spv verify` / RemoteClient users)")
@@ -918,20 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="honour wire update pushes by re-signing with "
                             "the owner key (UNAUTHENTICATED — trusted "
                             "networks only; default: refuse pushes)")
-    serve.add_argument("--router", action="store_true",
-                       help="front a sharded fleet: plan on the full graph, "
-                            "fan cross-shard queries out, stitch proofs "
-                            "(needs --manifest plus --shards or "
-                            "--shard-urls, and --http)")
-    serve.add_argument("--manifest",
-                       help="signed .rspm shard manifest "
-                            "(from repro-spv partition)")
-    serve.add_argument("--shards",
-                       help="comma-separated per-shard .rspv artifacts, "
-                            "served embedded in the router process")
-    serve.add_argument("--shard-urls",
-                       help="comma-separated base URLs of already-running "
-                            "shard workers (one pooled connection each)")
     serve.set_defaults(fn=_cmd_serve)
 
     fetch = sub.add_parser(
@@ -986,9 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "steady-burst) instead of a replay; self-provisions "
                          "a synthetic network when no graph is given")
     lt.add_argument("--url",
-                    help="drive this already-running endpoint (e.g. a shard "
-                         "router) instead of booting a server; needs the "
-                         "graph positional (workload substrate) and --key")
+                    help="drive this already-running endpoint instead of "
+                         "booting a server; needs the graph positional "
+                         "(workload substrate) and --key")
     lt.add_argument("--clients", type=int, default=DEFAULT_CLIENTS,
                     help="verifying clients, one persistent connection each")
     lt.add_argument("--time-scale", type=float, default=1.0,

@@ -24,7 +24,6 @@ from repro.service.cache import CacheEntry, CacheStats, ProofCache
 from repro.service.metrics import (
     MetricsSnapshot,
     ServerMetrics,
-    merge_snapshots,
     percentile,
 )
 from repro.service.server import (
@@ -33,9 +32,7 @@ from repro.service.server import (
     ServedResponse,
     UpdateRequest,
 )
-from repro.service.router import ShardRouter
 from repro.service.sync import ReadWriteLock
-from repro.service.workers import WorkerPool
 
 __all__ = [
     "ProofServer",
@@ -49,8 +46,5 @@ __all__ = [
     "CacheStats",
     "ServerMetrics",
     "MetricsSnapshot",
-    "WorkerPool",
-    "ShardRouter",
-    "merge_snapshots",
     "percentile",
 ]

@@ -403,9 +403,7 @@ class AsyncProofHttpServer:
     embedded mode tests and load drivers use); :meth:`serve_forever`
     blocks the caller until :meth:`close` (the CLI mode).  The listening
     socket is bound in the constructor, so ``port`` is resolved (and
-    ``url`` usable) before the loop ever runs.  ``reuse_port=True``
-    joins an ``SO_REUSEPORT`` group so sibling worker processes can
-    share the port.
+    ``url`` usable) before the loop ever runs.
 
     Long-lived connections are bounded on three axes:
     ``handler_timeout`` caps how long one connection may stall (between
@@ -416,7 +414,7 @@ class AsyncProofHttpServer:
     """
 
     def __init__(self, dispatcher, *, host: str = "127.0.0.1",
-                 port: int = 0, reuse_port: bool = False,
+                 port: int = 0,
                  handler_timeout: float = DEFAULT_HANDLER_TIMEOUT,
                  max_keepalive_requests: int = DEFAULT_MAX_KEEPALIVE_REQUESTS,
                  max_connections: int = DEFAULT_MAX_CONNECTIONS,
@@ -455,7 +453,7 @@ class AsyncProofHttpServer:
         self.max_connections = max_connections
         self.drain_timeout = drain_timeout
         self._backlog = backlog
-        self._sock = self._bind(host, port, reuse_port)
+        self._sock = self._bind(host, port)
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_workers or _default_dispatch_workers(),
             thread_name_prefix=f"repro-aio-dispatch-{self.port}",
@@ -473,21 +471,13 @@ class AsyncProofHttpServer:
         self._closed = False
 
     @staticmethod
-    def _bind(host: str, port: int, reuse_port: bool) -> socket.socket:
+    def _bind(host: str, port: int) -> socket.socket:
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         sock = socket.socket(family, socket.SOCK_STREAM)
         try:
             # A restarted server must be able to rebind its port while
             # the previous run's connections sit in TIME_WAIT.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuse_port:
-                if not hasattr(socket, "SO_REUSEPORT"):
-                    raise ServiceError(
-                        "this platform has no SO_REUSEPORT; multi-worker "
-                        "serving needs one listening socket per process on "
-                        "a shared port"
-                    )
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             sock.bind((host, port))
         except OSError as exc:
             sock.close()

@@ -236,69 +236,3 @@ class ServerMetrics:
             )
         return snapshot
 
-
-def merge_snapshots(
-    snapshots: "list[MetricsSnapshot | None]",
-    *,
-    labels: "list[str] | None" = None,
-) -> MetricsSnapshot:
-    """Aggregate per-worker windows into one fleet view.
-
-    Counters and byte totals sum; ``elapsed_seconds`` is the longest
-    window (the workers ran concurrently, not back to back); latency
-    percentiles are request-weighted means of the per-worker
-    percentiles — an approximation (true fleet percentiles need the
-    raw samples), good enough for the operator table it feeds.
-
-    ``None`` entries are skipped: a worker that crashed mid-soak never
-    reported a final window, and the survivors' aggregate is still the
-    honest fleet view (the pool reports the crash separately).  The
-    merged ``phase`` label is kept only when every surviving window
-    agrees on it — mixed-phase merges are unlabeled.
-
-    ``labels`` (parallel to *snapshots*) relabels each surviving window
-    before the merge — how a shard router tags its workers' windows
-    ``shard0..shardN`` so the consensus rule applies to shard identity:
-    one shard's windows keep the label, a cross-shard fleet merge drops
-    it.
-    """
-    if labels is not None:
-        if len(labels) != len(snapshots):
-            raise ValueError(
-                f"{len(labels)} labels for {len(snapshots)} snapshots"
-            )
-        from dataclasses import replace
-
-        snapshots = [
-            None if s is None else replace(s, phase=label)
-            for s, label in zip(snapshots, labels)
-        ]
-    snapshots = [s for s in snapshots if s is not None]
-    if not snapshots:
-        return MetricsSnapshot(0, 0.0, 0, 0, 0, 0.0, 0.0)
-    requests = sum(s.requests for s in snapshots)
-
-    def weighted(attribute: str) -> float:
-        if not requests:
-            return 0.0
-        return sum(getattr(s, attribute) * s.requests
-                   for s in snapshots) / requests
-
-    labels = {s.phase for s in snapshots}
-    return MetricsSnapshot(
-        requests=requests,
-        elapsed_seconds=max(s.elapsed_seconds for s in snapshots),
-        cache_hits=sum(s.cache_hits for s in snapshots),
-        cache_misses=sum(s.cache_misses for s in snapshots),
-        proof_bytes=sum(s.proof_bytes for s in snapshots),
-        p50_ms=weighted("p50_ms"),
-        p95_ms=weighted("p95_ms"),
-        updates=sum(s.updates for s in snapshots),
-        update_seconds=sum(s.update_seconds for s in snapshots),
-        cache_evictions=sum(s.cache_evictions for s in snapshots),
-        cache_invalidations=sum(s.cache_invalidations for s in snapshots),
-        cache_entries=sum(s.cache_entries for s in snapshots),
-        cache_capacity=sum(s.cache_capacity for s in snapshots),
-        p99_ms=weighted("p99_ms"),
-        phase=labels.pop() if len(labels) == 1 else "",
-    )

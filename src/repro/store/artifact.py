@@ -69,7 +69,7 @@ def load_method(path: str, *, expect_method: "str | None" = None,
     """Reconstruct a serving-capable method from an artifact.
 
     ``mmap=True`` (default) maps the numeric sections copy-on-write —
-    cold start touches almost none of the big sections, and N worker
+    cold start touches almost none of the big sections, and
     processes loading the same file share one page-cached copy.
     ``verify=True`` checks every section digest up front; disabling it
     is only sensible for files this very process just wrote.

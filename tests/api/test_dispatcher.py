@@ -14,6 +14,31 @@ def roundtrip(dispatcher, message):
     return E.decode_message(E.decode_frame(dispatcher.dispatch(message.to_frame())))
 
 
+REQUESTS = [
+    E.HelloRequest((1,)),
+    E.QueryRequest(3, 9),
+    E.BatchQueryRequest(((3, 9), (4, 8))),
+    E.BatchQueryRequest(((3, 9), (4, 8)), multiproof=True),
+    E.DescriptorRequest(),
+    E.UpdatePushRequest((E.WireUpdate("update-weight", 3, 9, 1.0),)),
+    E.MetricsRequest(),
+]
+
+REPLIES = [
+    E.HelloReply(1, "DIJ", 1),
+    E.QueryReply(b"x", False),
+    E.BatchQueryReply((E.BatchItem(b"x", False),)),
+    E.DescriptorReply(b"descriptor"),
+    E.UpdateReply("incremental", 2, 1, 0, 0.01, 2),
+    E.MetricsReply(1, 1.0, 1, 0, 10, 0.1, 0.2),
+    E.ErrorMessage(codes.E_INTERNAL, "boom"),
+]
+
+
+def _name(message):
+    return type(message).__name__
+
+
 class TestHello:
     def test_negotiates_highest_shared_version(self, dispatcher, dij):
         reply = roundtrip(dispatcher, E.HelloRequest((1,)))
@@ -145,6 +170,32 @@ class TestProtocolErrors:
     def test_reply_types_are_not_requests(self, dispatcher):
         reply = roundtrip(dispatcher, E.QueryReply(b"x", False))
         assert isinstance(reply, E.ErrorMessage)
+        assert reply.code == codes.E_UNKNOWN_MESSAGE
+
+    @pytest.mark.parametrize("request_message", REQUESTS, ids=_name)
+    def test_request_with_a_stray_tail_is_malformed(self, dispatcher,
+                                                    workload,
+                                                    request_message):
+        # The byte that follows a complete request is refused before
+        # any handler runs, and the server keeps answering.
+        frame = E.encode_frame(request_message.MSG_TYPE,
+                               request_message.encode() + b"\xff")
+        reply = E.decode_message(E.decode_frame(dispatcher.dispatch(frame)))
+        assert reply.code == codes.E_MALFORMED_FRAME
+        assert isinstance(roundtrip(dispatcher, E.QueryRequest(*workload[0])),
+                          E.QueryReply)
+
+    @pytest.mark.parametrize("reply_message", REPLIES, ids=_name)
+    def test_every_reply_type_is_refused(self, dispatcher, reply_message):
+        # A server takes requests only; nothing consumes another
+        # server's replies.
+        reply = roundtrip(dispatcher, reply_message)
+        assert isinstance(reply, E.ErrorMessage)
+        assert reply.code == codes.E_UNKNOWN_MESSAGE
+
+    def test_retired_manifest_reply_type_is_unknown(self, dispatcher):
+        frame = E.encode_frame(0x07 | E.REPLY_BIT, b"signed-manifest")
+        reply = E.decode_message(E.decode_frame(dispatcher.dispatch(frame)))
         assert reply.code == codes.E_UNKNOWN_MESSAGE
 
     def test_all_emitted_codes_are_registered(self, dispatcher, workload):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import codes
 from repro.api import envelope as E
+from repro.encoding import Encoder
 from repro.errors import ProtocolError, UnsupportedVersionError
 
 
@@ -15,21 +17,19 @@ ROUND_TRIP_MESSAGES = [
     E.QueryRequest(3, 9),
     E.QueryReply(b"\x00\x01payload", cached=True),
     E.QueryReply(b"", cached=False),
-    E.QueryReply(b"", cached=True, composite=b"stitched-composite"),
     E.BatchQueryRequest(((1, 2), (3, 4), (5, 6))),
+    E.BatchQueryRequest(((1, 2), (3, 4)), multiproof=True),
     E.BatchQueryReply((
         E.BatchItem(b"resp-a", True),
         E.BatchItem(None, False, "query-failed", "unknown node 77"),
         E.BatchItem(b"resp-b", False),
     )),
     E.BatchQueryReply((
-        E.BatchItem(b"plain", False),
-        E.BatchItem(b"composite-bytes", True),
-    ), composite_slots=(1,)),
+        E.BatchItem(b"", True),
+        E.BatchItem(None, False, "query-failed", "unknown node 77"),
+    ), shared=b"multiproof-bytes"),
     E.DescriptorRequest(),
     E.DescriptorReply(b"descriptor-bytes"),
-    E.ManifestRequest(),
-    E.ManifestReply(b"signed-manifest-bytes"),
     E.UpdatePushRequest((
         E.WireUpdate("update-weight", 3, 9, 17.25),
         E.WireUpdate("add-edge", 1, 2, 4.0),
@@ -42,6 +42,10 @@ ROUND_TRIP_MESSAGES = [
                    cache_entries=40, cache_capacity=64),
     E.ErrorMessage("malformed-frame", "bad magic"),
 ]
+
+#: Messages whose layout ends in an append-only extension: a payload
+#: cut where the extension begins is the older layout, and decodes.
+ADDITIVE_LAYOUTS = (E.BatchQueryRequest, E.BatchQueryReply, E.MetricsReply)
 
 
 class TestFrameLayer:
@@ -93,6 +97,28 @@ class TestMessageRoundTrips:
         decoded = E.decode_message(E.decode_frame(message.to_frame()))
         assert decoded == message
 
+    @pytest.mark.parametrize(
+        "message", ROUND_TRIP_MESSAGES, ids=lambda m: type(m).__name__)
+    def test_stray_trailing_byte_is_rejected(self, message):
+        """Nothing may follow a complete message.  The stray byte is
+        ``0xff`` because an append-only tail legitimately absorbs a
+        ``0x00`` (an explicit ``False`` flag or an empty ``shared``)."""
+        with pytest.raises(ProtocolError):
+            type(message).decode(message.encode() + b"\xff")
+
+    @pytest.mark.parametrize(
+        "message", [m for m in ROUND_TRIP_MESSAGES if m.encode()],
+        ids=lambda m: type(m).__name__)
+    def test_every_truncation_is_rejected_or_an_older_layout(self, message):
+        payload = message.encode()
+        for cut in range(len(payload)):
+            try:
+                decoded = type(message).decode(payload[:cut])
+            except ProtocolError:
+                continue
+            assert isinstance(message, ADDITIVE_LAYOUTS), cut
+            assert type(decoded) is type(message)
+
     def test_metrics_reply_accepts_pre_cache_counter_layout(self):
         """Additive evolution: frames from builds without the cache
         counters still decode, with the counters defaulting to zero."""
@@ -115,31 +141,30 @@ class TestMessageRoundTrips:
         with pytest.raises(ProtocolError):
             E.MetricsReply.decode(full[:-2])
 
-    def test_query_reply_composite_tail_is_additive(self):
-        """A pre-sharding QueryReply layout (no composite tail) decodes
-        with ``composite`` empty, and an empty composite writes no tail —
-        old and new builds exchange plain replies byte-identically."""
-        plain = E.QueryReply(b"resp", cached=True)
-        assert E.QueryReply.decode(plain.encode()).composite == b""
-        bare = E.QueryReply(b"", cached=False)
-        stitched = E.QueryReply(b"", cached=False, composite=b"xyz")
-        assert len(bare.encode()) < len(stitched.encode())
-        assert E.QueryReply.decode(stitched.encode()).composite == b"xyz"
-
-    def test_batch_reply_composite_slots_force_shared_tail(self):
-        """``composite_slots`` is the second tail field, so writing it
-        forces the ``shared`` tail out too (possibly empty)."""
-        reply = E.BatchQueryReply(
-            (E.BatchItem(b"a", False), E.BatchItem(b"c", False)),
-            composite_slots=(1,),
-        )
-        decoded = E.BatchQueryReply.decode(reply.encode())
-        assert decoded.composite_slots == (1,)
-        assert decoded.shared == b""
-
-    def test_manifest_request_rejects_payload(self):
+    def test_query_reply_with_a_composite_tail_is_rejected(self):
+        """The sharded-serving layout appended a stitched composite after
+        ``cached``; the strict decoder now reads it as trailing bytes."""
+        payload = (Encoder().write_bytes(b"").write_bool(False)
+                   .write_bytes(b"stitched-composite").getvalue())
         with pytest.raises(ProtocolError):
-            E.ManifestRequest.decode(b"\x01")
+            E.QueryReply.decode(payload)
+
+    def test_batch_reply_with_a_slots_tail_is_rejected(self):
+        """The sharded-serving layout followed the (possibly empty)
+        ``shared`` tail with a list of composite slot indices; the
+        strict decoder now reads it as trailing bytes."""
+        enc = Encoder().write_uint(2)
+        for response in (b"plain", b"composite-bytes"):
+            enc.write_bool(True).write_bytes(response).write_bool(False)
+        enc.write_bytes(b"").write_uint_seq((1,))
+        with pytest.raises(ProtocolError):
+            E.BatchQueryReply.decode(enc.getvalue())
+
+    def test_manifest_request_type_is_unknown(self, dispatcher):
+        """Type 0x07 (the shard manifest request) is not routable."""
+        frame = E.encode_frame(0x07, b"")
+        reply = E.decode_message(E.decode_frame(dispatcher.dispatch(frame)))
+        assert reply.code == codes.E_UNKNOWN_MESSAGE
 
     def test_unknown_message_type(self):
         frame = E.Frame(E.PROTOCOL_VERSION, 0x55, b"")

@@ -23,6 +23,17 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 LITERAL_CALL = re.compile(r"failure\(\s*\n?\s*\"([a-z0-9-]+)\"", re.MULTILINE)
 CONSTANT_CALL = re.compile(r"failure\(\s*\n?\s*codes\.([A-Z0-9_]+)", re.MULTILINE)
 
+#: The sharded tier's codes, deleted with it: (constant name, code).
+RETIRED_CODES = [
+    ("MALFORMED_MANIFEST", "malformed-manifest"),
+    ("UNKNOWN_SHARD", "unknown-shard"),
+    ("SHARD_DESCRIPTOR_MISMATCH", "shard-descriptor-mismatch"),
+    ("JUNCTION_MISMATCH", "junction-mismatch"),
+    ("STITCH_MISMATCH", "stitch-mismatch"),
+    ("SHARD_LOCAL_OPTIMAL", "shard-local-optimal"),
+    ("E_SHARD_UNAVAILABLE", "shard-unavailable"),
+]
+
 
 def emitted_reason_codes() -> set:
     """Every reason code the library can emit, from the source."""
@@ -64,6 +75,16 @@ class TestRegistryCompleteness:
                      "BAD_SIGNATURE", "STALE_DESCRIPTOR", "ROOT_MISMATCH",
                      "NOT_OPTIMAL", "E_MALFORMED_FRAME", "E_QUERY_FAILED"):
             assert hasattr(codes, name), name
+
+    @pytest.mark.parametrize("name, code", RETIRED_CODES,
+                             ids=[code for _, code in RETIRED_CODES])
+    def test_retired_shard_codes_are_gone(self, name, code):
+        # Only stitched composites and the shard router emitted these;
+        # ``shard-local-optimal`` was the one accepting verdict weaker
+        # than ``ok``.
+        assert not hasattr(codes, name)
+        assert code not in codes.ALL_CODES
+        assert code not in emitted_reason_codes()
 
 
 class TestClientUsesTheTaxonomy:

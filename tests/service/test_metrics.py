@@ -118,111 +118,6 @@ class TestCacheCounters:
         assert snap.cache_capacity == 1
 
 
-class TestMergeSnapshots:
-    """Fleet aggregation across worker windows, crashes included."""
-
-    def _window(self, requests, *, p50=1.0, p95=2.0, p99=3.0, hits=0,
-                phase="", entries=0, capacity=8, elapsed=1.0):
-        from repro.service.metrics import MetricsSnapshot
-
-        return MetricsSnapshot(
-            requests=requests, elapsed_seconds=elapsed, cache_hits=hits,
-            cache_misses=requests - hits, proof_bytes=100 * requests,
-            p50_ms=p50, p95_ms=p95, p99_ms=p99, phase=phase,
-            cache_entries=entries, cache_capacity=capacity,
-        )
-
-    def test_empty_pool_merges_to_zero(self):
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([])
-        assert merged.requests == 0
-        assert merged.qps == 0.0
-        assert merged.p99_ms == 0.0
-        assert merged.phase == ""
-
-    def test_crashed_workers_are_skipped(self):
-        """A worker that died mid-soak reports ``None``; survivors still
-        produce the honest fleet view, and an all-dead pool is empty."""
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([self._window(10, hits=4), None,
-                                  self._window(30, hits=6), None])
-        assert merged.requests == 40
-        assert merged.cache_hits == 10
-        assert merged.cache_misses == 30
-        assert merged.proof_bytes == 4000
-        assert merge_snapshots([None, None]).requests == 0
-
-    def test_percentiles_are_request_weighted(self):
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([
-            self._window(10, p99=10.0), self._window(30, p99=2.0)])
-        assert merged.p99_ms == pytest.approx((10 * 10.0 + 30 * 2.0) / 40)
-        assert merged.p50_ms == pytest.approx(1.0)
-
-    def test_zero_request_merge_has_zero_percentiles(self):
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([self._window(0), self._window(0)])
-        assert merged.requests == 0
-        assert merged.p50_ms == 0.0 and merged.p99_ms == 0.0
-
-    def test_cache_stats_sum_across_workers(self):
-        """Each worker owns a private LRU, so entries and capacity sum."""
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([
-            self._window(5, entries=3, capacity=8),
-            self._window(5, entries=8, capacity=8)])
-        assert merged.cache_entries == 11
-        assert merged.cache_capacity == 16
-
-    def test_elapsed_is_concurrent_not_serial(self):
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([
-            self._window(5, elapsed=2.0), self._window(5, elapsed=3.5)])
-        assert merged.elapsed_seconds == 3.5
-
-    def test_phase_label_requires_consensus(self):
-        from repro.service.metrics import merge_snapshots
-
-        agree = merge_snapshots([self._window(1, phase="burst"),
-                                 self._window(1, phase="burst")])
-        assert agree.phase == "burst"
-        mixed = merge_snapshots([self._window(1, phase="burst"),
-                                 self._window(1, phase="steady")])
-        assert mixed.phase == ""
-
-    def test_labels_relabel_before_merge(self):
-        from repro.service.metrics import merge_snapshots
-
-        windows = [self._window(2, phase="x"), self._window(3, phase="y")]
-        same = merge_snapshots(windows, labels=["shard0", "shard0"])
-        assert same.phase == "shard0"
-        assert same.requests == 5
-        mixed = merge_snapshots(windows, labels=["shard0", "shard1"])
-        assert mixed.phase == ""
-
-    def test_labels_skip_crashed_slots(self):
-        from repro.service.metrics import merge_snapshots
-
-        merged = merge_snapshots([self._window(2), None],
-                                 labels=["shard0", "shard1"])
-        assert merged.phase == "shard0"
-        assert merged.requests == 2
-
-    def test_labels_length_must_match(self):
-        import pytest
-
-        from repro.service.metrics import merge_snapshots
-
-        with pytest.raises(ValueError, match="labels"):
-            merge_snapshots([self._window(1)], labels=["a", "b"])
-
-
 class TestPhaseWindows:
     """``begin_phase`` / ``end_phase`` windowing on a live metrics object."""
 

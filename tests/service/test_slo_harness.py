@@ -148,7 +148,7 @@ class TestSloGate:
                            garbage_untyped=0, updates_pushed=0)
         report = SloReport(scenario="s", method="DIJ", seed=1,
                            trace_digest="x", clients=1, url="local", phases=(warm,), server_metrics=None,
-                           worker_requests=(), final_version=0,
+                           final_version=0,
                            freshness_failures=())
         assert check_slo(report, SloPolicy(max_p99_ms=1.0)) == []
 
@@ -301,10 +301,11 @@ def test_pushes_are_dropped_without_an_update_signer(road300, signer):
 def test_driver_validates_before_connecting(road300, signer):
     trace = replay_trace(road300, [(1, 2)])
     url = "http://127.0.0.1:1"  # nothing listens: validation comes first
+    method = DataOwner(road300.copy(), signer=signer).publish("DIJ")
     with pytest.raises(ServiceError, match="exactly one topology"):
         run_loadtest(trace, signer.verify)
     with pytest.raises(ServiceError, match="exactly one topology"):
-        run_loadtest(trace, signer.verify, url=url, artifact_path="a.rspv")
+        run_loadtest(trace, signer.verify, url=url, method=method)
     with pytest.raises(ServiceError, match="clients"):
         run_loadtest(trace, signer.verify, url=url, clients=0)
 

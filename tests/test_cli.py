@@ -89,12 +89,6 @@ class TestServe:
         assert code == 0, out
         assert "serving metrics" in out
 
-    def test_concurrent_workers(self, graph_file, workload_file, capsys):
-        code = main(["serve", str(graph_file), "--method", "DIJ",
-                     "--workload", str(workload_file), "--insecure",
-                     "--workers", "3"])
-        assert code == 0, capsys.readouterr().out
-
     def test_bad_query_gets_error_row_not_abort(self, graph_file, tmp_path,
                                                 capsys):
         path = tmp_path / "q.txt"
@@ -146,15 +140,15 @@ class TestLoadtest:
         assert code == 0, out
         assert "2 update pushes" in out
 
-    def test_workers_need_an_artifact(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file), "--insecure",
-                     "--workers", "2"])
-        assert code == 2
-        assert "--artifact" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,flag", [("loadtest", "--http"),
                                               ("loadtest", "--no-coalesce"),
-                                              ("serve", "--no-coalesce")])
+                                              ("loadtest", "--workers"),
+                                              ("serve", "--no-coalesce"),
+                                              ("serve", "--router"),
+                                              ("serve", "--manifest"),
+                                              ("serve", "--shards"),
+                                              ("serve", "--shard-urls"),
+                                              ("serve", "--workers")])
     def test_removed_flags_are_rejected(self, graph_file, capsys, command,
                                         flag):
         # loadtest always crosses the wire; every burst takes one path.
@@ -163,11 +157,18 @@ class TestLoadtest:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_bench_is_not_a_subcommand(self, graph_file, capsys):
+    @pytest.mark.parametrize("command", ["bench", "partition"])
+    def test_bench_is_not_a_subcommand(self, graph_file, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", str(graph_file)])
+            main([command, str(graph_file)])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_loadtest_url_requires_key(self, graph_file, capsys):
+        code = main(["loadtest", str(graph_file),
+                     "--url", "http://127.0.0.1:1"])
+        assert code == 2
+        assert "--key" in capsys.readouterr().err
 
 
 class TestScenarioLoadtest:
@@ -529,25 +530,19 @@ class TestPackAndArtifactServe:
                      str(artifact)]) == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_http_workers_require_artifact(self, graph_file, capsys):
-        code = main(["serve", str(graph_file), "--insecure",
-                     "--http", "0", "--workers", "2"])
-        assert code == 2
-        assert "artifact" in capsys.readouterr().err
-
     def test_loadtest_artifact_requires_key(self, packed, capsys):
         artifact, _ = packed
         assert main(["loadtest", "--artifact", str(artifact)]) == 2
         assert "--key" in capsys.readouterr().err
 
-    def test_loadtest_against_a_worker_pool(self, packed, capsys):
+    def test_loadtest_from_an_artifact(self, packed, capsys):
         artifact, key = packed
-        code = main(["loadtest", "--artifact", str(artifact), "--workers",
-                     "2", "--key", str(key), "--range", "1000", "--count",
-                     "4"])
+        code = main(["loadtest", "--artifact", str(artifact), "--key",
+                     str(key), "--range", "1000", "--count", "4"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "requests per worker" in out
+        assert "0 verification failures" in out
+        assert "requests per worker" not in out
 
 
 class TestErrors:
@@ -559,66 +554,3 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main([])
 
-
-class TestPartition:
-    def test_partition_writes_shards_and_manifest(self, graph_file, tmp_path,
-                                                  capsys):
-        prefix = tmp_path / "de"
-        key = tmp_path / "owner.pub"
-        code = main(["partition", str(graph_file), "--shards", "2",
-                     "--insecure", "--out-prefix", str(prefix),
-                     "--save-key", str(key)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shard manifest" in out
-        assert key.exists()
-        assert (tmp_path / "de.shard0.rspv").exists()
-        assert (tmp_path / "de.shard1.rspv").exists()
-        assert (tmp_path / "de.manifest.rspm").exists()
-
-    def test_info_recognizes_manifest(self, graph_file, tmp_path, capsys):
-        prefix = tmp_path / "de"
-        assert main(["partition", str(graph_file), "--shards", "2",
-                     "--insecure", "--out-prefix", str(prefix)]) == 0
-        capsys.readouterr()
-        assert main(["info", str(tmp_path / "de.manifest.rspm")]) == 0
-        out = capsys.readouterr().out
-        assert "shard manifest" in out
-        assert "boundary" in out
-        assert "descriptor digest" in out
-
-
-class TestRouterValidation:
-    def test_router_requires_manifest(self, graph_file, capsys):
-        code = main(["serve", str(graph_file), "--router", "--http", "0",
-                     "--shards", "a.rspv,b.rspv"])
-        assert code == 2
-        assert "--manifest" in capsys.readouterr().err
-
-    def test_router_requires_exactly_one_worker_source(self, graph_file,
-                                                       tmp_path, capsys):
-        manifest = tmp_path / "m.rspm"
-        manifest.write_bytes(b"RSPM")
-        code = main(["serve", str(graph_file), "--router", "--http", "0",
-                     "--manifest", str(manifest)])
-        assert code == 2
-        assert "exactly one" in capsys.readouterr().err
-        code = main(["serve", str(graph_file), "--router", "--http", "0",
-                     "--manifest", str(manifest),
-                     "--shards", "a.rspv", "--shard-urls", "http://x"])
-        assert code == 2
-        assert "exactly one" in capsys.readouterr().err
-
-    def test_router_flags_without_router(self, graph_file, tmp_path, capsys):
-        manifest = tmp_path / "m.rspm"
-        manifest.write_bytes(b"RSPM")
-        code = main(["serve", str(graph_file), "--insecure",
-                     "--manifest", str(manifest)])
-        assert code == 2
-        assert "--router" in capsys.readouterr().err
-
-    def test_loadtest_url_requires_key(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file),
-                     "--url", "http://127.0.0.1:1"])
-        assert code == 2
-        assert "--key" in capsys.readouterr().err

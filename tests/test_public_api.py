@@ -1,10 +1,30 @@
 """Public API surface tests: everything documented must import and work."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(repro.__file__).parent
+
+#: Every module in the package, read off the source tree so that adding
+#: or deleting a module needs no edit here.
+SUBMODULES = sorted(
+    ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+    .removesuffix(".__init__")
+    for path in SRC.rglob("*.py") if path.name != "__main__.py")
+
+#: Modules of the sharded and pre-forked topologies, deleted with them.
+REMOVED_MODULES = [
+    "repro.shard",
+    "repro.shard.manifest",
+    "repro.shard.partition",
+    "repro.shard.stitch",
+    "repro.service.router",
+    "repro.service.workers",
+]
 
 
 class TestTopLevel:
@@ -18,62 +38,21 @@ class TestTopLevel:
     def test_method_registry_complete(self):
         assert set(repro.METHODS) == {"DIJ", "FULL", "LDM", "HYP"}
 
-    @pytest.mark.parametrize("module", [
-        "repro.api",
-        "repro.api.codes",
-        "repro.api.envelope",
-        "repro.api.dispatcher",
-        "repro.api.transport",
-        "repro.api.client",
-        "repro.encoding",
-        "repro.errors",
-        "repro.cli",
-        "repro.crypto",
-        "repro.crypto.hashing",
-        "repro.crypto.primes",
-        "repro.crypto.rsa",
-        "repro.crypto.signer",
-        "repro.graph",
-        "repro.graph.graph",
-        "repro.graph.tuples",
-        "repro.graph.io",
-        "repro.graph.synthetic",
-        "repro.graph.components",
-        "repro.order",
-        "repro.merkle",
-        "repro.shortestpath",
-        "repro.landmarks",
-        "repro.hiti",
-        "repro.core",
-        "repro.core.estimate",
-        "repro.workload",
-        "repro.bench",
-        "repro.bench.serving",
-        "repro.service",
-        "repro.service.cache",
-        "repro.service.metrics",
-        "repro.service.server",
-        "repro.service.aio",
-        "repro.service.workers",
-        "repro.service.router",
-        "repro.shard",
-        "repro.shard.partition",
-        "repro.shard.manifest",
-        "repro.shard.stitch",
-        "repro.store",
-        "repro.store.pack",
-        "repro.store.artifact",
-        "repro.core.state",
-    ])
+    @pytest.mark.parametrize("module", SUBMODULES)
     def test_submodules_import(self, module):
         assert importlib.import_module(module) is not None
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_subpackage_all_exports_resolve(self):
         for module_name in ("repro.graph", "repro.order", "repro.merkle",
                             "repro.shortestpath", "repro.landmarks",
                             "repro.hiti", "repro.core", "repro.workload",
                             "repro.crypto", "repro.bench", "repro.service",
-                            "repro.api", "repro.shard"):
+                            "repro.api"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name}"
