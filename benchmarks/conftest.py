@@ -15,7 +15,9 @@ once across all figures.  Environment knobs:
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import statistics
 
 import pytest
 
@@ -25,6 +27,11 @@ from repro.core.method import get_method
 from repro.crypto.signer import NullSigner
 from repro.workload.datasets import load_dataset
 from repro.workload.queries import generate_workload
+from tests.shortestpath.reference import one_ball_reply
+
+#: Table row for the DIJ replies actually served (two half-balls); the
+#: paper-figure tests size DIJ's own bar as the paper's one ball.
+SERVED_DIJ = "DIJ served"
 
 #: Paper defaults (Table II; bold values).
 DEFAULT_DATASET = "DE"
@@ -102,10 +109,34 @@ class BenchContext:
     # -- runners -------------------------------------------------------
     def measure(self, method_name: str, dataset: str = DEFAULT_DATASET,
                 scale: float = DEFAULT_SCALE, query_range: float = DEFAULT_RANGE,
-                **overrides):
+                *, paper: bool = False, **overrides):
+        """``(method, run)`` over the workload.  With *paper*, a DIJ
+        run's sizes are the paper's accounting: the one Lemma-1 ball
+        B_s(D) per query, sized test-side, in place of the two
+        half-balls served (timings stay the served replies')."""
         method = self.method(method_name, dataset, scale, **overrides)
         workload = self.workload(dataset, scale, query_range)
-        return method, run_workload(method, workload, self.signer.verify)
+        run = run_workload(method, workload, self.signer.verify)
+        if paper and method_name == "DIJ":
+            run = _sized_as(run, [one_ball_reply(method, vs, vt).sizes()
+                                  for vs, vt in workload])
+        return method, run
+
+
+def _sized_as(run, sizes):
+    """*run* with its size means taken over *sizes* (as the harness
+    takes them over the served replies)."""
+    def mean(values):
+        return statistics.fmean(values)
+
+    return dataclasses.replace(
+        run,
+        total_kb=mean(s.total_kbytes for s in sizes),
+        s_prf_kb=mean(s.s_prf_bytes / 1024 for s in sizes),
+        t_prf_kb=mean((s.t_prf_bytes + s.path_bytes) / 1024 for s in sizes),
+        s_items=mean(s.s_items for s in sizes),
+        t_items=mean(s.t_items for s in sizes),
+    )
 
 
 @pytest.fixture(scope="session")

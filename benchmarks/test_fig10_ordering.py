@@ -10,7 +10,7 @@ import statistics
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import SERVED_DIJ, emit
 
 ORDERINGS = ["bfs", "dfs", "hbt", "kd", "rand"]
 METHODS = ["DIJ", "FULL", "LDM", "HYP"]
@@ -18,17 +18,20 @@ METHODS = ["DIJ", "FULL", "LDM", "HYP"]
 
 @pytest.fixture(scope="module")
 def fig10_runs(ctx):
-    return {
-        (ordering, name): ctx.measure(name, ordering=ordering)[1]
+    runs = {
+        (ordering, name): ctx.measure(name, ordering=ordering, paper=True)[1]
         for ordering in ORDERINGS
         for name in METHODS
     }
+    for ordering in ORDERINGS:
+        runs[(ordering, SERVED_DIJ)] = ctx.measure("DIJ", ordering=ordering)[1]
+    return runs
 
 
 def test_fig10_ordering_effect(ctx, fig10_runs, results, benchmark):
     rows = []
     for ordering in ORDERINGS:
-        for name in METHODS:
+        for name in METHODS + [SERVED_DIJ]:
             run = fig10_runs[(ordering, name)]
             rows.append([ordering, name, run.s_prf_kb, run.t_prf_kb, run.total_kb])
             results.add("fig10", ordering=ordering, method=name,

@@ -9,7 +9,7 @@
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import SERVED_DIJ, emit
 
 FANOUTS = [2, 4, 8, 16, 32]
 RANGES = [250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0]
@@ -18,17 +18,20 @@ METHODS = ["DIJ", "FULL", "LDM", "HYP"]
 
 @pytest.fixture(scope="module")
 def fanout_runs(ctx):
-    return {
-        (fanout, name): ctx.measure(name, fanout=fanout)[1]
+    runs = {
+        (fanout, name): ctx.measure(name, fanout=fanout, paper=True)[1]
         for fanout in FANOUTS
         for name in METHODS
     }
+    for fanout in FANOUTS:
+        runs[(fanout, SERVED_DIJ)] = ctx.measure("DIJ", fanout=fanout)[1]
+    return runs
 
 
 def test_fig11a_fanout(ctx, fanout_runs, results, benchmark):
     rows = []
     for fanout in FANOUTS:
-        for name in METHODS:
+        for name in METHODS + [SERVED_DIJ]:
             run = fanout_runs[(fanout, name)]
             rows.append([fanout, name, run.t_prf_kb, run.total_kb])
             results.add("fig11a", fanout=fanout, method=name,
@@ -53,17 +56,22 @@ def test_fig11a_fanout(ctx, fanout_runs, results, benchmark):
 
 @pytest.fixture(scope="module")
 def range_runs(ctx):
-    return {
-        (query_range, name): ctx.measure(name, query_range=query_range)[1]
+    runs = {
+        (query_range, name): ctx.measure(name, query_range=query_range,
+                                              paper=True)[1]
         for query_range in RANGES
         for name in METHODS
     }
+    for query_range in RANGES:
+        runs[(query_range, SERVED_DIJ)] = ctx.measure(
+            "DIJ", query_range=query_range)[1]
+    return runs
 
 
 def test_fig11b_query_range(ctx, range_runs, results, benchmark):
     rows = []
     for query_range in RANGES:
-        for name in METHODS:
+        for name in METHODS + [SERVED_DIJ]:
             run = range_runs[(query_range, name)]
             rows.append([int(query_range), name, run.total_kb])
             results.add("fig11b", query_range=query_range, method=name,

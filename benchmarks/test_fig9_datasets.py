@@ -10,7 +10,7 @@ construction time explodes with |V| while LDM/HYP grow gently
 
 import pytest
 
-from benchmarks.conftest import SWEEP_SCALE, emit
+from benchmarks.conftest import SERVED_DIJ, SWEEP_SCALE, emit
 from repro.workload.datasets import dataset_names
 
 METHODS = ["DIJ", "FULL", "LDM", "HYP"]
@@ -22,7 +22,9 @@ def fig9_runs(ctx):
     for dataset in dataset_names():
         for name in METHODS:
             runs[(dataset, name)] = ctx.measure(name, dataset=dataset,
-                                                scale=SWEEP_SCALE)[1]
+                                                scale=SWEEP_SCALE, paper=True)[1]
+        runs[(dataset, SERVED_DIJ)] = ctx.measure("DIJ", dataset=dataset,
+                                                  scale=SWEEP_SCALE)[1]
     return runs
 
 
@@ -30,7 +32,7 @@ def test_fig9a_communication_overhead(ctx, fig9_runs, results, benchmark):
     rows = []
     for dataset in dataset_names():
         nodes = ctx.dataset(dataset, SWEEP_SCALE).num_nodes
-        for name in METHODS:
+        for name in METHODS + [SERVED_DIJ]:
             run = fig9_runs[(dataset, name)]
             rows.append([dataset, nodes, name, run.s_prf_kb, run.t_prf_kb,
                          run.total_kb])

@@ -50,8 +50,9 @@ from repro.errors import (
 MAGIC = b"RSPV"
 
 #: The protocol version this build speaks (bump on breaking layout
-#: changes; additions ride on new message types instead).
-PROTOCOL_VERSION = 1
+#: changes; additions ride on new message types instead).  2: DIJ
+#: replies disclose two half-balls and verify by their meeting cost.
+PROTOCOL_VERSION = 2
 
 #: Versions a default endpoint accepts.
 SUPPORTED_VERSIONS = (PROTOCOL_VERSION,)

@@ -19,7 +19,6 @@ Use the three-party roles for the full workflow::
     assert result.ok
 """
 
-from repro.core import adversary
 from repro.core.dij import DijMethod
 from repro.core.framework import Client, DataOwner, ServiceProvider, VerificationResult
 from repro.core.full import FullMethod
@@ -61,3 +60,11 @@ __all__ = [
     "DIRECTORY_TREE",
     "adversary",
 ]
+
+
+def __getattr__(name: str):
+    # The attack helpers load on first use: no verifier imports them.
+    if name == "adversary":
+        import importlib
+        return importlib.import_module("repro.core.adversary")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

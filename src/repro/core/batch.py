@@ -65,9 +65,7 @@ class MultiProofBatch:
             section = self.shared[name]
             enc.write_str(name)
             enc.write_uint_seq(section.positions)
-            enc.write_uint(len(section.payloads))
-            for payload in section.payloads:
-                enc.write_bytes(payload)
+            enc.write_bytes_seq(section.payloads)
             encode_proof_entries(section.entries, enc)
         enc.write_bytes(self.descriptor.encode())
         return enc.getvalue()
@@ -100,7 +98,7 @@ class MultiProofBatch:
         for _ in range(dec.read_count(4)):
             name = dec.read_str()
             positions = dec.read_uint_seq()
-            payloads = [dec.read_bytes() for _ in range(dec.read_count(1))]
+            payloads = dec.read_bytes_seq()
             entries = decode_proof_entries(dec)
             if name in shared:
                 raise EncodingError(f"duplicate shared section {name!r}")

@@ -1,16 +1,28 @@
 """DIJ — Dijkstra subgraph verification (paper §IV-A).
 
-No authenticated hints.  The proof ΓS is the *Dijkstra ball*: the
-extended tuple of every node within ``dist(vs, vt)`` of the source
-(Lemma 1), out to twice the client's float margin past it.  The client
-re-runs Dijkstra on the disclosed subgraph; the proof is valid only if
-every node the search needs is present, which is what defeats the
-tuple-dropping attack described in the paper.
+No authenticated hints.  The proof ΓS is Lemma 1 read from both ends:
+the extended tuple of every node within ``D / 2`` of the source or of
+the target, ``D = dist(vs, vt)``, out to twice the client's float
+margin past it.  Any route cheaper than ``D`` splits at one edge
+``(u, v)`` whose prefix to ``u`` costs at most ``D / 2`` and whose
+suffix from ``v`` costs less, so it lies inside the two half-balls
+B_s(D/2) ∪ B_t(D/2) and costs at least ``d(s, u) + w(u, v) + d(v, t)``.
+
+The client runs Dijkstra from each end on the disclosed subgraph, out
+to ``D / 2``; each half is valid only if every node its search needs
+is present, which is what defeats the tuple-dropping attack described
+in the paper.  The two searches then certify the meeting cost μ, the
+cheapest route through a node both settled or an edge from one half
+into the other, and the reply is accepted only if μ is the reported
+``D``.  (Pohl's bidirectional stopping rule, checked as a certificate
+instead of searched for.)
 """
 
 from __future__ import annotations
 
 from math import inf
+
+import numpy as np
 
 from repro.core.checks import (
     NetworkTreeBundle,
@@ -20,7 +32,12 @@ from repro.core.checks import (
     verify_descriptor,
     verify_section_root,
 )
-from repro.core.framework import VerificationResult, client_limit, distances_close
+from repro.core.framework import (
+    VerificationResult,
+    client_limit,
+    distances_close,
+    provider_margin,
+)
 from repro.core.incremental import edge_endpoints, needs_layout_rebuild
 from repro.core.method import (
     SignatureVerifier,
@@ -33,8 +50,8 @@ from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, Tre
 from repro.crypto.signer import Signer
 from repro.errors import EncodingError
 from repro.graph.graph import GraphMutation, SpatialGraph
-from repro.graph.tuples import BaseTuple, decode_columns
-from repro.shortestpath.kernel import search
+from repro.graph.tuples import BaseTuple, TupleColumns, decode_columns
+from repro.shortestpath.kernel import indexed_dijkstra, search
 from repro.shortestpath.path import Path
 
 
@@ -124,7 +141,13 @@ class DijMethod(VerificationMethod):
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
         path, ball = self._proof_search(source, target, forced_path)
-        section = self._bundle.section_for(ball.settled_ids())
+        # The search from the source has settled its half on the way to
+        # the target; one more search settles the target's.
+        radius = path.cost / 2 + provider_margin(path.cost)
+        ids, dist = ball.index.ids, ball.dist
+        forward = [ids[i] for i in ball.settled_order if dist[i] <= radius]
+        backward = indexed_dijkstra(ball.index, target, radius=radius)
+        section = self._bundle.section_for(forward + backward.settled_ids())
         return QueryResponse(
             method=self.name,
             source=source,
@@ -156,21 +179,26 @@ class DijMethod(VerificationMethod):
         if failure is not None:
             return failure
 
-        # Lemma 1: the search is only valid if every node it needs —
-        # reachable within the reported distance — was disclosed.  The
-        # path check has proven both endpoints disclosed.
+        # Lemma 1 from both ends: each half-ball search is only valid if
+        # every node it needs — within half the reported distance of its
+        # end — was disclosed.  The path check has proven both ends
+        # disclosed.
         reported = response.path_cost
-        goal = columns.row_of(target)
-        run = search(*columns.search_lists(), columns.row_of(source), goal,
-                     gap=client_limit(reported))
-        if run.gap is not None:
-            _, k, tentative = run.gap
-            return VerificationResult.failure(
-                "incomplete-subgraph",
-                f"node {columns.nbr_ids[k]} at distance {tentative} <= "
-                f"{reported} was not disclosed",
-            )
-        computed = run.dist[goal]
+        limit = client_limit(reported / 2)
+        nbrs = columns.nbrs
+        lists = columns.search_lists(nbrs)
+        halves = []
+        for end in (source, target):
+            run = search(*lists, columns.row_of(end), limit=limit, gap=limit)
+            if run.gap is not None:
+                _, k, tentative = run.gap
+                return VerificationResult.failure(
+                    "incomplete-subgraph",
+                    f"node {columns.nbr_ids[k]} at distance {tentative} <= "
+                    f"{reported} / 2 from {end} was not disclosed",
+                )
+            halves.append(run.dist)
+        computed = meeting_cost(columns, nbrs, *halves)
         if computed == inf:
             return VerificationResult.failure(
                 "target-unreachable",
@@ -183,3 +211,19 @@ class DijMethod(VerificationMethod):
             )
         return VerificationResult.success(distance=computed,
                                           subgraph_nodes=len(columns))
+
+
+def meeting_cost(columns: TupleColumns, nbrs: np.ndarray,
+                 forward: "list[float]", backward: "list[float]") -> float:
+    """μ: the cheapest route the two half-ball searches certify.
+
+    The minimum of ``d_f(u) + w(u, v) + d_b(v)`` over disclosed edges
+    from a row *forward* settled to one *backward* settled, and of
+    ``d_f(u) + d_b(u)`` over rows both settled (``inf`` marks an
+    unsettled row, and *nbrs*' ``-1`` an undisclosed neighbour).
+    """
+    d_f = np.array(forward)
+    d_b = np.array(backward + [inf])  # row -1 reads the trailing inf
+    rows = np.repeat(np.arange(len(d_f)), np.diff(columns.indptr))
+    edges = d_f[rows] + columns.weights + d_b[nbrs]
+    return float(min((d_f + d_b[:-1]).min(), edges.min(initial=inf)))

@@ -203,12 +203,13 @@ class ProofSizeModel:
         return fn(query_range)
 
     def _predict_dij(self, r: float) -> float:
-        ball = self.profile.ball(r)
-        # The ball is spatially compact: a proximity-preserving leaf
-        # order packs it into roughly sqrt-ball runs.
-        runs = max(1.0, math.sqrt(ball))
-        return (ball * self.phi_bytes
-                + self._network_cover_bytes(ball, runs)
+        # Two half-balls, B_s(r/2) and B_t(r/2).  Each is spatially
+        # compact: a proximity-preserving leaf order packs it into
+        # roughly sqrt-ball runs.
+        half = self.profile.ball(r / 2)
+        runs = 2 * max(1.0, math.sqrt(half))
+        return (2 * half * self.phi_bytes
+                + self._network_cover_bytes(2 * half, runs)
                 + _ENVELOPE_BYTES)
 
     def _predict_full(self, r: float) -> float:

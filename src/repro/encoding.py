@@ -45,7 +45,8 @@ def _build_uvarint_table(limit: int) -> "tuple[bytes, ...]":
 #: Precomputed encodings for small values — leaf positions, payload
 #: lengths, node ids and proof-entry coordinates are overwhelmingly
 #: below this bound, and proof serialization is a serving hot path.
-_UVARINT_TABLE = _build_uvarint_table(1 << 14)
+_TABLE_LIMIT = 1 << 14
+_UVARINT_TABLE = _build_uvarint_table(_TABLE_LIMIT)
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -55,7 +56,7 @@ def encode_uvarint(value: int) -> bytes:
     that precompute per-id prefixes instead of running an
     :class:`Encoder` per record.
     """
-    if 0 <= value < 16384:
+    if 0 <= value < _TABLE_LIMIT:
         return _UVARINT_TABLE[value]
     if value < 0:
         raise EncodingError(f"write_uint requires value >= 0, got {value}")
@@ -118,6 +119,27 @@ def zigzag_decode(value: int) -> int:
     return (value >> 1) if (value & 1) == 0 else -((value + 1) >> 1)
 
 
+def _read_uvarint(data: bytes, pos: int) -> "tuple[int, int]":
+    """``(value, end)`` of the LEB128 varint at *pos*, in its one
+    canonical form: an overlong one (a zero final byte after a
+    continuation byte, as in ``b"\\x81\\x00"`` for 1) is refused, so
+    each value has exactly one byte form."""
+    result = shift = 0
+    while True:
+        if pos >= len(data):
+            raise EncodingError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if not byte and shift:
+                raise EncodingError("overlong varint")
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise EncodingError("varint too long")
+
+
 class Encoder:
     """Append-only canonical encoder.
 
@@ -177,9 +199,28 @@ class Encoder:
     def write_uint_seq(self, values: Iterable[int]) -> "Encoder":
         """Write a count followed by each unsigned integer."""
         values = list(values)
-        self.write_uint(len(values))
+        table = _UVARINT_TABLE
+        self._parts.append(b"".join([encode_uvarint(len(values))] + [
+            table[v] if 0 <= v < _TABLE_LIMIT else encode_uvarint(v)
+            for v in values]))
+        return self
+
+    def write_bytes_seq(self, values: Sequence, keys: int = 0) -> "Encoder":
+        """Write a count followed by each length-prefixed byte string;
+        with *keys*, each value is a tuple ``(*integers, bytes)`` whose
+        unsigned integers precede the string (see
+        :meth:`Decoder.read_bytes_seq`)."""
+        table = _UVARINT_TABLE
+        parts = [encode_uvarint(len(values))]
         for value in values:
-            self.write_uint(value)
+            if keys:
+                parts += [table[v] if 0 <= v < _TABLE_LIMIT
+                          else encode_uvarint(v) for v in value[:keys]]
+                value = value[keys]
+            size = len(value)
+            parts += (table[size] if size < _TABLE_LIMIT
+                      else encode_uvarint(size), value)
+        self._parts.append(b"".join(parts))
         return self
 
     def write_f64_seq(self, values: Iterable[float]) -> "Encoder":
@@ -235,24 +276,13 @@ class Decoder:
         self._pos = 0
 
     def read_uint(self) -> int:
-        """Read an unsigned LEB128 varint."""
-        result = 0
-        shift = 0
-        data = self._data
-        pos = self._pos
-        while True:
-            if pos >= len(data):
-                raise EncodingError("truncated varint")
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 70:
-                raise EncodingError("varint too long")
-        self._pos = pos
-        return result
+        """Read an unsigned LEB128 varint (see :func:`_read_uvarint`)."""
+        data, pos = self._data, self._pos
+        if pos < len(data) and data[pos] < 0x80:  # one byte, the common case
+            self._pos = pos + 1
+            return data[pos]
+        value, self._pos = _read_uvarint(data, pos)
+        return value
 
     def read_int(self) -> int:
         """Read a signed (zigzag) integer."""
@@ -320,7 +350,48 @@ class Decoder:
 
     def read_uint_seq(self) -> list[int]:
         """Read a count-prefixed sequence of unsigned integers."""
-        return [self.read_uint() for _ in range(self.read_count(1))]
+        return self._read_flat(self.read_count(1), 0)
+
+    def read_bytes_seq(self, keys: int = 0) -> list:
+        """Read a count-prefixed sequence of length-prefixed byte
+        strings, each preceded by *keys* unsigned integers, as one flat
+        list: ``keys=2`` reads ``[int, int, bytes, int, int, bytes, ...]``."""
+        return self._read_flat(self.read_count(1 + keys) * (keys + 1), keys + 1)
+
+    def _read_flat(self, items: int, every: int) -> list:
+        """*items* varints in one pass, every *every*-th of them (none
+        when 0) a length followed by the byte string read in its place.
+        One- and two-byte varints (positions, lengths and coordinates
+        rarely need more) are decoded inline, the rest by
+        :func:`_read_uvarint`."""
+        data, pos, size = self._data, self._pos, len(self._data)
+        out = []
+        append = out.append
+        countdown = every
+        try:
+            for _ in range(items):
+                value = data[pos]
+                if value < 0x80:
+                    pos += 1
+                elif 0 < data[pos + 1] < 0x80:
+                    value = value & 0x7F | data[pos + 1] << 7
+                    pos += 2
+                else:
+                    value, pos = _read_uvarint(data, pos)
+                countdown -= 1
+                if not countdown:
+                    countdown = every
+                    if pos + value > size:
+                        raise EncodingError(
+                            f"truncated payload: wanted {value} bytes, "
+                            f"{size - pos} remaining")
+                    pos += value
+                    value = data[pos - value:pos]
+                append(value)
+        except IndexError:
+            raise EncodingError("truncated varint") from None
+        self._pos = pos
+        return out
 
     def read_f64_seq(self) -> list[float]:
         """Read a count-prefixed sequence of 64-bit floats."""

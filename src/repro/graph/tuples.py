@@ -228,7 +228,9 @@ class _LockStep:
         self.pos, self.end = self.pos[order], self.end[order]
 
     def uint(self, rows: "np.ndarray | slice" = _ALL_ROWS) -> np.ndarray:
-        """LEB128 varints below 2**63 (all an owner can encode)."""
+        """LEB128 varints below 2**63 (all an owner can encode), each in
+        its one canonical form: a zero final byte after a continuation
+        byte is refused."""
         at = self.pos[rows]
         byte = self.buf[at]
         value = (byte & 0x7F).astype(np.int64)
@@ -241,6 +243,8 @@ class _LockStep:
             if shift == 63:
                 raise EncodingError("varint does not fit 63 bits")
             byte = self.buf[at[more] + shift // 7]
+            if np.count_nonzero(byte == 0):
+                raise EncodingError("overlong varint")
             value[more] |= (byte & 0x7F).astype(np.int64) << shift
             more = more[byte >= 0x80]
             size[more] += 1
@@ -316,9 +320,13 @@ class TupleColumns:
             return self._weights[at]
         return None
 
-    def search_lists(self) -> "tuple[list[int], list[int], list[float]]":
-        """``(indptr, nbrs, weights)`` as the lists a heap search walks."""
-        return self._indptr, self.nbrs.tolist(), self._weights
+    def search_lists(self, nbrs: "np.ndarray | None" = None,
+                     ) -> "tuple[list[int], list[int], list[float]]":
+        """``(indptr, nbrs, weights)`` as the lists a heap search walks
+        (pass :attr:`nbrs` when the caller reads it too)."""
+        if nbrs is None:
+            nbrs = self.nbrs
+        return self._indptr, nbrs.tolist(), self._weights
 
 
 def decode_columns(payloads: "Sequence[bytes]",

@@ -15,8 +15,8 @@ verification stays unchanged.
 """
 
 from repro.merkle.proof import MerkleProofEntry, decode_proof_entries, encode_proof_entries
-from repro.merkle.tree import MerkleTree, reconstruct_root
-from repro.merkle.multiproof import cover_indices, expand_multi, merge_entries
+from repro.merkle.tree import MerkleTree, cover_indices, reconstruct_root
+from repro.merkle.multiproof import expand_multi, merge_entries
 
 __all__ = [
     "MerkleTree",

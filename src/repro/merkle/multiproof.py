@@ -35,49 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.crypto.hashing import HashFunction, get_hash
 from repro.errors import MerkleError
 from repro.merkle.proof import MerkleProofEntry
-from repro.merkle.tree import _LEAF_TAG, MerkleTree
-
-
-def cover_indices(
-    num_leaves: int, fanout: int, disclosed: "Sequence[int] | set[int]",
-) -> list[tuple[int, int]]:
-    """The ``(level, index)`` coordinates of the cover for *disclosed*.
-
-    Pure arithmetic on the tree shape — no digests involved — emitting
-    coordinates in the same order :meth:`MerkleTree.prove` emits
-    entries, so pairing each coordinate with its digest reproduces a
-    ``prove`` output byte-for-byte.
-    """
-    indices = sorted(set(disclosed))
-    if not indices:
-        raise MerkleError("cannot prove an empty disclosure set")
-    if indices[0] < 0 or indices[-1] >= num_leaves:
-        raise MerkleError(
-            f"leaf indices must be in [0, {num_leaves}); got "
-            f"[{indices[0]}, {indices[-1]}]"
-        )
-    sizes = MerkleTree.level_sizes(num_leaves, fanout)
-    coords: list[tuple[int, int]] = []
-    frontier = indices
-    for level in range(len(sizes) - 1):
-        size = sizes[level]
-        parents: list[int] = []
-        count = len(frontier)
-        i = 0
-        while i < count:
-            parent = frontier[i] // fanout
-            parents.append(parent)
-            lo = parent * fanout
-            hi = min(lo + fanout, size)
-            for child in range(lo, hi):
-                if i < count and frontier[i] == child:
-                    i += 1
-                    continue
-                coords.append((level, child))
-        frontier = parents
-    powers = [fanout ** level for level in range(len(sizes))]
-    coords.sort(key=lambda c: powers[c[0]] * c[1])
-    return coords
+from repro.merkle.tree import _LEAF_TAG, MerkleTree, cover_indices
 
 
 def merge_entries(

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from repro.encoding import Decoder, Encoder
 
 
-@dataclass(frozen=True, order=True)
+# Not frozen: a frozen dataclass's __init__ costs about five times as
+# much, a reply carries hundreds of entries, and nothing mutates one.
+@dataclass(order=True, slots=True, unsafe_hash=True)
 class MerkleProofEntry:
     """One hash entry of an integrity proof ΓT.
 
@@ -24,11 +26,7 @@ class MerkleProofEntry:
 
 def encode_proof_entries(entries: "list[MerkleProofEntry]", enc: Encoder) -> None:
     """Append *entries* to an encoder (count-prefixed)."""
-    enc.write_uint(len(entries))
-    for entry in entries:
-        enc.write_uint(entry.level)
-        enc.write_uint(entry.index)
-        enc.write_bytes(entry.digest)
+    enc.write_bytes_seq([(e.level, e.index, e.digest) for e in entries], keys=2)
 
 
 def decode_proof_entries(dec: Decoder) -> "list[MerkleProofEntry]":
@@ -39,8 +37,5 @@ def decode_proof_entries(dec: Decoder) -> "list[MerkleProofEntry]":
     bytes could hold is rejected up front as an
     :class:`~repro.errors.EncodingError`.
     """
-    count = dec.read_count(3)
-    return [
-        MerkleProofEntry(dec.read_uint(), dec.read_uint(), dec.read_bytes())
-        for _ in range(count)
-    ]
+    flat = dec.read_bytes_seq(keys=2)
+    return list(map(MerkleProofEntry, flat[::3], flat[1::3], flat[2::3]))

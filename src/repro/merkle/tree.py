@@ -279,54 +279,65 @@ class MerkleTree:
         Returns the minimal set of hash entries that, combined with the
         disclosed leaves' own digests, reconstructs the root.
         """
-        indices = sorted(set(disclosed))
-        if not indices:
-            raise MerkleError("cannot prove an empty disclosure set")
-        if indices[0] < 0 or indices[-1] >= self._num_leaves:
-            raise MerkleError(
-                f"leaf indices must be in [0, {self._num_leaves}); got "
-                f"[{indices[0]}, {indices[-1]}]"
-            )
-        # Iterative range-frontier sweep (no recursion): the frontier is
-        # the sorted list of entry indices at the current level whose
-        # subtrees contain disclosed leaves.  Per level, every sibling
-        # of a frontier entry that is *not* itself on the frontier is a
-        # proof entry (its subtree contains no disclosed leaf while its
-        # parent's does — exactly Merkle's inclusion rule), and the
-        # frontier contracts to the parents.  Cost is O(proof size +
-        # |disclosed| · height), versus the old recursion's walk over
-        # every covered subtree.
-        entries: list[MerkleProofEntry] = []
-        f = self.fanout
         d = self.hash_fn.digest_size
-        frontier = indices
-        for level in range(len(self._levels) - 1):
-            data = self._levels[level]
-            size = len(data) // d
-            parents: list[int] = []
-            count = len(frontier)
-            i = 0
-            while i < count:
-                parent = frontier[i] // f
-                parents.append(parent)
-                lo = parent * f
-                hi = lo + f
-                if hi > size:
-                    hi = size
-                for child in range(lo, hi):
-                    if i < count and frontier[i] == child:
-                        i += 1
-                        continue
-                    entries.append(MerkleProofEntry(
-                        level, child, data[child * d : (child + 1) * d]
-                    ))
-            frontier = parents
-        # Entry subtrees are pairwise disjoint, so ordering by covered
-        # leaf range reproduces the pre-order (DFS) sequence the
-        # recursive walk emitted — proofs stay byte-identical.
-        powers = [f ** level for level in range(len(self._levels))]
-        entries.sort(key=lambda e: powers[e.level] * e.index)
-        return entries
+        levels = self._levels
+        return [MerkleProofEntry(level, index,
+                                 levels[level][index * d:(index + 1) * d])
+                for level, index in cover_indices(self._num_leaves,
+                                                  self.fanout, disclosed)]
+
+
+def cover_indices(
+    num_leaves: int, fanout: int, disclosed: "Sequence[int] | set[int]",
+) -> list[tuple[int, int]]:
+    """The ``(level, index)`` coordinates of the cover for *disclosed*.
+
+    Pure arithmetic on the tree shape — no digests involved.  Merkle's
+    rule, swept level by level over *runs* of consecutive indices (a
+    proximity-preserving leaf order discloses a ball as a few dozen
+    runs): a node is a cover entry iff it is no run's member while a
+    sibling is, and the runs contract to their parents' runs, merging
+    where they meet, so a level costs O(runs), not O(leaves).  Entry
+    subtrees are pairwise disjoint, so ordering by the first leaf each
+    covers gives the pre-order (DFS) sequence the recursive walk emits.
+    """
+    indices = sorted(set(disclosed))
+    if not indices:
+        raise MerkleError("cannot prove an empty disclosure set")
+    if indices[0] < 0 or indices[-1] >= num_leaves:
+        raise MerkleError(
+            f"leaf indices must be in [0, {num_leaves}); got "
+            f"[{indices[0]}, {indices[-1]}]"
+        )
+    runs: list[list[int]] = []  # half-open [lo, hi)
+    for index in indices:
+        if runs and runs[-1][1] == index:
+            runs[-1][1] += 1
+        else:
+            runs.append([index, index + 1])
+    keyed: list[tuple[int, int, int]] = []
+    span = 1  # leaves under one node of the current level
+    for level, size in enumerate(MerkleTree.level_sizes(num_leaves, fanout)[:-1]):
+        parents: list[list[int]] = []
+        gaps = []  # [lo, hi) stretches of sibling entries
+        for lo, hi in runs:
+            first, last = lo // fanout, (hi - 1) // fanout + 1
+            if parents and first <= parents[-1][1]:
+                gaps.append((end, lo))  # up to the run, across its groups
+                parents[-1][1] = last
+            else:
+                if parents:
+                    gaps.append((end, min(parents[-1][1] * fanout, size)))
+                gaps.append((first * fanout, lo))
+                parents.append([first, last])
+            end = hi
+        gaps.append((end, min(parents[-1][1] * fanout, size)))
+        keyed += [(index * span, level, index)
+                  for lo, hi in gaps for index in range(lo, hi)]
+        runs = parents
+        span *= fanout
+    keyed.sort()
+    return [(level, index) for _, level, index in keyed]
 
 
 def reconstruct_root(

@@ -41,11 +41,14 @@ def _name(message):
 
 class TestHello:
     def test_negotiates_highest_shared_version(self, dispatcher, dij):
-        reply = roundtrip(dispatcher, E.HelloRequest((1,)))
-        assert reply == E.HelloReply(1, "DIJ", dij.descriptor.version)
+        # Version 1 (one-ball DIJ replies) is no longer spoken.
+        reply = roundtrip(dispatcher, E.HelloRequest((1, E.PROTOCOL_VERSION)))
+        assert reply == E.HelloReply(E.PROTOCOL_VERSION, "DIJ",
+                                     dij.descriptor.version)
 
     def test_no_shared_version_is_an_error(self, dispatcher):
-        # The hello frame itself rides v1; the *listed* versions clash.
+        # The hello frame itself rides the current version; the *listed*
+        # versions clash.
         reply = roundtrip(dispatcher, E.HelloRequest((41, 42)))
         assert isinstance(reply, E.ErrorMessage)
         assert reply.code == codes.E_UNSUPPORTED_VERSION

@@ -7,7 +7,7 @@ import pytest
 from repro.api import codes
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
-from repro.api.envelope import WireUpdate
+from repro.api.envelope import PROTOCOL_VERSION, WireUpdate
 from repro.core.proofs import QueryResponse
 from repro.errors import ProtocolError
 
@@ -55,7 +55,7 @@ class TestHandshakeAndDescriptor:
     def test_hello(self, client, dij):
         reply = client.hello()
         assert reply.method == dij.name
-        assert reply.version == 1
+        assert reply.version == PROTOCOL_VERSION
         assert reply.descriptor_version == dij.descriptor.version
 
     def test_fetch_descriptor_verbatim(self, client, dij):

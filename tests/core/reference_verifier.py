@@ -3,7 +3,8 @@
 Everything below is the old client path, moved here verbatim when
 ``decode_columns`` and the array searches replaced it in ``src/``:
 per-object tuple decoding, the dict-walking path check, DIJ's
-``_client_dijkstra``, LDM's ``_BoundEvaluator`` / ``_client_astar`` and
+``_client_dijkstra`` (since taught the two-half-ball rule of Lemma 1 as
+``_client_half_ball`` plus the meeting cost, in the same dict style), LDM's ``_BoundEvaluator`` / ``_client_astar`` and
 HYP's ``build_coarse_graph`` + dict ``dijkstra`` step, each under the
 ``verify`` classmethod body that drove it (``cls.name`` became the
 literal method name, ``cls.expected_pairs`` a plain function; nothing
@@ -150,11 +151,29 @@ def verify_dij(source: int, target: int, response: QueryResponse,
     if failure is not None:
         return failure
 
+    # Lemma 1 from both ends: a radius search from each end out to half
+    # the reported distance, then the cheapest route they certify.
     reported = response.path_cost
-    verdict = _client_dijkstra(source, target, reported, tuples)
-    if isinstance(verdict, VerificationResult):
-        return verdict
-    computed = verdict
+    limit = reported / 2 * (1 + REL_TOL) + ABS_TOL
+    halves = []
+    for end in (source, target):
+        verdict = _client_half_ball(end, reported, limit, tuples)
+        if isinstance(verdict, VerificationResult):
+            return verdict
+        halves.append(verdict)
+    forward, backward = halves
+    computed = float("inf")
+    for u, du in forward.items():
+        if u in backward:
+            computed = min(computed, du + backward[u])
+        for v, w in tuples[u].adjacency:
+            if v in backward:
+                computed = min(computed, du + w + backward[v])
+    if computed == float("inf"):
+        return VerificationResult.failure(
+            "target-unreachable",
+            f"target {target} is unreachable in the disclosed subgraph",
+        )
     if not distances_close(computed, reported):
         return VerificationResult.failure(
             "not-optimal",
@@ -163,49 +182,47 @@ def verify_dij(source: int, target: int, response: QueryResponse,
     return VerificationResult.success(distance=computed, subgraph_nodes=len(tuples))
 
 
-def _client_dijkstra(source: int, target: int, reported: float,
-                     tuples: "dict[int, BaseTuple]") -> "float | VerificationResult":
-    """Validity-checked Dijkstra over the disclosed subgraph (Lemma 1).
+def _client_half_ball(end: int, reported: float, limit: float,
+                      tuples: "dict[int, BaseTuple]",
+                      ) -> "dict[int, float] | VerificationResult":
+    """Validity-checked Dijkstra from *end* over the disclosed subgraph,
+    settling every node within *limit* (half of Lemma 1's ball).
 
     The proof is invalid (and the function returns a failure) if a node
-    the search needs — reachable within the reported distance — has no
-    disclosed tuple.  Relaxations beyond the reported distance may
-    legitimately point at undisclosed nodes (Lemma 1 only covers the
-    ball of radius ``dist(vs, vt)``).
+    the search needs — reachable within *limit* — has no disclosed
+    tuple.  Relaxations beyond it may legitimately point at undisclosed
+    nodes.
     """
-    if source not in tuples:
+    if end not in tuples:
         return VerificationResult.failure("source-missing",
-                                          f"no tuple for source node {source}")
-    margin = reported * (1 + REL_TOL) + 1e-9
+                                          f"no tuple for end node {end}")
     dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    best = {source: 0.0}
+    heap: list[tuple[float, int]] = [(0.0, end)]
+    best = {end: 0.0}
     while heap:
         d, u = heapq.heappop(heap)
         if u in dist:
             continue
+        if d > limit:
+            break
         dist[u] = d
-        if u == target:
-            return d
         for v, w in tuples[u].adjacency:
             if v in dist:
                 continue
             nd = d + w
             if v not in tuples:
-                if nd <= margin:
+                if nd <= limit:
                     return VerificationResult.failure(
                         "incomplete-subgraph",
-                        f"node {v} at distance {nd} <= {reported} was not disclosed",
+                        f"node {v} at distance {nd} <= {reported} / 2 "
+                        f"was not disclosed",
                     )
-                continue  # legitimately outside the Lemma-1 ball
+                continue  # legitimately outside the half-ball
             known = best.get(v)
             if known is None or nd < known:
                 best[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return VerificationResult.failure(
-        "target-unreachable",
-        f"target {target} is unreachable in the disclosed subgraph",
-    )
+    return dist
 
 
 # ----------------------------------------------------------------------

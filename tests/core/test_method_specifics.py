@@ -22,9 +22,14 @@ class TestDij:
             BaseTuple.decode(p).node_id
             for p in response.sections[NETWORK_TREE].payloads
         }
-        distances = dijkstra(road300, vs).dist
-        expected = {v for v, d in distances.items() if d <= response.path_cost}
+        # Two half-balls, B_s(D/2) ∪ B_t(D/2), not the one ball B_s(D).
+        half = response.path_cost / 2
+        expected = {v for end in (vs, vt)
+                    for v, d in dijkstra(road300, end).dist.items() if d <= half}
         assert disclosed == expected
+        one_ball = {v for v, d in dijkstra(road300, vs).dist.items()
+                    if d <= response.path_cost}
+        assert len(expected) < len(one_ball)
 
     def test_extra_params_rejected(self, road300, signer):
         with pytest.raises(EncodingError):

@@ -82,6 +82,59 @@ class TestProveMatchesRecursion:
                 assert tree.prove(disclosed) == recursive_prove(tree, disclosed)
 
 
+def _runs(rng, n, fanout):
+    """A disclosure set of runs of consecutive leaves, drawn to stress
+    the run sweep: runs that share a parent, runs that touch across a
+    group boundary, runs into the short tail group, lone leaves."""
+    leaves = set()
+    for _ in range(rng.randint(1, 6)):
+        start = rng.randrange(n)
+        shape = rng.choice(["any", "share", "touch", "tail", "single"])
+        if shape == "share":  # two runs inside one sibling group
+            start -= start % fanout
+            leaves.update(range(start, min(n, start + fanout // 2)))
+            start += fanout // 2 + 1
+        elif shape == "touch":  # a run ending just where a group ends
+            start -= start % fanout
+        elif shape == "tail":  # a run into the last (short) group
+            start = max(0, n - rng.randint(1, 2 * fanout))
+        length = 1 if shape == "single" else rng.randint(1, 3 * fanout)
+        leaves.update(range(start, min(n, start + length)))
+    return sorted(v for v in leaves if v < n)
+
+
+class TestRunShapedDisclosures:
+    """Ball-like disclosures: a few runs of consecutive leaves each."""
+
+    @pytest.mark.parametrize("fanout", [2, 3, 4, 5, 8, 16, 32])
+    def test_runs_match_recursion_and_reconstruct(self, fanout):
+        rng = random.Random(7000 + fanout)
+        for _ in range(30):
+            n = rng.randint(1, 400)
+            ps = payloads(n)
+            tree = MerkleTree(ps, fanout=fanout)
+            disclosed = _runs(rng, n, fanout)
+            entries = tree.prove(disclosed)
+            assert entries == recursive_prove(tree, disclosed)
+            root = reconstruct_root(
+                n, fanout, "sha1", {i: ps[i] for i in disclosed}, entries)
+            assert root == tree.root
+
+    @pytest.mark.parametrize("fanout", [2, 3, 7, 16, 32])
+    def test_full_set_single_leaf_and_short_tails(self, fanout):
+        for n in (1, fanout - 1, fanout, fanout + 1, fanout ** 2 - 1,
+                  fanout ** 2 + 3, 3 * fanout ** 2 + fanout + 1):
+            if n < 1:
+                continue
+            tree = MerkleTree(payloads(n), fanout=fanout)
+            cases = [list(range(n)), [0], [n - 1], [n // 2],
+                     list(range(n - n % fanout, n)) or [n - 1],
+                     list(range(0, n, 2)), list(range(1, n, fanout))]
+            for disclosed in filter(None, cases):
+                assert tree.prove(disclosed) == recursive_prove(tree, disclosed)
+            assert tree.prove(range(n)) == []
+
+
 class TestGoldenDigests:
     """Frozen hex digests: any layout or hashing change breaks these."""
 

@@ -146,3 +146,21 @@ def indexed_multi_source(index: GraphIndex, sources: "list[int]"):
         result = indexed_dijkstra(index, source)
         out[row] = result.dist
     return out
+
+
+def one_ball_reply(method, source: int, target: int):
+    """DIJ's reply for ``(source, target)`` under the paper's rule: the
+    one Lemma-1 ball B_s(D), out to the provider's float margin, in
+    place of the two half-balls the provider serves.
+
+    The paper-figure tests size DIJ's bar with it (its accounting is the
+    one ball); the bytes equal what the one-ball provider shipped.
+    """
+    from repro.core.framework import provider_margin
+    from repro.core.proofs import NETWORK_TREE
+
+    reply = method.answer(source, target)
+    radius = reply.path_cost + provider_margin(reply.path_cost)
+    ball = indexed_dijkstra(method.graph.to_index(), source, radius=radius)
+    reply.sections = {NETWORK_TREE: method._bundle.section_for(ball.settled_ids())}
+    return reply

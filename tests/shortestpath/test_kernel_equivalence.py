@@ -366,8 +366,10 @@ def _legacy_dij_answer(method, source, target):
     from repro.core.proofs import NETWORK_TREE, QueryResponse
 
     path = dijkstra(method.graph, source, target=target).path_to(target)
-    ball = dijkstra(method.graph, source, radius=path.cost)
-    section = method._bundle.section_for(ball.dist.keys())
+    half = path.cost / 2
+    section = method._bundle.section_for(
+        [v for end in (source, target)
+         for v in dijkstra(method.graph, end, radius=half).dist])
     return QueryResponse(
         method=method.name, source=source, target=target,
         path_nodes=path.nodes, path_cost=path.cost,
