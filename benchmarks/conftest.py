@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import statistics
+import time
 
 import pytest
 
@@ -169,3 +170,31 @@ def emit(title: str, headers, rows) -> None:
     """Print a paper-style table (shown with pytest -s and in CI logs)."""
     print()
     print(format_table(headers, rows, title=title))
+
+
+def wire_passes(method, queries, verify_signature, passes: int) -> list:
+    """Serve *queries* *passes* times over a live HTTP frontend.
+
+    One :class:`~repro.api.client.RemoteClient` on one keep-alive
+    :class:`~repro.api.transport.HttpTransport` asks every query in
+    turn; the first pass meets a cold proof cache.  Returns one list of
+    ``(RemoteResult, seconds)`` per pass.
+    """
+    from repro.api.client import RemoteClient
+    from repro.api.transport import HttpTransport
+    from repro.service.aio import AsyncProofHttpServer
+    from repro.service.server import ProofServer
+
+    dispatcher = ProofServer(method).dispatcher()
+    with AsyncProofHttpServer(dispatcher) as server, \
+            HttpTransport(server.url) as transport:
+        client = RemoteClient(transport, verify_signature)
+        timed = []
+        for _ in range(passes):
+            served = []
+            for vs, vt in queries:
+                start = time.perf_counter()
+                result = client.query(vs, vt)
+                served.append((result, time.perf_counter() - start))
+            timed.append(served)
+    return timed

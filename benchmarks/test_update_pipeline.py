@@ -15,9 +15,9 @@ the DE network and pins the correctness contract at benchmark scale:
 * ``test_update_equivalence_after_n_random`` — after N random mixed
   updates, signed roots and full query responses are byte-identical to
   a from-scratch rebuild.
-* ``test_update_aware_serving`` — the load driver replaying the default
-  workload with owner re-weights interleaved mid-pass: every chunk
-  verifies under the descriptor version it was served at.
+
+Serving across owner pushes is checked over the wire by
+``tests/service/test_aio.py``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import DEFAULT_SCALE, SWEEP_SCALE, emit, method_params
-from repro.bench.serving import SloReport, run_loadtest
 from repro.core.method import get_method
-from repro.workload.traffic import replay_trace
 from repro.workload.updates import (
     UPDATE_WEIGHT,
     generate_update_workload,
@@ -166,22 +164,3 @@ def test_update_equivalence_after_n_random(ctx, results):
         rows.append([name, n_updates, identical, "yes"])
     emit(f"byte-identity after {n_updates} random re-weights",
          ["method", "updates", "responses compared", "identical"], rows)
-
-
-@pytest.mark.parametrize("name", ["DIJ", "LDM"])
-def test_update_aware_serving(ctx, results, name):
-    graph = ctx.dataset().copy()
-    graph.to_csr()
-    method = get_method(name).build(graph, ctx.signer, **method_params(name))
-    queries = list(ctx.workload())
-    method.answer(*queries[0])  # absorb first-touch costs
-    trace = replay_trace(graph, queries, passes=3, updates_per_pass=3)
-    report = run_loadtest(trace, ctx.signer.verify, method=method,
-                          update_signer=ctx.signer)
-    assert report.all_verified, [p.failures[:3] for p in report.phases]
-    for phase in report.phases:
-        assert phase.updates_pushed == 3
-        assert phase.server_window["updates"] == 3
-        results.add("update_aware_serving", method=name, **phase.as_dict())
-    emit(f"{name} serving with 3 owner re-weights per pass",
-         list(SloReport.TABLE_HEADERS), report.table_rows())

@@ -3,9 +3,14 @@
 The paper (Fig. 8a) reports communication overhead as serialized proof
 bytes; the wire API adds an envelope (frame magic, version, message
 type, length prefixes) and, over HTTP, transport framing.  This
-benchmark replays the default workload through a real localhost HTTP
-service with the load driver's verifying clients and records what the
-protocol costs on top of the proofs themselves.
+benchmark asks the default workload twice (cold cache, then warm) of a
+real localhost HTTP service through a verifying
+:class:`~repro.api.client.RemoteClient` over
+:class:`~repro.api.transport.HttpTransport`, and records what the
+protocol costs on top of the proofs themselves: each
+:class:`~repro.api.client.RemoteResult` carries its reply frame's size
+(``wire_bytes``) and the standalone proof it verified
+(``response_bytes``).
 
 Expected shape: the envelope adds a fixed ~12 bytes per response, so
 the overhead ratio stays within a fraction of a percent of 1.0 for
@@ -16,14 +21,18 @@ proof-size story.  Every wire response must verify.
 import pytest
 
 import repro.shortestpath.kernel
-from benchmarks.conftest import DEFAULT_DATASET, DEFAULT_RANGE, DEFAULT_SCALE, emit
+from benchmarks.conftest import (
+    DEFAULT_DATASET,
+    DEFAULT_RANGE,
+    DEFAULT_SCALE,
+    emit,
+    wire_passes,
+)
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
-from repro.bench.serving import SloReport, run_loadtest
 from repro.core.framework import provider_margin
 from repro.service.server import ProofServer
 from repro.shortestpath.kernel import indexed_search
-from repro.workload.traffic import replay_trace
 from tests.shortestpath.test_kernel_equivalence import _legacy_ldm_answer
 
 METHODS = ["DIJ", "FULL", "LDM", "HYP"]
@@ -49,38 +58,47 @@ MAX_CONE_TO_BALL = 0.25
 
 
 @pytest.fixture(scope="module")
-def wire_reports(ctx) -> "dict[str, SloReport]":
-    reports = {}
+def wire_runs(ctx) -> "dict[str, list]":
+    runs = {}
     for name in METHODS:
         method = ctx.method(name)
         queries = list(ctx.workload())
         method.answer(*queries[0])  # warm process state, not the cache
-        reports[name] = run_loadtest(replay_trace(method.graph, queries),
-                                     ctx.signer.verify, method=method)
-    return reports
+        runs[name] = wire_passes(method, queries, ctx.signer.verify,
+                                 passes=2)
+    return runs
 
 
-def test_wire_overhead(ctx, wire_reports, results):
+def test_wire_overhead(ctx, wire_runs, results):
     graph = ctx.dataset()
     rows = []
     for name in METHODS:
-        report = wire_reports[name]
-        assert report.all_verified, f"{name}: wire responses failed verification"
-        assert report.overhead_ratio < MAX_OVERHEAD_RATIO, (
-            f"{name}: wire framing costs "
-            f"{100.0 * (report.overhead_ratio - 1):.2f}% "
+        cold, warm = wire_runs[name]
+        served = [result for result, _ in cold + warm]
+        failed = [(r.source, r.target, r.verdict.reason)
+                  for r in served if not r.ok]
+        assert not failed, f"{name}: wire responses failed verification: " \
+            f"{failed[:3]}"
+        wire = sum(r.wire_bytes for r in served)
+        proof = sum(len(r.response_bytes) for r in served)
+        ratio = wire / proof
+        assert ratio < MAX_OVERHEAD_RATIO, (
+            f"{name}: wire framing costs {100.0 * (ratio - 1):.2f}% "
             f"over proof bytes"
         )
-        cold = report.phases[0]
+        cold_seconds = sum(seconds for _, seconds in cold)
         rows.append([
-            name, cold.queries, cold.qps,
-            cold.proof_bytes / 1024.0, cold.wire_bytes / 1024.0,
-            100.0 * (report.overhead_ratio - 1.0),
+            name, len(cold), len(cold) / cold_seconds,
+            sum(len(r.response_bytes) for r, _ in cold) / 1024.0,
+            sum(r.wire_bytes for r, _ in cold) / 1024.0,
+            100.0 * (ratio - 1.0),
         ])
         results.add(
-            "wire_overhead", dataset=DEFAULT_DATASET,
+            "wire_overhead", method=name, dataset=DEFAULT_DATASET,
             scale=DEFAULT_SCALE, nodes=graph.num_nodes,
-            query_range=DEFAULT_RANGE, **report.as_dict(),
+            query_range=DEFAULT_RANGE, queries=len(served),
+            wire_bytes=wire, proof_bytes=proof, overhead_ratio=ratio,
+            all_verified=True,
         )
     emit(
         f"Wire overhead — HTTP frames vs standalone proofs "

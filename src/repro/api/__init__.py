@@ -54,7 +54,6 @@ _LAZY = {
     "Transport": "repro.api.transport",
     "InProcessTransport": "repro.api.transport",
     "HttpTransport": "repro.api.transport",
-    "PooledHttpTransport": "repro.api.transport",
     "AsyncTransport": "repro.api.transport",
 }
 

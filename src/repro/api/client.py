@@ -134,8 +134,8 @@ class RemoteClient:
         """Decode one reply frame into its expected typed message.
 
         The transport-free half of :meth:`_exchange`, split out so
-        drivers that perform their own roundtrips (the asyncio load
-        driver) reuse the exact decoding discipline.
+        callers that carry their own frames (an event loop over
+        ``AsyncTransport``) reuse the exact decoding discipline.
         """
         message = decode_message(decode_frame(reply_frame))
         if isinstance(message, (reply_cls, ErrorMessage)):
@@ -233,8 +233,8 @@ class RemoteClient:
         """Decode and verify one batch reply frame against its queries.
 
         The transport-free half of :meth:`query_batch` (same multiproof
-        expansion, per-slot verdicts and wire accounting), reused by the
-        asyncio load driver.
+        expansion, per-slot verdicts and wire accounting), for callers
+        that carry their own frames.
         """
         pairs = [(int(s), int(t)) for s, t in pairs]
         message = decode_message(decode_frame(reply_frame))

@@ -249,15 +249,9 @@ class Dispatcher:
 
         This is what ``GET /metrics`` on the HTTP frontend serves; the
         keys match :meth:`MetricsSnapshot.as_dict`, so dashboards read
-        the same record whether they scrape HTTP or the wire frame —
-        plus a ``"phases"`` list (closed soak-phase windows, oldest
-        first) that only the JSON surface carries.
+        the same record whether they scrape HTTP or the wire frame.
         """
-        record = self.server.snapshot().as_dict()
-        record["phases"] = [
-            phase.as_dict() for phase in self.server.metrics.phases
-        ]
-        return record
+        return self.server.snapshot().as_dict()
 
     _HANDLERS = {
         HelloRequest: _handle_hello,

@@ -15,9 +15,6 @@ protocol layer never looks inside one, so the same
   established HTTP/1.1 keep-alive connection, which is what the server
   side has always advertised — reconnecting per frame buries proof
   serving time under TCP setup.
-* :class:`PooledHttpTransport` — the thread-safe variant for
-  multi-threaded load drivers: one persistent connection per calling
-  thread, all released by a single ``close()``.
 * :class:`AsyncTransport` — the event-loop variant: the same persistent
   one-endpoint contract, but ``roundtrip`` is a coroutine, so one
   thread can hold hundreds of these (one per simulated client) and
@@ -30,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import http.client
 import socket
-import threading
 from urllib.parse import urlsplit
 
 from repro.errors import ProtocolError
@@ -93,8 +89,8 @@ class HttpTransport(Transport):
     * ``close()`` drops the held connection; the next call redials, so
       a closed transport remains usable.
 
-    Not thread-safe: one connection means one in-flight request.  Use
-    :class:`PooledHttpTransport` from multi-threaded drivers.
+    Not thread-safe: one connection means one in-flight request; give
+    each thread its own transport.
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
@@ -184,53 +180,6 @@ class HttpTransport(Transport):
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-
-
-class PooledHttpTransport(Transport):
-    """One persistent :class:`HttpTransport` per calling thread.
-
-    ``http.client`` connections carry one in-flight request, so a
-    multi-threaded load driver sharing a single :class:`HttpTransport`
-    would interleave requests on one socket.  This pool hands every
-    thread its own lazily-dialed persistent transport (thread-local
-    lookup, no locking on the hot path) and releases them all in
-    ``close()``.  From N driver threads it therefore holds exactly N
-    server-side connections.
-    """
-
-    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._transports: "list[HttpTransport]" = []
-
-    @property
-    def endpoint(self) -> str:
-        """The rpc URL frames are POSTed to."""
-        return f"{self.base_url}/rpc"
-
-    def _transport(self) -> HttpTransport:
-        transport = getattr(self._local, "transport", None)
-        if transport is None:
-            transport = HttpTransport(self.base_url, timeout=self.timeout)
-            self._local.transport = transport
-            with self._lock:
-                self._transports.append(transport)
-        return transport
-
-    def roundtrip(self, frame: bytes) -> bytes:
-        return self._transport().roundtrip(frame)
-
-    def close(self) -> None:
-        """Drop every thread's connection (safe from any thread)."""
-        with self._lock:
-            transports, self._transports = self._transports, []
-        for transport in transports:
-            transport.close()
-        # Threads keep their HttpTransport objects (closing only drops
-        # sockets); re-track them so a later close() sees reused ones.
-        self._local = threading.local()
 
 
 class AsyncTransport:

@@ -13,11 +13,6 @@ Subcommands::
     repro-spv serve     --artifact de.ldm.rspv --http 8350
     repro-spv fetch     http://host:8350 3 9 --out r.bin --descriptor-out d.bin
     repro-spv verify    r.bin --key owner.pub --descriptor d.bin
-    repro-spv loadtest  net.txt --method DIJ --range 2000 --passes 3 --updates 2
-    repro-spv loadtest  --artifact de.ldm.rspv --key owner.pub
-    repro-spv loadtest  --scenario steady-burst --insecure --slo slo.json
-    repro-spv loadtest  net.txt --scenario steady --url http://host:8350 \\
-                        --key owner.pub
 
 ``demo`` runs the full three-party protocol (build, answer, verify) and
 prints per-query proof sizes; ``estimate`` prints the predictive sizing
@@ -32,13 +27,9 @@ boots the wire-protocol HTTP frontend and serves until interrupted
 against); ``fetch`` retrieves one response (and optionally the
 descriptor) from a running HTTP service as artifact files; ``verify``
 checks a serialized response file offline against a public key file —
-the exit code is the verdict, so scripts can gate on it;
-``loadtest`` drives a traffic trace — a registered ``--scenario`` or a
-replay of one workload for ``--passes`` passes (``--updates N`` owner
-re-weights per pass) — through ``--clients`` verifying clients against
-one topology (a server booted in-process over the graph built inline
-or over ``--artifact``, or ``--url``) and prints one per-phase table;
-every reply is verified, and ``--slo`` gates the report (exit code 3).
+the exit code is the verdict, so scripts can gate on it.  An operator
+checks a running deployment with ``fetch`` + ``verify``; its speed is
+measured from outside the package, by ``perfbench``.
 """
 
 from __future__ import annotations
@@ -48,13 +39,6 @@ import sys
 import time
 
 from repro.bench.reporting import format_table
-from repro.bench.serving import (
-    DEFAULT_CLIENTS,
-    SloReport,
-    check_slo,
-    load_slo_policy,
-    run_loadtest,
-)
 from repro.core.estimate import ProofSizeModel
 from repro.core.framework import Client, DataOwner, ServiceProvider
 from repro.core.proofs import QueryResponse
@@ -65,7 +49,6 @@ from repro.graph.synthetic import road_network
 from repro.service.server import ProofServer
 from repro.workload.datasets import normalize_weights
 from repro.workload.queries import generate_workload
-from repro.workload.traffic import generate_traffic, get_scenario, replay_trace
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -186,7 +169,7 @@ def _serving_method(args: argparse.Namespace):
     for artifact-backed serving, which is the point: a serving box
     holds no signer.
     """
-    if getattr(args, "artifact", None):
+    if args.artifact:
         from repro.store import load_method
 
         if args.graph:
@@ -201,7 +184,7 @@ def _verifier_for(owner, args: argparse.Namespace):
     """The client-side signature check: the owner's key, or --key."""
     if owner is not None:
         return owner.signer.verify
-    if getattr(args, "key", None):
+    if args.key:
         return load_public_key(args.key).verify
     return None
 
@@ -232,15 +215,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _read_workload_file(path: str) -> "list[tuple[int, int]]":
-    with open(path, "r", encoding="utf-8") as infile:
-        return read_workload(infile)
-
-
 def _read_requests(args: argparse.Namespace) -> "list[tuple[int, int]]":
     """The request stream for ``serve``: workload file, or stdin lines."""
     if args.workload:
-        return _read_workload_file(args.workload)
+        with open(args.workload, "r", encoding="utf-8") as infile:
+            return read_workload(infile)
     if sys.stdin.isatty():
         print("reading 'source target' queries from stdin "
               "(one per line, Ctrl-D to finish)", file=sys.stderr)
@@ -359,111 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print()
     print(_metrics_table(snapshot))
     return 1 if failures else 0
-
-
-def _loadtest_topology(args: argparse.Namespace):
-    """``(owner | None, method | None, trace graph, source label)``.
-
-    A graph file (or the standard synthetic network for a scenario)
-    builds the method and keeps the owner, whose signer lands the
-    trace's pushes; ``--artifact`` loads the method without a signer,
-    so pushes are dropped; ``--url`` only needs the graph the endpoint
-    answers about, to draw the trace from.
-    """
-    if args.artifact:
-        owner, method, _ = _serving_method(args)
-        return owner, method, method.graph, f"artifact {args.artifact}"
-    if args.url:
-        if not args.graph:
-            raise ServiceError(
-                "loadtest --url needs the graph file the endpoint serves "
-                "(the workload substrate); the endpoint is not asked for it")
-        return None, None, read_graph(args.graph), f"endpoint {args.url}"
-    if args.graph or not args.scenario:
-        owner, method, _ = _published_method(args)
-        return owner, method, owner.graph, args.graph
-    graph = normalize_weights(road_network(300, seed=42), 4500.0)
-    owner = DataOwner(graph, signer=NullSigner() if args.insecure
-                      else RsaSigner(bits=1024))
-    return (owner, owner.publish(args.method), graph,
-            "synthetic road network (300 nodes)")
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """``loadtest``: build the trace, pick the topology, run, print.
-
-    Exit codes: 1 on any failed verification or untyped garbage
-    outcome, 3 on an ``--slo`` policy violation.
-    """
-    import json
-
-    owner, method, graph, source = _loadtest_topology(args)
-    if owner is None and (args.save_key or args.updates):
-        raise ServiceError(
-            "--save-key and --updates need the owner's signer, which only "
-            "a build from a graph file holds")
-    verify_signature = _verifier_for(owner, args)
-    if verify_signature is None:
-        raise ServiceError(
-            "--artifact and --url hold no key material; pass --key (the "
-            "owner's public key file) for the clients to verify against")
-    if args.save_key:
-        save_public_key(owner.signer, args.save_key)
-        print(f"wrote owner public key to {args.save_key}")
-    if args.scenario:
-        scenario = get_scenario(args.scenario)
-        if args.events_scale != 1.0:
-            scenario = scenario.scaled(args.events_scale)
-        trace = generate_traffic(graph, scenario, seed=args.seed)
-    else:
-        queries = (_read_workload_file(args.workload) if args.workload
-                   else generate_workload(graph, args.range, count=args.count,
-                                          seed=args.seed, tolerance=1.0))
-        trace = replay_trace(graph, queries, passes=args.passes,
-                             updates_per_pass=args.updates,
-                             batch_size=args.batch_size, seed=args.seed)
-    report = run_loadtest(
-        trace, verify_signature, method=method,
-        update_signer=owner.signer if owner is not None else None,
-        url=args.url,
-        clients=args.clients, cache_size=args.cache_size,
-        time_scale=args.time_scale,
-    )
-    print(format_table(
-        list(SloReport.TABLE_HEADERS), report.table_rows(),
-        title=(f"{report.method} load test '{trace.scenario}' on {source}: "
-               f"{report.clients} clients, seed {args.seed}, "
-               f"trace {report.trace_digest}"),
-    ))
-    print(f"\nsaturation {report.saturation_qps:.1f} QPS, "
-          f"{report.total_queries} queries verified end-to-end, "
-          f"wire/proof bytes {report.overhead_ratio:.4f}x, "
-          f"{report.updates_pushed} update pushes "
-          f"(final version {report.final_version}), "
-          f"{report.verification_failures} verification failures, "
-          f"{report.untyped_garbage} untyped garbage exceptions")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            json.dump(report.as_dict(), out, indent=2, sort_keys=True)
-        print(f"wrote load test report to {args.out}")
-    if not report.all_verified or report.untyped_garbage:
-        for phase in report.phases:
-            for failure in phase.failures:
-                print(f"  {phase.name}: {failure}", file=sys.stderr)
-        for failure in report.freshness_failures:
-            print(f"  freshness: {failure}", file=sys.stderr)
-        print("error: the load test is unsound (see failures above)",
-              file=sys.stderr)
-        return 1
-    if args.slo:
-        violations = check_slo(report, load_slo_policy(args.slo))
-        if violations:
-            print(f"\nSLO violations vs {args.slo}:", file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return 3
-        print(f"\nwithin SLO policy {args.slo}")
-    return 0
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
@@ -619,31 +493,27 @@ def build_parser() -> argparse.ArgumentParser:
                            "boxes never see the private key")
     pack.set_defaults(fn=_cmd_pack)
 
-    def add_server_args(p: argparse.ArgumentParser,
-                        default_method: str) -> None:
-        p.add_argument("graph", nargs="?",
-                       help="network file (omit when using --artifact)")
-        p.add_argument("--artifact",
-                       help="cold-start from a packed .rspv artifact "
-                            "instead of building (no graph, no signer)")
-        p.add_argument("--method", choices=["DIJ", "FULL", "LDM", "HYP"],
-                       default=default_method)
-        p.add_argument("--landmarks", type=int, default=50)
-        p.add_argument("--cells", type=int, default=49)
-        p.add_argument("--insecure", action="store_true",
-                       help="use the keyed-hash stub signer (fast, no RSA)")
-        p.add_argument("--cache-size", type=int, default=1024,
-                       help="LRU proof cache capacity")
-        p.add_argument("--save-key",
-                       help="write the owner's public key file (for "
-                            "`repro-spv verify` / RemoteClient users)")
-        p.add_argument("--key",
-                       help="owner public key file, to verify served "
-                            "responses when running from an artifact")
-
     serve = sub.add_parser(
         "serve", help="answer a request stream through a cached proof server")
-    add_server_args(serve, default_method="DIJ")
+    serve.add_argument("graph", nargs="?",
+                       help="network file (omit when using --artifact)")
+    serve.add_argument("--artifact",
+                       help="cold-start from a packed .rspv artifact "
+                            "instead of building (no graph, no signer)")
+    serve.add_argument("--method", choices=["DIJ", "FULL", "LDM", "HYP"],
+                       default="DIJ")
+    serve.add_argument("--landmarks", type=int, default=50)
+    serve.add_argument("--cells", type=int, default=49)
+    serve.add_argument("--insecure", action="store_true",
+                       help="use the keyed-hash stub signer (fast, no RSA)")
+    serve.add_argument("--cache-size", type=int, default=1024,
+                       help="LRU proof cache capacity")
+    serve.add_argument("--save-key",
+                       help="write the owner's public key file (for "
+                            "`repro-spv verify` / RemoteClient users)")
+    serve.add_argument("--key",
+                       help="owner public key file, to verify served "
+                            "responses when running from an artifact")
     serve.add_argument("--workload",
                        help="query file (default: read stdin lines)")
     serve.add_argument("--http", type=int, metavar="PORT",
@@ -688,43 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="expected query target (default: from the response)")
     ver.set_defaults(fn=_cmd_verify)
 
-    lt = sub.add_parser(
-        "loadtest",
-        help="drive a scenario or a cold-vs-warm replay through verifying "
-             "clients and print per-phase metrics")
-    add_server_args(lt, default_method="DIJ")
-    lt.add_argument("--workload", help="query file (default: generate)")
-    lt.add_argument("--batch-size", type=int, default=0,
-                    help="replay queries as multiproof BATCH frames of this "
-                         "many queries (0 = per-query QUERY frames)")
-    lt.add_argument("--range", type=float, default=2000.0)
-    lt.add_argument("--count", type=int, default=20)
-    lt.add_argument("--seed", type=int, default=0)
-    lt.add_argument("--passes", type=int, default=2,
-                    help="replay passes; the first is cold, the rest warm")
-    lt.add_argument("--updates", type=int, default=0,
-                    help="owner re-weights interleaved through every pass "
-                         "(exercises incremental re-auth + cache invalidation)")
-    lt.add_argument("--scenario",
-                    help="drive this registered traffic scenario (e.g. "
-                         "steady-burst) instead of a replay; self-provisions "
-                         "a synthetic network when no graph is given")
-    lt.add_argument("--url",
-                    help="drive this already-running endpoint instead of "
-                         "booting a server; needs the graph positional "
-                         "(workload substrate) and --key")
-    lt.add_argument("--clients", type=int, default=DEFAULT_CLIENTS,
-                    help="verifying clients, one persistent connection each")
-    lt.add_argument("--time-scale", type=float, default=1.0,
-                    help="stretch (>1) or compress (<1) scenario arrival "
-                         "timestamps")
-    lt.add_argument("--events-scale", type=float, default=1.0,
-                    help="scale every scenario phase's event count")
-    lt.add_argument("--slo",
-                    help="SLO policy JSON to gate the report against "
-                         "(exit code 3 on violation)")
-    lt.add_argument("--out", help="write the report as a JSON file")
-    lt.set_defaults(fn=_cmd_loadtest)
     return parser
 
 

@@ -6,8 +6,8 @@ clients for a long time; this package is that provider as a subsystem.
 :class:`~repro.core.method.VerificationMethod` behind a request/response
 API with an LRU proof cache (:class:`ProofCache`), bursts served under
 one update-gate hold (shipped by the wire layer as one Merkle
-multiproof), a thread-pool concurrent mode, and serving metrics
-(:class:`ServerMetrics`).
+multiproof), thread-safe answering for the HTTP frontend's dispatch
+pool, and serving metrics (:class:`ServerMetrics`).
 
 Typical use::
 

@@ -40,11 +40,10 @@ untrusted-but-scalable provider is meant for):
   (numpy/hashlib, GIL-releasing) proof work overlaps socket I/O.
 
 The server binds ``port=0`` to an ephemeral port, which is what the
-tests, the load tester and the CI smoke job use to avoid port
-collisions.  This module imports nothing of the serving stack (only the
-error layer and the envelope's typed error frames): it serves whatever
-object offers ``dispatch(bytes) -> bytes``, keeping the frontend a pure
-transport.
+tests and perfbench use to avoid port collisions.  This module imports
+nothing of the serving stack (only the error layer and the envelope's
+typed error frames): it serves whatever object offers
+``dispatch(bytes) -> bytes``, keeping the frontend a pure transport.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 :class:`ServerMetrics` is the running (thread-safe) accumulator owned by
 a :class:`~repro.service.server.ProofServer`; :class:`MetricsSnapshot`
 is the immutable read the CLI and benchmarks consume.  ``reset()``
-starts a fresh measurement window, which is how the load tester gets
-separate cold-cache and warm-cache numbers from one server.
+starts a fresh measurement window, which is how one server reports
+separate cold-cache and warm-cache numbers.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class MetricsSnapshot:
     cache_entries: int = 0
     cache_capacity: int = 0
     p99_ms: float = 0.0
-    #: Label of the phase window this snapshot froze ("" = unlabeled).
-    phase: str = ""
 
     @property
     def qps(self) -> float:
@@ -99,7 +97,6 @@ class MetricsSnapshot:
             "cache_entries": self.cache_entries,
             "cache_capacity": self.cache_capacity,
             "p99_ms": self.p99_ms,
-            "phase": self.phase,
         }
 
     @property
@@ -111,72 +108,22 @@ class MetricsSnapshot:
 
 
 class ServerMetrics:
-    """Thread-safe accumulator of per-request serving measurements.
-
-    Besides the running window, the accumulator supports *phase
-    windowing* for soak runs: :meth:`begin_phase` freezes the current
-    window into the phase history and starts a fresh labeled one, so a
-    warmup → steady → burst soak gets per-phase percentiles from one
-    server without losing any earlier phase's numbers.  The history is
-    read via :attr:`phases` and survives ``reset()`` unless the reset
-    asks for ``phases=True``.
-    """
+    """Thread-safe accumulator of per-request serving measurements."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._phase = ""
-        self._phases: list[MetricsSnapshot] = []
         self.reset()
 
-    def reset(self, *, phases: bool = False) -> None:
-        """Start a new measurement window.
-
-        The current window's label is kept (a reset inside a phase
-        restarts that phase's window); pass ``phases=True`` to also drop
-        the recorded phase history and the label.
-        """
+    def reset(self) -> None:
+        """Start a new measurement window."""
         with self._lock:
-            self._clear_locked()
-            if phases:
-                self._phase = ""
-                self._phases = []
-
-    def _clear_locked(self) -> None:
-        self._started = time.perf_counter()
-        self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
-        self._hits = 0
-        self._misses = 0
-        self._bytes = 0
-        self._updates = 0
-        self._update_seconds = 0.0
-
-    # -- phase windowing ------------------------------------------------
-    def begin_phase(self, name: str) -> None:
-        """Close the current window into the history; open *name*.
-
-        The closing window is recorded only if it saw any traffic (the
-        idle gap between server start and the first phase is noise, not
-        a phase).
-        """
-        self._cut_window(new_label=name)
-
-    def end_phase(self) -> None:
-        """Close the current phase back to an unlabeled window."""
-        self._cut_window(new_label="")
-
-    def _cut_window(self, *, new_label: str) -> None:
-        with self._lock:
-            closing = self._freeze_locked()
-            if closing.requests or closing.updates:
-                self._phases.append(closing)
-            self._phase = new_label
-            self._clear_locked()
-
-    @property
-    def phases(self) -> "tuple[MetricsSnapshot, ...]":
-        """Closed phase windows, oldest first."""
-        with self._lock:
-            return tuple(self._phases)
+            self._started = time.perf_counter()
+            self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
+            self._hits = 0
+            self._misses = 0
+            self._bytes = 0
+            self._updates = 0
+            self._update_seconds = 0.0
 
     def record(self, latency_seconds: float, proof_bytes: int,
                *, cached: bool) -> None:
@@ -195,25 +142,21 @@ class ServerMetrics:
             self._updates += 1
             self._update_seconds += seconds
 
-    def _freeze_locked(self) -> MetricsSnapshot:
-        latencies = sorted(self._latencies)
-        return MetricsSnapshot(
-            requests=self._hits + self._misses,
-            elapsed_seconds=time.perf_counter() - self._started,
-            cache_hits=self._hits,
-            cache_misses=self._misses,
-            proof_bytes=self._bytes,
-            p50_ms=percentile(latencies, 0.50) * 1000.0,
-            p95_ms=percentile(latencies, 0.95) * 1000.0,
-            updates=self._updates,
-            update_seconds=self._update_seconds,
-            p99_ms=percentile(latencies, 0.99) * 1000.0,
-            phase=self._phase,
-        )
-
     def _freeze(self) -> MetricsSnapshot:
         with self._lock:
-            return self._freeze_locked()
+            latencies = sorted(self._latencies)
+            return MetricsSnapshot(
+                requests=self._hits + self._misses,
+                elapsed_seconds=time.perf_counter() - self._started,
+                cache_hits=self._hits,
+                cache_misses=self._misses,
+                proof_bytes=self._bytes,
+                p50_ms=percentile(latencies, 0.50) * 1000.0,
+                p95_ms=percentile(latencies, 0.95) * 1000.0,
+                updates=self._updates,
+                update_seconds=self._update_seconds,
+                p99_ms=percentile(latencies, 0.99) * 1000.0,
+            )
 
     def snapshot(self, *, cache=None) -> MetricsSnapshot:
         """Freeze the current window (the window keeps accumulating).

@@ -15,8 +15,9 @@ concerns around the unchanged proof machinery:
   burst under one hold of the update gate, so every response in it
   carries one graph version and the wire layer can ship them as one
   Merkle multiproof (:func:`repro.core.batch.combine_multiproof`);
-* **concurrency** — a thread-pool mode answers independent requests in
-  parallel (cache and metrics are lock-protected);
+* **concurrency** — :meth:`ProofServer.answer` is safe to call from
+  many threads at once (cache and metrics are lock-protected), which is
+  how the HTTP frontend's dispatch pool drives it;
 * **live updates** — :meth:`ProofServer.apply_updates` mutates the
   graph and incrementally re-authenticates the wrapped method under
   the exclusive side of a reader/writer gate
@@ -41,7 +42,6 @@ as it would a fresh one.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.method import UpdateReport, VerificationMethod
@@ -113,7 +113,6 @@ class ProofServer:
 
     def __init__(self, method: VerificationMethod, *,
                  cache_size: int = DEFAULT_CAPACITY,
-                 max_workers: int = 4,
                  trim_changelog: bool = True) -> None:
         """``trim_changelog`` keeps the graph changelog bounded by
         dropping entries this server's method has absorbed after each
@@ -122,12 +121,9 @@ class ProofServer:
         method built on the same graph object — still need the older
         entries for their own ``apply_update``.
         """
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         self.method = method
         self.cache = ProofCache(cache_size)
         self.metrics = ServerMetrics()
-        self.max_workers = max_workers
         self.trim_changelog = trim_changelog
         #: Queries hold the shared side, updates the exclusive side, so
         #: a proof never assembles against a half-applied update.
@@ -250,24 +246,6 @@ class ProofServer:
                     for vs, vt in queries]
 
     # ------------------------------------------------------------------
-    def answer_concurrent(self, queries: "list[tuple[int, int]]", *,
-                          max_workers: "int | None" = None
-                          ) -> "list[ServedResponse]":
-        """Serve independent queries on a thread pool.
-
-        Results come back in request order; a failing request yields
-        its own error response without disturbing the others.  Cache
-        and metrics are thread-safe; concurrent misses on the same key
-        may each compute the proof once (last write wins), which is
-        harmless because responses are deterministic.
-        """
-        workers = max_workers if max_workers is not None else self.max_workers
-        if workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {workers}")
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda q: self.answer(q[0], q[1]), queries))
-
-    # ------------------------------------------------------------------
     # live updates
     # ------------------------------------------------------------------
     @property
@@ -284,9 +262,9 @@ class ProofServer:
         """Apply owner mutations and incrementally re-authenticate.
 
         Runs under the exclusive side of the update gate: in-flight
-        queries drain first, queued queries (including the thread-pool
-        mode's) wait, and once the method re-signs, the graph version
-        bump retires every cached proof at the next lookup.  The batch
+        queries drain first, queued queries wait, and once the method
+        re-signs, the graph version bump retires every cached proof at
+        the next lookup.  The batch
         is atomic from the server's point of view: if any mutation or
         the re-authentication fails (an invalid edge, a removal that
         disconnects the network), the graph is rolled back to its

@@ -2,17 +2,6 @@
 
 from repro.workload.datasets import DATASET_SPECS, dataset_names, load_dataset
 from repro.workload.queries import QueryWorkload, generate_workload
-from repro.workload.traffic import (
-    SCENARIOS,
-    PhaseSpec,
-    Scenario,
-    TrafficEvent,
-    TrafficMix,
-    TrafficTrace,
-    generate_traffic,
-    get_scenario,
-    replay_trace,
-)
 from repro.workload.updates import (
     GraphUpdate,
     UpdateWorkload,
@@ -30,13 +19,4 @@ __all__ = [
     "load_dataset",
     "dataset_names",
     "DATASET_SPECS",
-    "SCENARIOS",
-    "PhaseSpec",
-    "Scenario",
-    "TrafficEvent",
-    "TrafficMix",
-    "TrafficTrace",
-    "generate_traffic",
-    "get_scenario",
-    "replay_trace",
 ]

@@ -31,11 +31,12 @@ from repro.api.envelope import (
     decode_message,
 )
 from repro.api.transport import InProcessTransport
-from repro.core.batch import MultiProofBatch
+from repro.core.batch import MultiProofBatch, combine_multiproof
 from repro.core.dij import DijMethod
 from repro.core.full import FullMethod
 from repro.core.hyp import HypMethod
 from repro.core.ldm import LdmMethod
+from repro.errors import MethodError
 from repro.service.server import ProofServer
 
 BAD_NODE = 10**9
@@ -279,3 +280,104 @@ class TestHostileSharedBlob:
         results = self.run_against(method_dispatcher, signer, workload[:2],
                                    swap_paths)
         self.assert_all_rejected(results)
+
+    def test_shared_proof_for_fewer_queries_than_ok_slots(
+            self, method_dispatcher, signer, workload):
+        def drop_last_query(shared):
+            batch = MultiProofBatch.decode(shared)
+            return replace(batch, queries=batch.queries[:-1],
+                           paths=batch.paths[:-1], costs=batch.costs[:-1],
+                           query_positions=batch.query_positions[:-1]
+                           ).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:3],
+                                   drop_last_query)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
+    def test_cover_naming_an_undisclosed_leaf(self, method_dispatcher,
+                                              signer, workload):
+        def point_outside(shared):
+            batch = MultiProofBatch.decode(shared)
+            (name, positions), *rest = batch.query_positions[0]
+            disclosed = set(batch.shared[name].positions)
+            outside = min(set(range(len(disclosed) + 1)) - disclosed)
+            first = ((name, tuple(sorted({*positions, outside}))), *rest)
+            return replace(batch, query_positions=(
+                first, *batch.query_positions[1:])).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:2],
+                                   point_outside)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
+    def test_shared_section_sent_twice(self, method_dispatcher, signer,
+                                       workload):
+        class Twice(dict):
+            """Every section name listed twice in the encoded blob."""
+
+            def __len__(self):
+                return 2 * super().__len__()
+
+            def __iter__(self):
+                for name in list(super().__iter__()):
+                    yield name
+                    yield name
+
+        def duplicate_sections(shared):
+            batch = MultiProofBatch.decode(shared)
+            return replace(batch, shared=Twice(batch.shared)).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:2],
+                                   duplicate_sections)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
+
+class TestCombineRefusesDisagreeingResponses:
+    """The server folds a burst into one multiproof only when every
+    response can share it; otherwise ``combine_multiproof`` refuses
+    with :class:`MethodError` and the burst ships per-item replies."""
+
+    @pytest.fixture(scope="class")
+    def replies(self, road300, signer, workload):
+        dij = DijMethod.build(road300.copy(), signer)
+        return [dij.answer(vs, vt) for vs, vt in workload[:2]]
+
+    def test_empty_burst(self):
+        with pytest.raises(MethodError, match="empty query batch"):
+            combine_multiproof([], [])
+
+    def test_more_queries_than_responses(self, replies, workload):
+        with pytest.raises(MethodError, match="3 queries vs 2 responses"):
+            combine_multiproof(workload[:3], replies)
+
+    def test_response_for_another_query(self, replies, workload):
+        with pytest.raises(MethodError, match="does not answer query"):
+            combine_multiproof(workload[:2], replies[::-1])
+
+    def test_responses_of_two_methods(self, replies, road300, signer,
+                                      workload):
+        full = FullMethod.build(road300.copy(), signer)
+        with pytest.raises(MethodError, match="mixed methods"):
+            combine_multiproof(workload[:2],
+                               [replies[0], full.answer(*workload[1])])
+
+    def test_responses_of_two_versions(self, road300, signer, workload):
+        graph = road300.copy()
+        dij = DijMethod.build(graph, signer)
+        before = dij.answer(*workload[0])
+        u, v, w = next(iter(graph.edges()))
+        graph.update_edge_weight(u, v, w * 1.5)
+        dij.apply_update(signer)
+        after = dij.answer(*workload[1])
+        with pytest.raises(MethodError, match="different descriptor versions"):
+            combine_multiproof(workload[:2], [before, after])
+
+    def test_conflicting_payloads_for_one_leaf(self, replies, workload):
+        honest = replies[0]
+        name, section = next(iter(honest.sections.items()))
+        forged = replace(honest, sections={
+            **honest.sections,
+            name: replace(section, payloads=[section.payloads[0] + b"\x00",
+                                             *section.payloads[1:]])})
+        pair = workload[0]
+        with pytest.raises(MethodError, match="conflicting payloads"):
+            combine_multiproof([pair, pair], [honest, forged])

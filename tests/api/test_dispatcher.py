@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import codes
 from repro.api import envelope as E
+from repro.api.client import RemoteClient
+from repro.api.transport import InProcessTransport
 from repro.core.proofs import QueryResponse
+from repro.errors import MethodError, ServiceError
 
 
 def roundtrip(dispatcher, message):
@@ -98,6 +103,64 @@ class TestDescriptorAndMetrics:
         assert isinstance(reply, E.MetricsReply)
         assert reply.requests == 3
         assert reply.proof_bytes > 0
+
+    def test_metrics_json_is_the_wire_frames_record(self, dispatcher,
+                                                    workload):
+        roundtrip(dispatcher, E.QueryRequest(*workload[0]))
+        record = dispatcher.metrics_json()
+        frame = roundtrip(dispatcher, E.MetricsRequest())
+        derived = {"qps", "hit_rate"}
+        assert set(record) - derived == {
+            field.name for field in dataclasses.fields(frame)}
+        assert record["requests"] == frame.requests == 1
+        assert record["cache_capacity"] == frame.cache_capacity
+
+
+class TestHandlerFailures:
+    """A handler that raises still yields a typed reply frame."""
+
+    def test_typed_failure_is_bad_request(self, server, dispatcher,
+                                          monkeypatch):
+        def refuse(source, target):
+            raise ServiceError(f"cannot serve {source}->{target}")
+
+        monkeypatch.setattr(server, "answer", refuse)
+        reply = roundtrip(dispatcher, E.QueryRequest(3, 9))
+        assert reply == E.ErrorMessage(codes.E_BAD_REQUEST,
+                                       "cannot serve 3->9")
+
+    def test_untyped_failure_is_internal_and_not_fatal(
+            self, server, dispatcher, workload, monkeypatch):
+        answer = server.answer
+
+        def crash(source, target):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "answer", crash)
+        reply = roundtrip(dispatcher, E.QueryRequest(*workload[0]))
+        assert reply == E.ErrorMessage(codes.E_INTERNAL,
+                                       "RuntimeError: boom")
+        monkeypatch.setattr(server, "answer", answer)
+        assert isinstance(roundtrip(dispatcher, E.QueryRequest(*workload[0])),
+                          E.QueryReply)
+
+    def test_burst_that_cannot_share_a_multiproof_ships_per_item(
+            self, dispatcher, signer, workload, monkeypatch):
+        import repro.core.batch
+
+        def cannot_share(queries, responses):
+            raise MethodError("responses disagree")
+
+        monkeypatch.setattr(repro.core.batch, "combine_multiproof",
+                            cannot_share)
+        pairs = tuple(workload[:3])
+        reply = roundtrip(dispatcher, E.BatchQueryRequest(pairs,
+                                                          multiproof=True))
+        assert isinstance(reply, E.BatchQueryReply)
+        assert not reply.shared
+        assert all(item.ok and item.response_bytes for item in reply.items)
+        client = RemoteClient(InProcessTransport(dispatcher), signer.verify)
+        assert all(r.ok for r in client.query_batch(pairs))
 
 
 class TestUpdates:

@@ -7,7 +7,14 @@ import pytest
 from repro.api import codes
 from repro.api.client import RemoteClient
 from repro.api.transport import InProcessTransport
-from repro.api.envelope import PROTOCOL_VERSION, WireUpdate
+from repro.api.envelope import (
+    PROTOCOL_VERSION,
+    BatchQueryRequest,
+    DescriptorReply,
+    HelloReply,
+    QueryRequest,
+    WireUpdate,
+)
 from repro.core.proofs import QueryResponse
 from repro.errors import ProtocolError
 
@@ -49,6 +56,44 @@ class TestQueries:
         assert results[0].ok
         assert not results[1].ok
         assert results[1].verdict.reason == codes.E_QUERY_FAILED
+
+
+class TestTransportFreeInterpretation:
+    """The ``interpret_*`` halves hold a reply to the request it answers."""
+
+    def test_result_path_is_the_verified_path(self, client, dij, workload):
+        vs, vt = workload[0]
+        answer = dij.answer(vs, vt)
+        assert client.query(vs, vt).path == (answer.path_nodes,
+                                             answer.path_cost)
+
+    def test_error_result_has_no_response_or_path(self, client):
+        result = client.query(10**9, 1)
+        assert result.response is None and result.path is None
+
+    def test_exchange_of_another_reply_type_is_a_protocol_error(self):
+        frame = HelloReply(PROTOCOL_VERSION, "DIJ", 1).to_frame()
+        with pytest.raises(ProtocolError, match="expected DescriptorReply"):
+            RemoteClient.interpret_exchange(frame, DescriptorReply)
+
+    def test_query_reply_of_another_type_is_a_protocol_error(self, client):
+        frame = HelloReply(PROTOCOL_VERSION, "DIJ", 1).to_frame()
+        with pytest.raises(ProtocolError, match="expected QueryReply"):
+            client.interpret_query_reply(3, 9, frame)
+
+    def test_batch_reply_of_another_type_is_a_protocol_error(self, client,
+                                                             dispatcher,
+                                                             workload):
+        frame = dispatcher.dispatch(QueryRequest(*workload[0]).to_frame())
+        with pytest.raises(ProtocolError, match="expected BatchQueryReply"):
+            client.interpret_batch_reply([workload[0]], frame)
+
+    def test_batch_reply_for_another_burst_is_a_protocol_error(
+            self, client, dispatcher, workload):
+        frame = dispatcher.dispatch(
+            BatchQueryRequest(tuple(workload[:2])).to_frame())
+        with pytest.raises(ProtocolError, match="2 items for 3 queries"):
+            client.interpret_batch_reply(workload[:3], frame)
 
 
 class TestHandshakeAndDescriptor:

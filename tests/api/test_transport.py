@@ -1,4 +1,4 @@
-"""HTTP transport behaviour: persistence, reconnect, pooling.
+"""HTTP transport behaviour: persistence, reconnect, the async variant.
 
 These tests count *server-side accepted connections* — the ground truth
 for connection reuse — through the server's ``connections_accepted``.  The
@@ -11,20 +11,67 @@ it succeeds.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
 
 from repro.api.client import RemoteClient
-from repro.api.envelope import HelloRequest, QueryRequest, decode_frame
-from repro.api.transport import (
-    AsyncTransport,
-    HttpTransport,
-    PooledHttpTransport,
+from repro.api.envelope import (
+    HelloRequest,
+    QueryRequest,
+    decode_frame,
+    decode_message,
 )
-from repro.errors import ProtocolError
+from repro.api.transport import AsyncTransport, HttpTransport
+from repro.errors import ProtocolError, ServiceError
 from repro.service.aio import AsyncProofHttpServer
 from repro.service.server import ProofServer
+
+
+class ScriptedPeer:
+    """A localhost TCP peer playing one step per accepted connection:
+    ``"answer"`` replies ``200`` with a body to one request and then
+    hangs up; ``"hangup"`` closes without reading.  Connections past
+    the script are hung up on."""
+
+    def __init__(self, *script: str) -> None:
+        self.script = list(script)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.accepted = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            step = self.script.pop(0) if self.script else "hangup"
+            self.accepted += 1
+            with conn:
+                if step == "answer":
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        head += conn.recv(4096)
+                    conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Length: 4\r\n\r\nRSPV")
+
+    def close(self) -> None:
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self.listener.close()
+        self._thread.join(5.0)
+
+    def __enter__(self) -> "ScriptedPeer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class TestPersistentConnection:
@@ -96,41 +143,28 @@ class TestPersistentConnection:
             with pytest.raises(ProtocolError):
                 HttpTransport(url)
 
+    def test_non_200_status_is_a_protocol_error(self, dispatcher):
+        with AsyncProofHttpServer(dispatcher) as server, \
+                HttpTransport(f"{server.url}/elsewhere") as transport:
+            with pytest.raises(ProtocolError, match="HTTP 404"):
+                transport.roundtrip(HelloRequest().to_frame())
 
-class TestPooledTransport:
-    def test_one_connection_per_thread(self, dispatcher, signer, workload):
-        server = AsyncProofHttpServer(dispatcher)
-        threads = 4
-        with server, PooledHttpTransport(server.url) as pooled:
-            barrier = threading.Barrier(threads)
-            failures = []
+    def test_hangup_on_a_fresh_dial_is_not_retried(self):
+        with ScriptedPeer("hangup") as peer, \
+                HttpTransport(peer.url, timeout=5.0) as transport:
+            with pytest.raises(ProtocolError) as excinfo:
+                transport.roundtrip(b"RSPV")
+        assert "transport failure" in str(excinfo.value)
+        assert "after reconnect" not in str(excinfo.value)
+        assert peer.accepted == 1
 
-            def worker():
-                barrier.wait()
-                client = RemoteClient(pooled, signer.verify)
-                for vs, vt in workload:
-                    if not client.query(vs, vt).ok:
-                        failures.append((vs, vt))
-
-            pool = [threading.Thread(target=worker) for _ in range(threads)]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join()
-            assert not failures
-            assert server.connections_accepted == threads
-
-    def test_close_drops_all_then_redials(self, dispatcher, signer, workload):
-        server = AsyncProofHttpServer(dispatcher)
-        vs, vt = workload[0]
-        with server:
-            pooled = PooledHttpTransport(server.url)
-            client = RemoteClient(pooled, signer.verify)
-            assert client.query(vs, vt).ok
-            pooled.close()
-            assert client.query(vs, vt).ok
-            pooled.close()
-        assert server.connections_accepted == 2
+    def test_stale_connection_is_retried_exactly_once(self):
+        with ScriptedPeer("answer", "hangup") as peer, \
+                HttpTransport(peer.url, timeout=5.0) as transport:
+            assert transport.roundtrip(b"RSPV") == b"RSPV"
+            with pytest.raises(ProtocolError, match="after reconnect"):
+                transport.roundtrip(b"RSPV")
+        assert peer.accepted == 2
 
 
 class TestAsyncTransport:
@@ -180,6 +214,52 @@ class TestAsyncTransport:
         before, after, second = asyncio.run(drive())
         assert decode_frame(before).msg_type == decode_frame(after).msg_type
         assert second.connections_accepted == 1
+
+    def test_bad_base_url_rejected(self):
+        for url in ("https://x:1", "ftp://x", "not-a-url", "http://"):
+            with pytest.raises(ProtocolError):
+                AsyncTransport(url)
+
+    def test_unreachable_endpoint_is_a_protocol_error(self, dispatcher):
+        server = AsyncProofHttpServer(dispatcher).start()
+        url = server.url
+        server.close()
+
+        async def drive():
+            async with AsyncTransport(url, timeout=2.0) as transport:
+                await transport.roundtrip(b"RSPV")
+
+        with pytest.raises(ProtocolError, match="cannot reach"):
+            asyncio.run(drive())
+
+    def test_stale_connection_is_retried_exactly_once(self):
+        async def drive(url):
+            async with AsyncTransport(url, timeout=5.0) as transport:
+                first = await transport.roundtrip(b"RSPV")
+                with pytest.raises(ProtocolError, match="after reconnect"):
+                    await transport.roundtrip(b"RSPV")
+                return first
+
+        with ScriptedPeer("answer", "hangup") as peer:
+            assert asyncio.run(drive(peer.url)) == b"RSPV"
+        assert peer.accepted == 2
+
+    def test_ipv6_literal_endpoint(self, dispatcher, dij, workload):
+        try:
+            server = AsyncProofHttpServer(dispatcher, host="::1")
+        except ServiceError:
+            pytest.skip("no IPv6 loopback on this host")
+        frame = QueryRequest(*workload[0]).to_frame()
+
+        async def drive(url):
+            async with AsyncTransport(url) as transport:
+                return await transport.roundtrip(frame)
+
+        with server:
+            assert server.url.startswith("http://[::1]:")
+            reply = decode_message(decode_frame(asyncio.run(
+                drive(server.url))))
+        assert reply.response_bytes == dij.answer(*workload[0]).encode()
 
     @pytest.mark.parametrize("reply", [
         b"RSPV is not HTTP\r\n\r\n",

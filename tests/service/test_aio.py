@@ -30,17 +30,22 @@ import pytest
 from repro.api import codes
 from repro.api.client import RemoteClient
 from repro.api.envelope import (
+    BatchQueryRequest,
     ErrorMessage,
     HelloRequest,
+    QueryReply,
     QueryRequest,
+    UpdatePushRequest,
+    UpdateReply,
     WireUpdate,
     decode_frame,
     decode_message,
 )
-from repro.api.transport import HttpTransport, InProcessTransport
+from repro.api.transport import AsyncTransport, HttpTransport, InProcessTransport
 from repro.core.dij import DijMethod
 from repro.errors import ProtocolError, ServiceError
 from repro.service.aio import (
+    _MAX_HEADER_BYTES,
     MAX_REQUEST_BYTES,
     AsyncProofHttpServer,
     connectable_host,
@@ -389,6 +394,85 @@ class TestDefences:
             _headers, body = ResponseReader(sock).response()
         assert error_code_of(body) == codes.E_REQUEST_TIMEOUT
 
+    def test_oversized_request_line_typed_then_close(self, dispatcher):
+        with AsyncProofHttpServer(dispatcher) as server, \
+                connect(server) as sock:
+            reader = ResponseReader(sock)
+            sock.sendall(b"POST /" + b"a" * (_MAX_HEADER_BYTES + 1024))
+            headers, body = reader.response()
+            assert error_code_of(body) == codes.E_MALFORMED_FRAME
+            assert headers.get("connection") == "close"
+            assert reader.at_eof()
+
+    def test_oversized_header_block_typed_then_close(self, dispatcher):
+        with AsyncProofHttpServer(dispatcher) as server, \
+                connect(server) as sock:
+            reader = ResponseReader(sock)
+            sock.sendall(b"POST /rpc HTTP/1.1\r\nX-Pad: "
+                         + b"y" * (_MAX_HEADER_BYTES + 1024) + b"\r\n")
+            _headers, body = reader.response()
+            assert error_code_of(body) == codes.E_MALFORMED_FRAME
+            assert reader.at_eof()
+
+    def test_header_line_without_colon_typed_then_close(self, dispatcher):
+        with AsyncProofHttpServer(dispatcher) as server, \
+                connect(server) as sock:
+            reader = ResponseReader(sock)
+            sock.sendall(b"POST /rpc HTTP/1.1\r\nno colon here\r\n\r\n")
+            _headers, body = reader.response()
+            assert error_code_of(body) == codes.E_MALFORMED_FRAME
+            assert reader.at_eof()
+
+    def test_non_numeric_length_is_411(self, dispatcher):
+        with AsyncProofHttpServer(dispatcher) as server, \
+                connect(server) as sock:
+            sock.sendall(b"POST /rpc HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
+            headers, _body = ResponseReader(sock).response()
+        assert "411" in headers["_status"]
+
+    def test_slow_dispatch_is_not_a_stalled_peer(self, dispatcher, signer,
+                                                 workload):
+        """The deadline bounds what the *peer* owes, not the provider:
+        a request the server is still answering past it is answered."""
+        slow = _SlowDispatcher(dispatcher, delay=1.0)
+        with AsyncProofHttpServer(slow, handler_timeout=0.25) as server, \
+                HttpTransport(server.url) as transport:
+            assert RemoteClient(transport, signer.verify).query(
+                *workload[0]).ok
+
+    def test_pipelining_far_ahead_is_paused_then_answered_in_order(
+            self, dij, workload):
+        gated = _GatedDispatcher(ProofServer(dij, cache_size=64).dispatcher())
+        frame = QueryRequest(*workload[0]).to_frame()
+        flood = b"\xff" * (2 * _MAX_HEADER_BYTES)  # past the read limit
+        with AsyncProofHttpServer(gated) as server, connect(server) as sock:
+            reader = ResponseReader(sock)
+            sock.sendall(http_post(frame))
+            assert gated.started.wait(10.0)
+            sock.sendall(http_post(flood))
+            time.sleep(0.2)  # the flood lands while request 1 is held
+            gated.release.set()
+            _headers, first = reader.response()
+            _headers, second = reader.response()
+        assert isinstance(decode_message(decode_frame(first)), QueryReply)
+        assert error_code_of(second) == codes.E_MALFORMED_FRAME
+
+    def test_dispatcher_that_raises_costs_one_connection(self, dispatcher,
+                                                         workload):
+        crashing = _CrashOnceDispatcher(dispatcher)
+        frame = QueryRequest(*workload[0]).to_frame()
+        with AsyncProofHttpServer(crashing) as server:
+            with connect(server) as sock:
+                sock.sendall(http_post(frame))
+                try:
+                    assert sock.recv(1024) == b""  # dropped, no reply
+                except ConnectionResetError:
+                    pass
+            with connect(server) as sock:
+                sock.sendall(http_post(frame))
+                _headers, body = ResponseReader(sock).response()
+        assert isinstance(decode_message(decode_frame(body)), QueryReply)
+
     def test_healthy_request_on_same_config_still_serves(self, dispatcher,
                                                          signer, workload):
         with AsyncProofHttpServer(dispatcher, handler_timeout=0.5) as server:
@@ -550,6 +634,21 @@ class TestLifecycle:
             with pytest.raises(ServiceError, match="cannot bind"):
                 AsyncProofHttpServer(dispatcher, port=server.port)
 
+    def test_serve_forever_returns_once_closed(self, dispatcher):
+        server = AsyncProofHttpServer(dispatcher)
+        runner = threading.Thread(target=server.serve_forever, daemon=True)
+        runner.start()
+        for _ in range(100):
+            try:
+                with urllib.request.urlopen(f"{server.url}/healthz") as reply:
+                    assert reply.read() == b"ok"
+                break
+            except OSError:
+                time.sleep(0.05)
+        server.close()
+        runner.join(10.0)
+        assert not runner.is_alive()
+
     def test_close_drops_idle_connections_fast(self, dispatcher, workload):
         """Shutdown must not wait drain_timeout for merely-open peers."""
         frame = QueryRequest(*workload[0]).to_frame()
@@ -560,6 +659,30 @@ class TestLifecycle:
             start = time.monotonic()
             server.close()
             assert time.monotonic() - start < 10.0
+
+
+class _SlowDispatcher:
+    """Delegates to a real dispatcher after a fixed delay."""
+
+    def __init__(self, inner, delay: float) -> None:
+        self.inner, self.delay = inner, delay
+
+    def dispatch(self, frame: bytes) -> bytes:
+        time.sleep(self.delay)
+        return self.inner.dispatch(frame)
+
+
+class _CrashOnceDispatcher:
+    """Raises on its first frame (a dispatcher bug), then delegates."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.crashed = inner, False
+
+    def dispatch(self, frame: bytes) -> bytes:
+        if not self.crashed:
+            self.crashed = True
+            raise RuntimeError("dispatcher bug")
+        return self.inner.dispatch(frame)
 
 
 class _GatedDispatcher:
@@ -643,39 +766,72 @@ class TestShutdownDrain:
 
 
 # ----------------------------------------------------------------------
-# Async clients and the load driver
+# Verifying clients on one event loop
 # ----------------------------------------------------------------------
 class TestAsyncClients:
-    def test_async_client_verifies_over_the_frontend(self, dispatcher,
-                                                      signer, workload):
-        from repro.api.transport import AsyncTransport
-        from repro.bench.serving import AsyncRemoteClient
+    CLIENTS = 4
+    BATCH = 3
 
-        async def drive(url):
-            client = AsyncRemoteClient(AsyncTransport(url), signer.verify)
+    @staticmethod
+    async def _round(url, clients, workload, batch):
+        """Every client, concurrently on this loop: one QUERY frame per
+        workload pair (each client starting at its own offset) and one
+        multiproof BATCH frame, each reply verified from its bytes."""
+
+        async def one(client, offset):
+            transport = AsyncTransport(url)
+            results = []
             try:
-                assert (await client.hello()).method == "DIJ"
-                results = [await client.query(vs, vt) for vs, vt in workload]
-                results += await client.query_batch(workload[:3])
+                for vs, vt in workload[offset:] + workload[:offset]:
+                    reply = await transport.roundtrip(
+                        QueryRequest(vs, vt).to_frame())
+                    results.append(
+                        client.interpret_query_reply(vs, vt, reply))
+                reply = await transport.roundtrip(BatchQueryRequest(
+                    tuple(batch), multiproof=True).to_frame())
+                results += client.interpret_batch_reply(batch, reply)
             finally:
-                await client.close()
+                await transport.close()
             return results
 
-        with AsyncProofHttpServer(dispatcher) as server:
-            results = asyncio.run(drive(server.url))
-        assert len(results) == len(workload) + 3
-        assert all(r.ok for r in results)
+        rounds = await asyncio.gather(*(one(client, index) for index, client
+                                        in enumerate(clients)))
+        return [result for results in rounds for result in results]
 
-    def test_driver_verifies_every_reply_at_a_url(self, dispatcher, signer,
-                                                  workload, road300):
-        from repro.bench.serving import run_loadtest
-        from repro.workload.traffic import replay_trace
+    def test_clients_verify_queries_and_batches_across_a_push(
+            self, road300, signer, workload):
+        graph = road300.copy()
+        method = DijMethod.build(graph, signer)
+        update = list(generate_update_workload(
+            graph, 1, seed=7, kinds=(UPDATE_WEIGHT,)))[0]
+        batch = workload[:self.BATCH]
+        clients = [RemoteClient(None, signer.verify)
+                   for _ in range(self.CLIENTS)]
 
-        with AsyncProofHttpServer(dispatcher) as server:
-            for batch_size in (0, 3):
-                trace = replay_trace(road300, workload, batch_size=batch_size)
-                report = run_loadtest(trace, signer.verify, url=server.url,
-                                      clients=5)
-                assert report.method == "DIJ"
-                assert report.all_verified, [p.failures for p in report.phases]
-                assert report.total_queries == 2 * len(workload)
+        async def drive(url):
+            before = await self._round(url, clients, workload, batch)
+            owner = AsyncTransport(url)
+            try:
+                reply = RemoteClient.interpret_exchange(
+                    await owner.roundtrip(UpdatePushRequest(
+                        (WireUpdate(update.kind, update.u, update.v,
+                                    update.weight),)).to_frame()),
+                    UpdateReply)
+            finally:
+                await owner.close()
+            for client in clients:
+                client.require_version(reply.version)
+            after = await self._round(url, clients, workload, batch)
+            return before, reply.version, after
+
+        with serve(method, update_signer=signer) as server:
+            before, version, after = asyncio.run(drive(server.url))
+        per_round = self.CLIENTS * (len(workload) + self.BATCH)
+        assert len(before) == len(after) == per_round
+        bad = [(r.source, r.target, r.verdict.reason) for r in before + after
+               if not r.ok]
+        assert bad == []
+        assert any(r.cached for r in before)
+        (old,) = {r.response.descriptor.version for r in before}
+        assert old < version
+        assert {r.response.descriptor.version for r in after} == {version}

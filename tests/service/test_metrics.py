@@ -82,6 +82,15 @@ class TestServerMetrics:
             assert field in record
         assert record["requests"] == 1
 
+    def test_p99_in_snapshot_and_dict(self):
+        metrics = ServerMetrics()
+        for ms in range(1, 101):
+            metrics.record(ms / 1000.0, 10, cached=False)
+        snap = metrics.snapshot()
+        assert snap.p99_ms == pytest.approx(99.0)
+        record = snap.as_dict()
+        assert record["p99_ms"] == pytest.approx(99.0)
+
 
 class TestCacheCounters:
     def test_snapshot_folds_in_cache_stats(self):
@@ -116,71 +125,3 @@ class TestCacheCounters:
         assert snap.cache_evictions == 1
         assert snap.cache_entries == 1
         assert snap.cache_capacity == 1
-
-
-class TestPhaseWindows:
-    """``begin_phase`` / ``end_phase`` windowing on a live metrics object."""
-
-    def test_begin_phase_labels_and_closes_windows(self):
-        metrics = ServerMetrics()
-        metrics.record(0.010, 100, cached=False)
-        metrics.begin_phase("warmup")
-        metrics.record(0.020, 200, cached=True)
-        metrics.record(0.040, 200, cached=True)
-        metrics.begin_phase("steady")
-        metrics.record(0.030, 300, cached=False)
-        metrics.end_phase()
-        closed = metrics.phases
-        assert [w.phase for w in closed] == ["", "warmup", "steady"]
-        assert [w.requests for w in closed] == [1, 2, 1]
-        warmup = closed[1]
-        assert warmup.cache_hits == 2
-        assert warmup.proof_bytes == 400
-        assert warmup.p50_ms == pytest.approx(20.0)  # rank-based percentile
-
-    def test_idle_windows_are_dropped(self):
-        """Phase cuts with no traffic leave no empty history entries."""
-        metrics = ServerMetrics()
-        metrics.begin_phase("warmup")
-        metrics.begin_phase("steady")
-        metrics.record(0.001, 10, cached=False)
-        metrics.end_phase()
-        metrics.end_phase()
-        assert [w.phase for w in metrics.phases] == ["steady"]
-
-    def test_update_only_window_is_kept(self):
-        metrics = ServerMetrics()
-        metrics.begin_phase("storm")
-        metrics.record_update(0.2)
-        metrics.end_phase()
-        (storm,) = metrics.phases
-        assert storm.phase == "storm"
-        assert storm.updates == 1
-
-    def test_current_window_carries_the_open_label(self):
-        metrics = ServerMetrics()
-        metrics.begin_phase("burst")
-        metrics.record(0.005, 50, cached=False)
-        snap = metrics.snapshot()
-        assert snap.phase == "burst"
-        assert snap.requests == 1
-
-    def test_reset_keeps_history_unless_asked(self):
-        metrics = ServerMetrics()
-        metrics.begin_phase("warmup")
-        metrics.record(0.001, 10, cached=False)
-        metrics.end_phase()
-        metrics.reset()
-        assert [w.phase for w in metrics.phases] == ["warmup"]
-        metrics.reset(phases=True)
-        assert metrics.phases == ()
-
-    def test_p99_in_snapshot_and_dict(self):
-        metrics = ServerMetrics()
-        for ms in range(1, 101):
-            metrics.record(ms / 1000.0, 10, cached=False)
-        snap = metrics.snapshot()
-        assert snap.p99_ms == pytest.approx(99.0)
-        record = snap.as_dict()
-        assert record["p99_ms"] == pytest.approx(99.0)
-        assert "phase" in record

@@ -7,6 +7,7 @@ client holding only the owner's public key.
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.core.hyp import HypMethod
 from repro.core.ldm import LdmMethod
 from repro.core.framework import Client
 from repro.crypto.signer import NullSigner
-from repro.errors import ServiceError
 from repro.service.server import (
     ProofRequest,
     ProofServer,
@@ -144,11 +144,17 @@ class TestBursts:
         assert server.snapshot().requests == 3  # every request is metered
 
 
+def answer_on_threads(server, queries, workers=4):
+    """``server.answer`` for every query, called from a thread pool."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda q: server.answer(*q), queries))
+
+
 class TestConcurrency:
-    def test_results_in_request_order(self, dij, signer, workload):
-        server = ProofServer(dij, max_workers=4)
+    def test_concurrent_answers_verify(self, dij, signer, workload):
+        server = ProofServer(dij)
         client = fresh_client(signer)
-        served = server.answer_concurrent(workload)
+        served = answer_on_threads(server, workload)
         assert len(served) == len(workload)
         for (vs, vt), item in zip(workload, served):
             assert item.response.source == vs
@@ -156,17 +162,10 @@ class TestConcurrency:
             assert client.verify(vs, vt, item.response).ok
 
     def test_warm_concurrent_pass_hits_cache(self, dij, workload):
-        server = ProofServer(dij, max_workers=4)
-        server.answer_concurrent(workload)
-        served = server.answer_concurrent(workload)
-        assert all(item.cached for item in served)
-
-    def test_invalid_worker_counts(self, dij, workload):
-        with pytest.raises(ServiceError):
-            ProofServer(dij, max_workers=0)
         server = ProofServer(dij)
-        with pytest.raises(ServiceError):
-            server.answer_concurrent(workload, max_workers=0)
+        answer_on_threads(server, workload)
+        served = answer_on_threads(server, workload)
+        assert all(item.cached for item in served)
 
 
 class TestErrorResponses:
@@ -198,9 +197,9 @@ class TestErrorResponses:
                 assert client.verify(vs, vt, item.response).ok
 
     def test_concurrent_stream_survives_one_bad_query(self, dij, workload):
-        server = ProofServer(dij, max_workers=3)
+        server = ProofServer(dij)
         queries = [workload[0], (999_999, 3), workload[1]]
-        served = server.answer_concurrent(queries)
+        served = answer_on_threads(server, queries, workers=3)
         assert len(served) == 3
         assert [item.ok for item in served] == [True, False, True]
 

@@ -1,8 +1,7 @@
 """Interleaved update/query serving: invalidation, freshness, races.
 
 The live-update contract of :class:`ProofServer`: queries and owner
-updates may interleave freely — concurrently in the thread-pool mode —
-and (1) no response ever mixes pre- and post-update state, (2) after an
+updates may interleave freely — concurrently, from many threads — and (1) no response ever mixes pre- and post-update state, (2) after an
 update returns, no request is served a stale cached proof, and (3) the
 whole arrangement never deadlocks.
 """
@@ -24,11 +23,11 @@ from repro.service.sync import ReadWriteLock
 from repro.workload.updates import generate_update_workload, interleave
 
 
-def build_server(road300, **kwargs):
+def build_server(road300):
     signer = NullSigner()
     graph = road300.copy()
     method = DijMethod.build(graph, signer)
-    return ProofServer(method, **kwargs), signer, graph
+    return ProofServer(method), signer, graph
 
 
 class TestApplyUpdates:
@@ -223,9 +222,10 @@ class TestConcurrentRaces:
     TIMEOUT = 60.0
 
     def test_answer_concurrent_racing_updates(self, road300, workload):
-        """Thread-pool queries race owner updates: no deadlock, no torn
-        proofs, and no stale service after the final update."""
-        server, signer, graph = build_server(road300, max_workers=4)
+        """Queries answered on thread pools race owner updates: no
+        deadlock, no torn proofs, and no stale service after the final
+        update."""
+        server, signer, graph = build_server(road300)
         verifier = get_method("DIJ")
         queries = list(workload)
         errors: list[str] = []
@@ -233,18 +233,22 @@ class TestConcurrentRaces:
 
         def query_loop():
             try:
-                while not done.is_set():
-                    for served in server.answer_concurrent(queries):
-                        if not served.ok:
-                            errors.append(served.error)
-                            continue
-                        result = verifier.verify(
-                            served.response.source, served.response.target,
-                            served.response, signer.verify)
-                        if not result.ok:
-                            errors.append(f"{result.reason}: {result.detail}")
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    while not done.is_set():
+                        check(pool.map(lambda q: server.answer(*q), queries))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(repr(exc))
+
+        def check(batch):
+            for served in batch:
+                if not served.ok:
+                    errors.append(served.error)
+                    continue
+                result = verifier.verify(
+                    served.response.source, served.response.target,
+                    served.response, signer.verify)
+                if not result.ok:
+                    errors.append(f"{result.reason}: {result.detail}")
 
         workers = [threading.Thread(target=query_loop) for _ in range(2)]
         for worker in workers:

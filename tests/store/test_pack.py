@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.encoding import Encoder
 from repro.errors import ArtifactError
 from repro.store import (
     ArtifactReader,
@@ -157,6 +158,85 @@ class TestPackLayout:
             reader.view("nope")
         with pytest.raises(ArtifactError):
             reader.array("nope")
+
+
+class TestHostileContainers:
+    """Well-digested packs whose layout lies, and misuse of the API."""
+
+    def test_unpackable_dtype_is_refused(self):
+        with pytest.raises(ArtifactError, match="not packable"):
+            _writer().add_array("c", np.zeros(3, dtype=np.complex128))
+
+    def test_non_string_parameter_key_is_refused(self):
+        with pytest.raises(ArtifactError, match="keys must be strings"):
+            encode_params({1: 2})
+
+    def test_duplicate_parameter_is_refused(self):
+        enc = Encoder().write_uint(2)
+        for value in (1, 2):
+            enc.write_str("a").write_uint(0).write_int(value)
+        with pytest.raises(ArtifactError, match="duplicate parameter 'a'"):
+            decode_params(enc.getvalue())
+
+    def test_unknown_parameter_tag_is_refused(self):
+        blob = Encoder().write_uint(1).write_str("a").write_uint(99) \
+            .getvalue()
+        with pytest.raises(ArtifactError, match="unknown parameter tag 99"):
+            decode_params(blob)
+
+    def test_unknown_mmap_mode_is_refused(self, tmp_path):
+        path = str(tmp_path / "t.rspv")
+        _writer().write(path)
+        with pytest.raises(ArtifactError, match="unknown mmap_mode"):
+            ArtifactReader(path, mmap_mode="w")
+
+    def test_sections_are_read_as_what_they_are(self, tmp_path):
+        writer = _writer()
+        writer.add_bytes("blob", b"abc")
+        writer.add_array("arr", np.arange(3, dtype=np.int64))
+        path = str(tmp_path / "t.rspv")
+        writer.write(path)
+        reader = ArtifactReader(path)
+        with pytest.raises(ArtifactError, match="is an array, not bytes"):
+            reader.view("arr")
+        with pytest.raises(ArtifactError, match="is bytes, not an array"):
+            reader.array("blob")
+
+    def test_unreadable_file_digest_is_typed(self, tmp_path):
+        with pytest.raises(ArtifactError, match="cannot read artifact"):
+            file_digest(str(tmp_path))  # a directory
+
+    @staticmethod
+    def _write_raw_sections(path, sections) -> None:
+        """Write *sections* as given, past the writer's own checks."""
+        writer = _writer()
+        writer._sections.extend(sections)
+        writer.write(path)
+
+    @pytest.mark.parametrize("sections,match", [
+        ([("a", "bytes", (1,), b"x"), ("a", "bytes", (1,), b"y")],
+         "duplicate section 'a'"),
+        ([("f", "<f8", (3,), b"\x00" * 16)], "does not match kind"),
+        ([("b", "bytes", (5,), b"xyz")], "declares shape"),
+    ], ids=["duplicate-name", "array-length", "bytes-shape"])
+    def test_section_table_that_lies_is_refused(self, tmp_path, sections,
+                                                match):
+        path = str(tmp_path / "t.rspv")
+        self._write_raw_sections(path, sections)
+        with pytest.raises(ArtifactError, match=match):
+            ArtifactReader(path)
+
+    def test_header_with_trailing_bytes_is_refused(self, tmp_path):
+        class PaddedHeader(ArtifactWriter):
+            def _header(self, infos):
+                return super()._header(infos) + b"\x00"
+
+        path = str(tmp_path / "t.rspv")
+        PaddedHeader(method="DIJ", graph_version=7, algo_sp="dijkstra",
+                     build_params={}, publish_params={},
+                     descriptor_bytes=b"d").write(path)
+        with pytest.raises(ArtifactError, match="malformed artifact header"):
+            ArtifactReader(path)
 
 
 class TestDeterminism:

@@ -101,49 +101,8 @@ class TestServe:
         assert "serving metrics" in out  # the stream kept going
 
 
-class TestLoadtest:
-    def test_cold_vs_warm(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file), "--method", "DIJ",
-                     "--range", "1000", "--count", "5", "--passes", "2",
-                     "--insecure"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "cold" in out and "warm1" in out
-        assert "saturation" in out and "wire/proof bytes" in out
-        assert "0 verification failures" in out
-
-    def test_loadtest_from_workload_file(self, graph_file, tmp_path, capsys):
-        path = tmp_path / "q.txt"
-        assert main(["workload", str(graph_file), "--range", "1000",
-                     "--count", "4", "--out", str(path)]) == 0
-        code = main(["loadtest", str(graph_file), "--method", "DIJ",
-                     "--workload", str(path), "--insecure"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "cold" in out
-
-    def test_rejects_single_pass(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file), "--method", "DIJ",
-                     "--range", "1000", "--count", "4", "--passes", "1",
-                     "--insecure"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extra", [[], ["--batch-size", "3"]],
-                             ids=["query", "batch3"])
-    def test_replay_with_updates(self, graph_file, capsys, extra):
-        code = main(["loadtest", str(graph_file), "--method", "DIJ",
-                     "--range", "1000", "--count", "4", "--passes", "2",
-                     "--insecure", "--updates", "1", "--clients", "3",
-                     *extra])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "2 update pushes" in out
-
-    @pytest.mark.parametrize("command,flag", [("loadtest", "--http"),
-                                              ("loadtest", "--no-coalesce"),
-                                              ("loadtest", "--workers"),
-                                              ("serve", "--no-coalesce"),
+class TestParser:
+    @pytest.mark.parametrize("command,flag", [("serve", "--no-coalesce"),
                                               ("serve", "--router"),
                                               ("serve", "--manifest"),
                                               ("serve", "--shards"),
@@ -151,73 +110,17 @@ class TestLoadtest:
                                               ("serve", "--workers")])
     def test_removed_flags_are_rejected(self, graph_file, capsys, command,
                                         flag):
-        # loadtest always crosses the wire; every burst takes one path.
         with pytest.raises(SystemExit) as excinfo:
             main([command, str(graph_file), "--insecure", flag])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["bench", "partition"])
+    @pytest.mark.parametrize("command", ["bench", "partition", "loadtest"])
     def test_bench_is_not_a_subcommand(self, graph_file, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, str(graph_file)])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_loadtest_url_requires_key(self, graph_file, capsys):
-        code = main(["loadtest", str(graph_file),
-                     "--url", "http://127.0.0.1:1"])
-        assert code == 2
-        assert "--key" in capsys.readouterr().err
-
-
-class TestScenarioLoadtest:
-    ARGS = ["loadtest", "--scenario", "steady-burst", "--insecure",
-            "--clients", "2", "--events-scale", "0.1",
-            "--time-scale", "0.05", "--seed", "7"]
-
-    def test_soak_reports_phases_and_slo_metrics(self, graph_file, tmp_path,
-                                                 capsys):
-        out_path = tmp_path / "soak.json"
-        code = main([*self.ARGS, str(graph_file), "--method", "DIJ",
-                     "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        for column in ("phase", "p50 ms", "p95 ms", "p99 ms", "B/query",
-                       "hit %", "updates", "verified"):
-            assert column in out
-        for phase in ("warmup", "steady", "burst", "update-storm"):
-            assert phase in out
-        assert "saturation" in out and "trace" in out
-        assert "0 verification failures" in out
-        import json as _json
-        record = _json.loads(out_path.read_text())
-        assert record["scenario"] == "steady-burst"
-        assert len(record["phases"]) == 4
-        assert record["verification_failures"] == 0
-
-    def test_same_seed_same_trace_digest(self, graph_file, capsys):
-        digests = []
-        for _ in range(2):
-            assert main([*self.ARGS, str(graph_file), "--method", "DIJ"]) == 0
-            out = capsys.readouterr().out
-            digests.append(out.split("trace ")[1].split()[0])
-        assert digests[0] == digests[1]
-
-    def test_slo_gate_failure_exits_3(self, graph_file, tmp_path, capsys):
-        policy = tmp_path / "slo.json"
-        policy.write_text('{"min_saturation_qps": 10000000.0}')
-        code = main([*self.ARGS, str(graph_file), "--method", "DIJ",
-                     "--slo", str(policy)])
-        capsys.readouterr()
-        assert code == 3
-
-    def test_unknown_scenario_is_a_typed_error(self, graph_file, capsys):
-        code = main(["loadtest", "--scenario", "nope", "--insecure",
-                     str(graph_file), "--method", "DIJ"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "steady-burst" in err
 
 
 class TestServeHttp:
@@ -394,6 +297,21 @@ class TestFetch:
                      "--descriptor", str(tmp_path / "d.bin")])
         assert code == 0, capsys.readouterr().out
 
+    def test_refused_query_exits_1(self, graph_file, tmp_path, capsys):
+        from repro.core.dij import DijMethod
+        from repro.crypto.signer import NullSigner
+        from repro.graph.io import read_graph
+        from repro.service.aio import AsyncProofHttpServer
+        from repro.service.server import ProofServer
+
+        method = DijMethod.build(read_graph(str(graph_file)), NullSigner())
+        out = tmp_path / "r.bin"
+        with AsyncProofHttpServer(ProofServer(method).dispatcher()) as http:
+            code = main(["fetch", http.url, "999999", "3", "--out", str(out)])
+        assert code == 1
+        assert "server refused: query-failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fetch_without_key_defers_verification(self, graph_file, tmp_path,
                                                    capsys):
         from repro.core.dij import DijMethod
@@ -530,19 +448,37 @@ class TestPackAndArtifactServe:
                      str(artifact)]) == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_loadtest_artifact_requires_key(self, packed, capsys):
-        artifact, _ = packed
-        assert main(["loadtest", "--artifact", str(artifact)]) == 2
-        assert "--key" in capsys.readouterr().err
 
-    def test_loadtest_from_an_artifact(self, packed, capsys):
-        artifact, key = packed
-        code = main(["loadtest", "--artifact", str(artifact), "--key",
-                     str(key), "--range", "1000", "--count", "4"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "0 verification failures" in out
-        assert "requests per worker" not in out
+    def test_serve_save_key_writes_the_verifying_key(self, graph_file,
+                                                     workload_file, tmp_path,
+                                                     capsys):
+        key = tmp_path / "serve.pub"
+        code = main(["serve", str(graph_file), "--workload",
+                     str(workload_file), "--insecure", "--save-key",
+                     str(key)])
+        capsys.readouterr()
+        assert code == 0
+        code = main(["serve", str(graph_file), "--workload",
+                     str(workload_file), "--insecure", "--key", str(key)])
+        assert code == 0
+        assert capsys.readouterr().out.count(" ok") >= 4
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--save-key", "{key}"], "--save-key needs the building side"),
+        (["--http", "0", "--save-key", "{key}"],
+         "--save-key needs the building side"),
+        (["--http", "0", "--allow-updates"], "holds no signing key"),
+    ], ids=["stream-save-key", "http-save-key", "http-allow-updates"])
+    def test_artifact_serving_holds_no_key(self, packed, workload_file,
+                                           tmp_path, capsys, flags, match):
+        artifact, _ = packed
+        key = tmp_path / "new.pub"
+        code = main(["serve", "--artifact", str(artifact),
+                     "--workload", str(workload_file),
+                     *(flag.format(key=key) for flag in flags)])
+        assert code == 2
+        assert match in capsys.readouterr().err
+        assert not key.exists()
 
 
 class TestErrors:

@@ -16,7 +16,8 @@ SUBMODULES = sorted(
     .removesuffix(".__init__")
     for path in SRC.rglob("*.py") if path.name != "__main__.py")
 
-#: Modules of the sharded and pre-forked topologies, deleted with them.
+#: Modules of the sharded and pre-forked topologies and of the in-package
+#: load driver, deleted with them.
 REMOVED_MODULES = [
     "repro.shard",
     "repro.shard.manifest",
@@ -24,6 +25,8 @@ REMOVED_MODULES = [
     "repro.shard.stitch",
     "repro.service.router",
     "repro.service.workers",
+    "repro.bench.serving",
+    "repro.workload.traffic",
 ]
 
 

@@ -9,9 +9,13 @@
   one place, :meth:`VerificationResult.success`, which every method's
   checks reach only after the optimality check.
 * A bounded verifier.  ``import repro.api.client`` loads no process
-  machinery and at most a fixed budget of ``repro`` code.
+  machinery, no load driver or experiment harness, and at most a fixed
+  budget of ``repro`` code.
 * One box, one process.  The sharded and pre-forked topologies are gone,
   and none of their vocabulary may come back into the source.
+* One load instrument.  Load is driven and measured from outside the
+  package (``perfbench``); the in-package driver and the server-side
+  phase windows only it read are gone, and their vocabulary with them.
 """
 
 import ast
@@ -28,13 +32,15 @@ SRC = Path(repro.__file__).parent
 ALLOWED = {"shortestpath/kernel.py", "shortestpath/bulk.py"}
 
 #: The verifier's import closure, as measured when the budget was set.
-CLIENT_MODULE_BUDGET = 64
-CLIENT_LINE_BUDGET = 13_563
+CLIENT_MODULE_BUDGET = 62
+CLIENT_LINE_BUDGET = 12_776
 
 #: Words that only the deleted multi-box and multi-process serving code
-#: used (matched case-insensitively against every source line).
+#: and the deleted in-package load driver used (matched
+#: case-insensitively against every source line).
 RETIRED_VOCABULARY = ["shard", "manifest", "composite_slots", "workerpool",
-                      "reuse_port", "merge_snapshots", "multiprocessing"]
+                      "reuse_port", "merge_snapshots", "multiprocessing",
+                      "loadtest", "begin_phase"]
 
 
 def _imports_heapq(path: Path) -> bool:
@@ -117,6 +123,8 @@ def test_client_import_closure_is_bounded():
     names = closure["names"]
     assert not [n for n in names if n.split(".")[0] == "multiprocessing"]
     assert not [n for n in names if n.startswith("repro.shard")]
+    assert "repro.workload.traffic" not in names
+    assert not [n for n in names if n.split(".")[:2] == ["repro", "bench"]]
     assert closure["modules"] <= CLIENT_MODULE_BUDGET
     assert closure["lines"] <= CLIENT_LINE_BUDGET
 
