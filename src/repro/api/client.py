@@ -41,17 +41,21 @@ from repro.api.envelope import (
 from repro.api import codes
 from repro.core.framework import Client, VerificationResult
 from repro.core.proofs import QueryResponse, SignedDescriptor
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 
 
 @dataclass(frozen=True)
 class RemoteResult:
     """One remotely served and locally verified query.
 
-    ``response_bytes`` is the provider's payload verbatim (``None`` when
-    the server answered with a wire error); ``wire_bytes`` is what the
-    reply frame actually cost on the wire, framing included — the
-    number to hold against the paper's proof-size figures.
+    ``response_bytes`` is the provider's payload verbatim for a QUERY
+    reply; it is ``None`` when the server answered with a wire error
+    and for every BATCH slot, whose proof lives in the batch's shared
+    multiproof and is never rebuilt into a standalone reply.
+    ``wire_bytes`` is what the reply frame actually cost on the wire,
+    framing included — the number to hold against the paper's
+    proof-size figures (a batch's frame is split evenly over its
+    slots).
     """
 
     source: int
@@ -60,6 +64,8 @@ class RemoteResult:
     response_bytes: "bytes | None"
     wire_bytes: int
     cached: bool = False
+    #: A BATCH slot's ``(path_nodes, path_cost)`` as the batch reported it.
+    batch_path: "tuple | None" = None
 
     @property
     def ok(self) -> bool:
@@ -68,17 +74,18 @@ class RemoteResult:
 
     @property
     def response(self) -> "QueryResponse | None":
-        """The decoded response (re-decoded on access; None on error)."""
+        """The decoded QUERY response (re-decoded on access; else None)."""
         if self.response_bytes is None:
             return None
         return QueryResponse.decode(self.response_bytes)
 
     @property
     def path(self) -> "tuple | None":
-        """``(path_nodes, path_cost)`` of the response (None on error)."""
+        """``(path_nodes, path_cost)`` the provider reported (None on a
+        wire error); verified exactly when :attr:`ok`."""
         decoded = self.response
         if decoded is None:
-            return None
+            return self.batch_path
         return decoded.path_nodes, decoded.path_cost
 
 
@@ -200,31 +207,18 @@ class RemoteClient:
         return RemoteResult(source, target, verdict, message.response_bytes,
                             wire_bytes, cached=message.cached)
 
-    def query_many(self, pairs) -> "list[RemoteResult]":
+    def query_batch(self, pairs) -> "list[RemoteResult]":
         """A burst of queries in one frame, individually verified.
 
-        Asks for the multiproof reply layout (the server falls back to
-        per-item responses when it cannot share one); pass
-        ``multiproof=False`` to :meth:`query_batch` to force the legacy
-        layout.
-        """
-        return self.query_batch(pairs)
-
-    def query_batch(self, pairs, *, multiproof: bool = True) -> "list[RemoteResult]":
-        """A burst of queries in one frame, individually verified.
-
-        With ``multiproof=True`` the server is asked to answer with one
-        shared Merkle multiproof: the ok slots arrive as one
-        deduplicated digest set which this client expands back into
-        per-query standalone responses
-        (:func:`~repro.core.batch.recover_responses`) — byte-identical
-        to independently served ones — and verifies each through the
-        unchanged bytes-first path.  Per-query trust is therefore
-        exactly what :meth:`query` provides; only the wire cost
-        changes.
+        The server answers the ok slots with one shared Merkle
+        multiproof, which this client authenticates once and then
+        checks slot by slot (:func:`~repro.core.batch.verify_batch`).
+        Each slot's verdict is the one :meth:`query` gives its pair
+        alone; only the wire and verification cost change.
         """
         pairs = [(int(s), int(t)) for s, t in pairs]
-        request = BatchQueryRequest(tuple(pairs), multiproof=multiproof)
+        # The flag stays on the wire so request bytes do not change.
+        request = BatchQueryRequest(tuple(pairs), multiproof=True)
         reply_frame = self._roundtrip(request.to_frame())
         return self.interpret_batch_reply(pairs, reply_frame)
 
@@ -232,10 +226,14 @@ class RemoteClient:
                               reply_frame: bytes) -> "list[RemoteResult]":
         """Decode and verify one batch reply frame against its queries.
 
-        The transport-free half of :meth:`query_batch` (same multiproof
-        expansion, per-slot verdicts and wire accounting), for callers
-        that carry their own frames.
+        The transport-free half of :meth:`query_batch`, for callers
+        that carry their own frames.  The shared blob is untrusted
+        input: whatever is wrong with it — or with ok slots that carry
+        bytes of their own — becomes failure verdicts, never an
+        exception.
         """
+        from repro.core.batch import verify_batch
+
         pairs = [(int(s), int(t)) for s, t in pairs]
         message = decode_message(decode_frame(reply_frame))
         self._raise_on_error(message)
@@ -248,89 +246,34 @@ class RemoteClient:
                 f"batch reply has {len(message.items)} items for "
                 f"{len(pairs)} queries"
             )
-        if message.shared:
-            return self._verify_shared(pairs, message, len(reply_frame))
-        # The frame's framing bytes are charged to the batch's first
-        # item; per-item payload sizes dominate by orders of magnitude.
-        overhead = len(reply_frame) - sum(
-            len(item.response_bytes or b"") for item in message.items)
-        results = []
-        for index, ((source, target), item) in enumerate(zip(pairs, message.items)):
-            wire = len(item.response_bytes or b"") + (overhead if index == 0 else 0)
-            if not item.ok:
-                results.append(RemoteResult(
-                    source, target,
-                    VerificationResult.failure(item.error_code, item.error_detail),
-                    None, wire,
-                ))
-                continue
-            verdict = self.client.verify_bytes(source, target, item.response_bytes)
-            results.append(RemoteResult(source, target, verdict,
-                                        item.response_bytes, wire,
-                                        cached=item.cached))
-        return results
-
-    def _verify_shared(self, pairs, message: BatchQueryReply,
-                           frame_bytes: int) -> "list[RemoteResult]":
-        """Expand a shared-multiproof reply and verify every slot.
-
-        The shared blob is untrusted input: a decode failure or a
-        structurally broken multiproof (omitted digests, covers that
-        cannot be recovered) yields failure verdicts for the ok slots —
-        never an unhandled exception — while value tampering flows into
-        the recovered responses and fails signature/root checks inside
-        ``verify_bytes`` exactly as it would for independent replies.
-        """
-        from repro.core.batch import MultiProofBatch, recover_responses
-
-        ok_indices = [i for i, item in enumerate(message.items) if item.ok]
-        recovered: "dict[int, bytes]" = {}
-        failure: "VerificationResult | None" = None
-        try:
-            batch = MultiProofBatch.decode(message.shared)
-            if len(batch.queries) != len(ok_indices):
-                raise ProtocolError(
-                    f"shared multiproof covers {len(batch.queries)} queries "
-                    f"for {len(ok_indices)} ok slots"
-                )
-            for slot, (vs, vt) in zip(ok_indices, batch.queries):
-                if (vs, vt) != pairs[slot]:
-                    raise ProtocolError(
-                        f"shared multiproof answers ({vs}, {vt}) in the "
-                        f"slot of query {pairs[slot]}"
-                    )
-            responses = recover_responses(batch)
-            recovered = {
-                slot: response.encode()
-                for slot, response in zip(ok_indices, responses)
-            }
-        except ReproError as exc:
+        ok = [index for index, item in enumerate(message.items) if item.ok]
+        if any(message.items[index].response_bytes for index in ok) \
+                or (ok and not message.shared):
             failure = VerificationResult.failure(
                 codes.MALFORMED_PROOF,
-                f"shared multiproof rejected: {exc}",
-            )
+                "ok batch slots must ride on one shared multiproof")
+            checked = [(failure, None)] * len(ok)
+        else:
+            checked = verify_batch(
+                message.shared, [pairs[index] for index in ok],
+                self.client.verify_signature,
+                min_version=self.client.min_descriptor_version)
+        checked_at = dict(zip(ok, checked))
         # The shared material serves the whole batch; amortize the frame
         # evenly (the remainder rides on the first item).
-        count = len(pairs)
+        count, frame_bytes = len(pairs), len(reply_frame)
         share = frame_bytes // count if count else 0
         results = []
         for index, ((source, target), item) in enumerate(zip(pairs, message.items)):
             wire = share + (frame_bytes - share * count if index == 0 else 0)
-            if not item.ok:
-                results.append(RemoteResult(
-                    source, target,
-                    VerificationResult.failure(item.error_code, item.error_detail),
-                    None, wire,
-                ))
-                continue
-            if failure is not None:
-                results.append(RemoteResult(source, target, failure, None, wire))
-                continue
-            response_bytes = recovered[index]
-            verdict = self.client.verify_bytes(source, target, response_bytes)
-            results.append(RemoteResult(source, target, verdict,
-                                        response_bytes, wire,
-                                        cached=item.cached))
+            if item.ok:
+                verdict, path = checked_at[index]
+            else:
+                verdict = VerificationResult.failure(item.error_code,
+                                                     item.error_detail)
+                path = None
+            results.append(RemoteResult(source, target, verdict, None, wire,
+                                        cached=item.cached, batch_path=path))
         return results
 
     def push_updates(self, updates) -> UpdateReply:

@@ -48,6 +48,7 @@ from repro.api.envelope import (
 )
 from repro.crypto.signer import Signer
 from repro.errors import (
+    MethodError,
     ProtocolError,
     ReproError,
     UnknownMessageError,
@@ -65,11 +66,9 @@ class Dispatcher:
     """
 
     def __init__(self, server: ProofServer, *,
-                 update_signer: "Signer | None" = None,
-                 accept_versions=SUPPORTED_VERSIONS) -> None:
+                 update_signer: "Signer | None" = None) -> None:
         self.server = server
         self.update_signer = update_signer
-        self.accept_versions = tuple(accept_versions)
 
     # ------------------------------------------------------------------
     def dispatch(self, frame_bytes: bytes) -> bytes:
@@ -86,8 +85,7 @@ class Dispatcher:
         callable returning it — which an event loop hands to a thread.
         """
         try:
-            frame = decode_frame(frame_bytes,
-                                 accept_versions=self.accept_versions)
+            frame = decode_frame(frame_bytes)
         except UnsupportedVersionError as exc:
             return error_frame(codes.E_UNSUPPORTED_VERSION, str(exc))
         except ProtocolError as exc:
@@ -132,13 +130,13 @@ class Dispatcher:
         return handler(self, message)
 
     def _handle_hello(self, message: HelloRequest):
-        shared = [v for v in message.versions if v in self.accept_versions]
+        shared = [v for v in message.versions if v in SUPPORTED_VERSIONS]
         if not shared:
             return ErrorMessage(
                 codes.E_UNSUPPORTED_VERSION,
                 f"no shared protocol version: client speaks "
                 f"{sorted(message.versions)}, server accepts "
-                f"{sorted(self.accept_versions)}",
+                f"{sorted(SUPPORTED_VERSIONS)}",
             )
         return HelloReply(
             version=max(shared),
@@ -159,40 +157,28 @@ class Dispatcher:
         return QueryReply(served.encoded, cached=served.cached)
 
     def _handle_batch(self, message: BatchQueryRequest):
-        served = self.server.answer_many(list(message.pairs))
-        if message.multiproof:
-            reply = self._multiproof_reply(message, served)
-            if reply is not None:
-                return reply
-        items = tuple(
-            BatchItem(item.encoded, item.cached) if item.ok
-            else BatchItem(None, False, codes.E_QUERY_FAILED, item.error)
-            for item in served
-        )
-        return BatchQueryReply(items)
+        """Every ok slot's proof in one shared multiproof.
 
-    def _multiproof_reply(self, message: BatchQueryRequest, served):
-        """One shared multiproof for the batch's ok slots, or ``None``.
-
-        ``None`` means "answer in the legacy per-item layout instead":
-        nothing succeeded, or the ok responses cannot share one
-        multiproof.  They never span descriptor versions, because
+        The ok responses never span descriptor versions, because
         :meth:`~repro.service.server.ProofServer.answer_many` serves the
-        whole burst under one hold of the update gate.  Falling back is
-        always sound — the client asked for an optimisation, not a
-        different contract.
+        whole burst under one hold of the update gate; should they fail
+        to combine anyway, that is a server fault, not a bad request.
+        An all-error burst carries no shared blob.  The request's
+        ``multiproof`` flag is not read.
         """
         from repro.core.batch import combine_multiproof
 
+        served = self.server.answer_many(list(message.pairs))
         ok_pairs = [pair for pair, item in zip(message.pairs, served)
                     if item.ok]
-        if not ok_pairs:
-            return None
-        responses = [item.response for item in served if item.ok]
-        try:
-            shared = combine_multiproof(ok_pairs, responses).encode()
-        except ReproError:
-            return None
+        shared = b""
+        if ok_pairs:
+            try:
+                shared = combine_multiproof(
+                    ok_pairs, [item.response for item in served if item.ok]
+                ).encode()
+            except MethodError as exc:
+                return ErrorMessage(codes.E_INTERNAL, f"MethodError: {exc}")
         items = tuple(
             BatchItem(b"", item.cached) if item.ok
             else BatchItem(None, False, codes.E_QUERY_FAILED, item.error)

@@ -271,12 +271,12 @@ class QueryReply(Message):
 class BatchQueryRequest(Message):
     """A burst of queries from one client, answered in order.
 
-    ``multiproof`` asks the server to answer with one shared Merkle
-    multiproof instead of per-item response bytes (see
-    :class:`BatchQueryReply`).  The flag is an append-only extension: it
-    is written only when set, so legacy-request bytes are unchanged, and
-    the decoder defaults a missing tail to ``False`` — frames from
-    older builds still parse.
+    ``multiproof`` is kept for wire compatibility only: the server
+    always answers in the shared-multiproof layout (see
+    :class:`BatchQueryReply`) and no longer reads it.  It is an
+    append-only tail, written only when set, and the decoder defaults a
+    missing tail to ``False``, so request bytes from either generation
+    still parse.
     """
 
     pairs: tuple
@@ -331,14 +331,12 @@ class BatchQueryReply(Message):
     batch: each slot is independently a response or an error code from
     :data:`repro.api.codes.WIRE_ERRORS`.
 
-    ``shared`` is the append-only multiproof extension: when non-empty
-    it holds one encoded
-    :class:`~repro.core.batch.MultiProofBatch` covering every ok slot
-    (whose ``response_bytes`` are then empty placeholders — the client
-    expands the shared material back into per-query responses).  It is
-    written only when present, so legacy replies are byte-identical to
-    before, and the decoder defaults a missing tail to ``b""`` —
-    replies from older builds still parse.
+    ``shared`` holds one encoded
+    :class:`~repro.core.batch.MultiProofBatch` covering every ok slot,
+    whose ``response_bytes`` are empty placeholders; the client checks
+    the shared material once and each slot on its own leaves.  It is an
+    append-only tail, written only when present: an all-error burst
+    carries none, and the decoder defaults a missing tail to ``b""``.
     """
 
     items: tuple

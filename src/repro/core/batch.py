@@ -4,20 +4,29 @@ A navigation provider answers bursts of queries from the same client
 (e.g. a delivery fleet's morning dispatch).  Nearby queries disclose
 overlapping leaf sets and share most of their Merkle covers, so a BATCH
 reply ships each tree's union disclosure once under the union's cover
-(:class:`MultiProofBatch`).  Each query keeps its exact leaf set, and
-the client expands the batch back into standalone responses
-(:func:`recover_responses`) that the unchanged per-query ``verify``
-checks — for every method.
+(:class:`MultiProofBatch`).  Each query keeps its exact leaf set.
+
+The client checks the batch in the paper's two steps, the first of them
+once (:func:`verify_batch`): it authenticates the union — the owner
+signature, then every shared root rebuilt from the union disclosure —
+and then checks each query's shortest path claim on its own leaves, the
+payloads its standalone reply would carry, with its method's
+``decode_proof`` and ``check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.api import codes
+from repro.core.checks import verify_descriptor, verify_section_root
+from repro.core.framework import VerificationResult
+from repro.core.method import SignatureVerifier, VerificationMethod, get_method
 from repro.core.proofs import QueryResponse, SignedDescriptor, TreeSection
 from repro.encoding import Decoder, Encoder
 from repro.errors import EncodingError, MethodError
-from repro.merkle.multiproof import expand_multi, merge_entries
+from repro.merkle.multiproof import merge_entries
 from repro.merkle.proof import decode_proof_entries, encode_proof_entries
 
 
@@ -27,11 +36,10 @@ class MultiProofBatch:
 
     The batch keeps each query's exact disclosure set
     (``query_positions``) and ships the deduplicated union material once
-    per tree.  The client expands it back into per-query standalone
-    responses that are byte-identical to independently served ones
-    (:func:`~repro.merkle.multiproof.expand_multi`), so *every* method's
-    unchanged per-query ``verify`` applies, FULL's exactly-one-distance-
-    tuple check included.
+    per tree: the union's payloads under the union's one canonical
+    cover.  A query's own leaves are exactly the payloads of its
+    standalone reply, so *every* method's per-query check applies,
+    FULL's exactly-one-distance-tuple check included.
     """
 
     method: str
@@ -90,10 +98,13 @@ class MultiProofBatch:
             queries.append((dec.read_uint(), dec.read_uint()))
             paths.append(tuple(dec.read_uint_seq()))
             costs.append(dec.read_f64())
-            trees = []
+            trees: dict[str, tuple[int, ...]] = {}
             for _ in range(dec.read_count(2)):
-                trees.append((dec.read_str(), tuple(dec.read_uint_seq())))
-            query_positions.append(tuple(trees))
+                name = dec.read_str()
+                if name in trees:
+                    raise EncodingError(f"query lists section {name!r} twice")
+                trees[name] = tuple(dec.read_uint_seq())
+            query_positions.append(tuple(trees.items()))
         shared: dict[str, TreeSection] = {}
         for _ in range(dec.read_count(4)):
             name = dec.read_str()
@@ -107,11 +118,6 @@ class MultiProofBatch:
         dec.expect_end()
         return cls(method, tuple(queries), tuple(paths), tuple(costs),
                    tuple(query_positions), shared, descriptor)
-
-    @property
-    def total_bytes(self) -> int:
-        """Wire size of the whole batch."""
-        return len(self.encode())
 
 
 def combine_multiproof(
@@ -127,8 +133,8 @@ def combine_multiproof(
     for every method, artifact-loaded ones included.
 
     Raises :class:`MethodError` when the responses disagree — different
-    methods or descriptor versions, payload conflicts — in which case
-    the caller falls back to independent responses.
+    methods or descriptor versions, payload conflicts.  Responses one
+    server answered under one hold of its update gate never do.
     """
     if not queries:
         raise MethodError("empty query batch")
@@ -198,71 +204,76 @@ def combine_multiproof(
     )
 
 
-def recover_responses(batch: MultiProofBatch) -> "list[QueryResponse]":
-    """Expand a multiproof batch back into standalone responses.
+def verify_batch(
+    data: bytes,
+    queries: "Sequence[tuple[int, int]]",
+    verify_signature: SignatureVerifier,
+    *,
+    min_version: "int | None" = None,
+) -> "list[tuple[VerificationResult, tuple | None]]":
+    """Verify an encoded :class:`MultiProofBatch` answering *queries*.
 
-    The client-side inverse of :func:`combine_multiproof`: for each
-    tree, the union reconstruction recovers every digest any per-query
-    cover needs, and each query gets its exact section back — on an
-    honest batch, byte-identical to the independently served response,
-    so the per-query ``verify`` path downstream is unchanged.  Tampered
-    payloads or shared digests flow into wrong recovered roots and fail
-    verification there; *structural* damage (missing digests, covers
-    that cannot be recovered) raises a typed
-    :class:`~repro.errors.MerkleError` here.
+    The union is authenticated once: the descriptor (method, owner
+    signature, freshness floor ``min_version``) and every shared tree's
+    root, rebuilt from the union disclosure under its canonical cover.
+    Then each query is checked on its own leaves.  Returns, per query in
+    order, the verdict and the ``(path_nodes, path_cost)`` the batch
+    reported for it (``None`` when the blob does not decode or answers
+    other queries).  The blob is untrusted input: every malformation is
+    a verdict, never an exception.
     """
-    descriptor = batch.descriptor
-    count = len(batch.queries)
-    if not (len(batch.paths) == len(batch.costs)
-            == len(batch.query_positions) == count):
-        raise MethodError("multiproof batch arrays disagree in length")
+    try:
+        batch = MultiProofBatch.decode(data)
+        if batch.queries != tuple(queries):
+            raise EncodingError(
+                f"it answers {list(batch.queries)} for the ok slots' "
+                f"queries {list(queries)}")
+    except EncodingError as exc:
+        failure = VerificationResult.failure(
+            codes.MALFORMED_PROOF, f"shared multiproof rejected: {exc}")
+        return [(failure, None)] * len(queries)
+    paths = list(zip(batch.paths, batch.costs))
+    try:
+        cls = get_method(batch.method)
+    except MethodError:
+        failure = VerificationResult.failure(
+            codes.UNKNOWN_METHOD, f"method {batch.method!r} is not recognized")
+        return [(failure, path) for path in paths]
+    failure = verify_descriptor(cls.name, batch, verify_signature,
+                                min_version=min_version)
+    for section in batch.shared.values():
+        if failure is None:
+            failure = verify_section_root(batch.descriptor, section)
+    if failure is not None:
+        return [(failure, path) for path in paths]
+    leaves = {name: section.leaf_map() for name, section in batch.shared.items()}
+    return [(_check_query(cls, batch, leaves, index), path)
+            for index, path in enumerate(paths)]
 
-    # Per tree: which queries disclose it, and with which leaf sets.
-    covers_for: dict[str, dict[int, list]] = {}
-    for name, section in batch.shared.items():
-        users: list[int] = []
-        leaf_sets: list[tuple[int, ...]] = []
-        for index in range(count):
-            for tree_name, positions in batch.query_positions[index]:
-                if tree_name == name:
-                    users.append(index)
-                    leaf_sets.append(positions)
-        if not users:
-            continue
-        config = descriptor.tree(name)
-        _root, covers = expand_multi(
-            config.num_leaves, config.fanout, descriptor.hash_name,
-            section.leaf_map(), section.entries, leaf_sets)
-        covers_for[name] = dict(zip(users, covers))
 
-    responses: list[QueryResponse] = []
-    for index in range(count):
-        vs, vt = batch.queries[index]
-        sections: dict[str, TreeSection] = {}
+def _check_query(cls: "type[VerificationMethod]", batch: MultiProofBatch,
+                 leaves: "dict[str, dict[int, bytes]]",
+                 index: int) -> VerificationResult:
+    """Query *index*'s claim, on its own leaves of the authenticated union."""
+    source, target = batch.queries[index]
+    try:
+        sections = {}
         for name, positions in batch.query_positions[index]:
-            shared = batch.shared.get(name)
-            if shared is None:
-                raise MethodError(
-                    f"query {index} references missing shared section {name!r}"
-                )
-            payload_of = shared.leaf_map()
+            payload_of = leaves.get(name)
+            if payload_of is None:
+                raise EncodingError(
+                    f"query {index} references missing shared section {name!r}")
             try:
                 payloads = [payload_of[p] for p in positions]
             except KeyError as exc:
-                raise MethodError(
+                raise EncodingError(
                     f"section {name!r}: query {index} references leaf "
-                    f"{exc.args[0]} outside the shared disclosure"
-                ) from None
-            sections[name] = TreeSection(
-                name, list(positions), payloads, covers_for[name][index])
-        responses.append(QueryResponse(
-            method=batch.method,
-            source=vs,
-            target=vt,
-            path_nodes=batch.paths[index],
-            path_cost=batch.costs[index],
-            sections=sections,
-            descriptor=descriptor,
-        ))
-    return responses
-
+                    f"{exc.args[0]} outside the shared disclosure") from None
+            sections[name] = TreeSection(name, list(positions), payloads)
+        response = QueryResponse(batch.method, source, target,
+                                 batch.paths[index], batch.costs[index],
+                                 sections, batch.descriptor)
+        proof = cls.decode_proof(response)
+    except EncodingError as exc:
+        return VerificationResult.failure(codes.MALFORMED_PROOF, str(exc))
+    return cls.check(source, target, response, proof)

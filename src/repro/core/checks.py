@@ -1,11 +1,12 @@
 """Shared client-side verification steps and owner-side tree building.
 
-Every method's ``verify`` runs the same skeleton: check the descriptor
-signature, decode each section's extended tuples into columns
-(:func:`repro.graph.tuples.decode_columns`), reconstruct each Merkle
-root from ΓS + ΓT, and validate the reported path against
-authenticated adjacency.  Those steps live here; method files contain
-only the method-specific shortest path reasoning.
+Every method's ``verify`` runs the same skeleton
+(:meth:`repro.core.method.VerificationMethod.verify`): check the
+descriptor signature, decode each section's extended tuples into
+columns (:func:`repro.graph.tuples.decode_columns`), reconstruct each
+Merkle root from ΓS + ΓT, and validate the reported path against
+authenticated adjacency.  The shared steps live here; method files
+contain only the method-specific shortest path reasoning.
 """
 
 from __future__ import annotations

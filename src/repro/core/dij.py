@@ -29,8 +29,6 @@ from repro.core.checks import (
     check_reported_path,
     resign_descriptor,
     sign_descriptor,
-    verify_descriptor,
-    verify_section_root,
 )
 from repro.core.framework import (
     VerificationResult,
@@ -40,7 +38,6 @@ from repro.core.framework import (
 )
 from repro.core.incremental import edge_endpoints, needs_layout_rebuild
 from repro.core.method import (
-    SignatureVerifier,
     VerificationMethod,
     check_algo_sp,
     register_method,
@@ -160,21 +157,12 @@ class DijMethod(VerificationMethod):
 
     # ------------------------------------------------------------------
     @classmethod
-    def verify(cls, source: int, target: int, response: QueryResponse,
-               verify_signature: SignatureVerifier, *,
-               min_version: "int | None" = None) -> VerificationResult:
-        failure = verify_descriptor(cls.name, response, verify_signature,
-                                    min_version=min_version)
-        if failure is not None:
-            return failure
-        try:
-            section = response.section(NETWORK_TREE)
-            columns = decode_columns(section.payloads)
-        except EncodingError as exc:
-            return VerificationResult.failure("malformed-proof", str(exc))
-        failure = verify_section_root(response.descriptor, section)
-        if failure is not None:
-            return failure
+    def decode_proof(cls, response: QueryResponse) -> TupleColumns:
+        return decode_columns(response.section(NETWORK_TREE).payloads)
+
+    @classmethod
+    def check(cls, source: int, target: int, response: QueryResponse,
+              columns: TupleColumns) -> VerificationResult:
         failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure

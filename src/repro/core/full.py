@@ -23,8 +23,6 @@ from repro.core.checks import (
     check_reported_path,
     resign_descriptor,
     sign_descriptor,
-    verify_descriptor,
-    verify_section_root,
 )
 from repro.core.framework import VerificationResult, distances_close
 from repro.core.incremental import (
@@ -33,7 +31,6 @@ from repro.core.incremental import (
     needs_layout_rebuild,
 )
 from repro.core.method import (
-    SignatureVerifier,
     VerificationMethod,
     check_algo_sp,
     register_method,
@@ -59,6 +56,7 @@ from repro.graph.graph import GraphMutation, SpatialGraph
 from repro.graph.tuples import (
     BaseTuple,
     DistanceTuple,
+    TupleColumns,
     decode_columns,
     triangle_leaf_digests,
 )
@@ -307,29 +305,19 @@ class FullMethod(VerificationMethod):
 
     # ------------------------------------------------------------------
     @classmethod
-    def verify(cls, source: int, target: int, response: QueryResponse,
-               verify_signature: SignatureVerifier, *,
-               min_version: "int | None" = None) -> VerificationResult:
-        failure = verify_descriptor(cls.name, response, verify_signature,
-                                    min_version=min_version)
-        if failure is not None:
-            return failure
-        try:
-            net_section = response.section(NETWORK_TREE)
-            dist_section = response.section(DISTANCE_TREE)
-            columns = decode_columns(net_section.payloads)
-            if len(dist_section.payloads) != 1:
-                return VerificationResult.failure(
-                    "malformed-proof",
-                    f"expected one distance tuple, got {len(dist_section.payloads)}",
-                )
-            dist_tuple = DistanceTuple.decode(dist_section.payloads[0])
-        except EncodingError as exc:
-            return VerificationResult.failure("malformed-proof", str(exc))
-        for section in (net_section, dist_section):
-            failure = verify_section_root(response.descriptor, section)
-            if failure is not None:
-                return failure
+    def decode_proof(cls, response: QueryResponse
+                     ) -> "tuple[TupleColumns, DistanceTuple]":
+        columns = decode_columns(response.section(NETWORK_TREE).payloads)
+        payloads = response.section(DISTANCE_TREE).payloads
+        if len(payloads) != 1:
+            raise EncodingError(
+                f"expected one distance tuple, got {len(payloads)}")
+        return columns, DistanceTuple.decode(payloads[0])
+
+    @classmethod
+    def check(cls, source: int, target: int, response: QueryResponse,
+              proof: "tuple[TupleColumns, DistanceTuple]") -> VerificationResult:
+        columns, dist_tuple = proof
         if {dist_tuple.a, dist_tuple.b} != {source, target}:
             return VerificationResult.failure(
                 "wrong-distance-tuple",

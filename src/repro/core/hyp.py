@@ -33,8 +33,6 @@ from repro.core.checks import (
     check_reported_path,
     resign_descriptor,
     sign_descriptor,
-    verify_descriptor,
-    verify_section_root,
 )
 from repro.core.framework import VerificationResult, distances_close
 from repro.core.incremental import (
@@ -43,7 +41,6 @@ from repro.core.incremental import (
     needs_layout_rebuild,
 )
 from repro.core.method import (
-    SignatureVerifier,
     VerificationMethod,
     check_algo_sp,
     register_method,
@@ -431,31 +428,21 @@ class HypMethod(VerificationMethod):
 
     # ------------------------------------------------------------------
     @classmethod
-    def verify(cls, source: int, target: int, response: QueryResponse,
-               verify_signature: SignatureVerifier, *,
-               min_version: "int | None" = None) -> VerificationResult:
-        failure = verify_descriptor(cls.name, response, verify_signature,
-                                    min_version=min_version)
-        if failure is not None:
-            return failure
-        try:
-            GridSpec.decode(response.descriptor.params)  # structural sanity
-            net_section = response.section(NETWORK_TREE)
-            dir_section = response.section(DIRECTORY_TREE)
-            columns = decode_columns(net_section.payloads, HypTuple)
-            directories = [CellDirectoryTuple.decode(p) for p in dir_section.payloads]
-            hyper_a = hyper_b = hyper_w = np.empty(0)
-            if DISTANCE_TREE in response.sections:
-                hyper_a, hyper_b, hyper_w = decode_distance_columns(
-                    response.section(DISTANCE_TREE).payloads)
-        except EncodingError as exc:
-            return VerificationResult.failure("malformed-proof", str(exc))
+    def decode_proof(cls, response: QueryResponse) -> tuple:
+        GridSpec.decode(response.descriptor.params)  # structural sanity
+        columns = decode_columns(response.section(NETWORK_TREE).payloads, HypTuple)
+        directories = [CellDirectoryTuple.decode(p)
+                       for p in response.section(DIRECTORY_TREE).payloads]
+        hyper = (np.empty(0),) * 3
+        if DISTANCE_TREE in response.sections:
+            hyper = decode_distance_columns(
+                response.section(DISTANCE_TREE).payloads)
+        return columns, directories, hyper
 
-        for section in response.sections.values():
-            failure = verify_section_root(response.descriptor, section)
-            if failure is not None:
-                return failure
-
+    @classmethod
+    def check(cls, source: int, target: int, response: QueryResponse,
+              proof: tuple) -> VerificationResult:
+        columns, directories, (hyper_a, hyper_b, hyper_w) = proof
         start, goal = columns.row_of(source), columns.row_of(target)
         if start < 0 or goal < 0:
             return VerificationResult.failure(

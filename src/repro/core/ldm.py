@@ -38,8 +38,6 @@ from repro.core.checks import (
     check_reported_path,
     resign_descriptor,
     sign_descriptor,
-    verify_descriptor,
-    verify_section_root,
 )
 from repro.core.framework import VerificationResult, client_limit, distances_close
 from repro.core.incremental import (
@@ -48,7 +46,6 @@ from repro.core.incremental import (
     needs_layout_rebuild,
 )
 from repro.core.method import (
-    SignatureVerifier,
     VerificationMethod,
     check_algo_sp,
     register_method,
@@ -568,22 +565,15 @@ class LdmMethod(VerificationMethod):
 
     # ------------------------------------------------------------------
     @classmethod
-    def verify(cls, source: int, target: int, response: QueryResponse,
-               verify_signature: SignatureVerifier, *,
-               min_version: "int | None" = None) -> VerificationResult:
-        failure = verify_descriptor(cls.name, response, verify_signature,
-                                    min_version=min_version)
-        if failure is not None:
-            return failure
-        try:
-            params = LdmParams.decode(response.descriptor.params)
-            section = response.section(NETWORK_TREE)
-            columns = decode_columns(section.payloads, LdmTuple)
-        except EncodingError as exc:
-            return VerificationResult.failure("malformed-proof", str(exc))
-        failure = verify_section_root(response.descriptor, section)
-        if failure is not None:
-            return failure
+    def decode_proof(cls, response: QueryResponse
+                     ) -> "tuple[LdmParams, TupleColumns]":
+        return (LdmParams.decode(response.descriptor.params),
+                decode_columns(response.section(NETWORK_TREE).payloads, LdmTuple))
+
+    @classmethod
+    def check(cls, source: int, target: int, response: QueryResponse,
+              proof: "tuple[LdmParams, TupleColumns]") -> VerificationResult:
+        params, columns = proof
         failure = check_reported_path(source, target, response, columns)
         if failure is not None:
             return failure

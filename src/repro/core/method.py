@@ -16,10 +16,12 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Type
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Type
 
+from repro.api import codes
+from repro.core.checks import verify_descriptor, verify_section_root
 from repro.crypto.signer import Signer
-from repro.errors import MethodError
+from repro.errors import EncodingError, MethodError
 from repro.core.framework import VerificationResult, provider_margin
 from repro.core.proofs import QueryResponse, SignedDescriptor
 from repro.graph.graph import GraphMutation, SpatialGraph
@@ -287,7 +289,6 @@ class VerificationMethod(ABC):
         """
 
     @classmethod
-    @abstractmethod
     def verify(
         cls,
         source: int,
@@ -299,9 +300,44 @@ class VerificationMethod(ABC):
     ) -> VerificationResult:
         """Client role: accept or reject a response.
 
+        The one order every method checks in: the descriptor (method,
+        owner signature, freshness), the sections the method reads
+        (:meth:`decode_proof`), the Merkle root of every section the
+        response carries, then the method's shortest path claim
+        (:meth:`check`).  A section outside the signed descriptor is
+        rejected, never ignored.
+
         ``min_version`` is the client's freshness floor: responses
         signed under an older graph version are rejected as stale
         replays (see :func:`repro.core.checks.verify_descriptor`).
+        """
+        failure = verify_descriptor(cls.name, response, verify_signature,
+                                    min_version=min_version)
+        if failure is not None:
+            return failure
+        try:
+            proof = cls.decode_proof(response)
+        except EncodingError as exc:
+            return VerificationResult.failure(codes.MALFORMED_PROOF, str(exc))
+        for section in response.sections.values():
+            failure = verify_section_root(response.descriptor, section)
+            if failure is not None:
+                return failure
+        return cls.check(source, target, response, proof)
+
+    @classmethod
+    @abstractmethod
+    def decode_proof(cls, response: QueryResponse) -> Any:
+        """Decode the sections :meth:`check` reads; raise
+        :class:`~repro.errors.EncodingError` on any malformation."""
+
+    @classmethod
+    @abstractmethod
+    def check(cls, source: int, target: int, response: QueryResponse,
+              proof: Any) -> VerificationResult:
+        """The shortest path claim, against tuples whose roots verified.
+
+        *proof* is what :meth:`decode_proof` returned for *response*.
         """
 
     # ------------------------------------------------------------------
@@ -324,18 +360,6 @@ class VerificationMethod(ABC):
         if graph is None:
             raise MethodError(f"{self.name}: build() has not completed")
         return graph
-
-
-class _Stopwatch:
-    """Context manager measuring wall-clock seconds."""
-
-    def __enter__(self) -> "_Stopwatch":
-        self.seconds = 0.0
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start
 
 
 METHODS: dict[str, Type[VerificationMethod]] = {}

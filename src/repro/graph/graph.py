@@ -69,11 +69,6 @@ class GraphMutation:
     old_weight: float = math.nan
     version: int = 0
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        """``(u, v)`` for edge mutations."""
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True, slots=True)
 class Node:
@@ -294,7 +289,8 @@ class SpatialGraph:
         Installs nodes and undirected edges directly into the adjacency
         maps — no per-operation validation, no changelog entries — and
         starts the mutation counter at *version* with an empty retained
-        history, exactly as :meth:`advance_version_to` would leave it.
+        history: the construction is not an owner edit, so
+        :meth:`mutations_since` replays only edits made after it.
 
         **Trusted callers only**: the caller guarantees unique node
         ids, edges between existing distinct nodes, no duplicates, and
@@ -317,31 +313,6 @@ class SpatialGraph:
         graph._version = version
         graph._changelog_base = version
         return graph
-
-    def advance_version_to(self, version: int) -> None:
-        """Fast-forward the mutation counter to *version* and seal history.
-
-        Used when rehydrating a graph whose authenticated structures
-        were signed at *version* on another machine (the
-        :mod:`repro.store` artifact path): the reconstruction's own
-        add-node/add-edge mutations are construction noise, not owner
-        edits, so the changelog is cleared and the counter jumps to the
-        signed version.  From there the graph behaves exactly like the
-        original — new mutations append past *version* and
-        :meth:`mutations_since` replays only genuine owner edits.
-        Derived caches are dropped (they were keyed to the construction
-        counter).  Rewinding is refused: version numbers are the
-        freshness ordering clients rely on.
-        """
-        if version < self._version:
-            raise GraphError(
-                f"cannot rewind version from {self._version} to {version}"
-            )
-        self._version = version
-        self._changelog.clear()
-        self._changelog_base = version
-        self._csr_cache = None
-        self._index_cache = None
 
     def rollback_to(self, version: int) -> None:
         """Inverse-apply retained mutations back to the state at *version*.

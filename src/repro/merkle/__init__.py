@@ -6,17 +6,16 @@ an ordered sequence of payloads (the paper's network certification
 tree, §III-B, with configurable fanout, Fig. 11a).  FULL and HYP keep
 their distance tuples in one too, in triangle and tile order.
 
-Batch serving shares one digest set across k queries through the
-multiproof helpers (:mod:`repro.merkle.multiproof`): the server pools
-the per-query covers into the union's cover with :func:`merge_entries`,
-and the client's :func:`expand_multi` reconstructs the root and
-recovers each query's standalone cover byte-for-byte, so per-query
-verification stays unchanged.
+Batch serving shares one digest set across k queries
+(:mod:`repro.merkle.multiproof`): the server pools the per-query covers
+into the union's cover with :func:`merge_entries`, and the client
+rebuilds the union's root once with :func:`reconstruct_root`, as for
+any single proof.
 """
 
 from repro.merkle.proof import MerkleProofEntry, decode_proof_entries, encode_proof_entries
 from repro.merkle.tree import MerkleTree, cover_indices, reconstruct_root
-from repro.merkle.multiproof import expand_multi, merge_entries
+from repro.merkle.multiproof import merge_entries
 
 __all__ = [
     "MerkleTree",
@@ -25,6 +24,5 @@ __all__ = [
     "encode_proof_entries",
     "decode_proof_entries",
     "cover_indices",
-    "expand_multi",
     "merge_entries",
 ]

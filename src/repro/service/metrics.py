@@ -99,13 +99,6 @@ class MetricsSnapshot:
             "p99_ms": self.p99_ms,
         }
 
-    @property
-    def update_ms_mean(self) -> float:
-        """Mean owner-update latency over the window, in milliseconds."""
-        if not self.updates:
-            return 0.0
-        return 1000.0 * self.update_seconds / self.updates
-
 
 class ServerMetrics:
     """Thread-safe accumulator of per-request serving measurements."""

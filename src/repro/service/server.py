@@ -61,11 +61,6 @@ class ProofRequest:
     source: int
     target: int
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        """``(source, target)``."""
-        return (self.source, self.target)
-
 
 #: One owner mutation as received by the server: kind (one of
 #: ``"update-weight"`` / ``"add-edge"`` / ``"remove-edge"`` — the

@@ -9,8 +9,8 @@ without the original input file), then the per-method sections.
 method whose descriptor and responses are byte-identical to the dumped
 method's.
 
-The rehydrated graph is fast-forwarded to the signed graph version
-(:meth:`~repro.graph.graph.SpatialGraph.advance_version_to`), so the
+The rehydrated graph starts at the signed graph version with an empty
+history (:meth:`~repro.graph.graph.SpatialGraph.from_parts`), so the
 loaded method plugs into every existing consumer unchanged: the proof
 cache keys on the same version, ``apply_update`` absorbs future owner
 mutations incrementally, and a re-``pack`` after updates emits the next

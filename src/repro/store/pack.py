@@ -228,6 +228,7 @@ class ArtifactWriter:
         An array already in that form is hashed and written in place,
         not copied: leave it unchanged until :meth:`write` returns.
         """
+        shape = tuple(int(s) for s in np.shape(array))  # before 0-d -> (1,)
         array = np.ascontiguousarray(array)
         kind = array.dtype.newbyteorder("<").str if array.dtype.byteorder == ">" \
             else array.dtype.str
@@ -236,8 +237,7 @@ class ArtifactWriter:
                 f"section {name!r}: dtype {array.dtype} is not packable"
             )
         data = np.ascontiguousarray(array, dtype=np.dtype(kind))
-        self._add(name, kind, tuple(int(s) for s in array.shape),
-                  data.reshape(-1).view(np.uint8))
+        self._add(name, kind, shape, data.reshape(-1).view(np.uint8))
 
     # ------------------------------------------------------------------
     def _header(self, infos: "list[SectionInfo]") -> bytes:

@@ -1,18 +1,22 @@
-"""Wire-level multiproof batches: envelope evolution and end-to-end trust.
+"""Wire-level multiproof batches: envelope, end-to-end trust, equivalence.
 
-Three layers under test:
+Four layers under test:
 
 * **envelope compatibility** — the ``multiproof`` request flag and the
   reply's ``shared`` blob are append-only tail fields: unset they leave
-  the legacy bytes untouched, set they extend them, and decoders accept
-  both generations;
-* **the happy path** — a multiproof batch recovers responses
-  byte-identical to independently served ones and every slot verifies;
+  the older bytes untouched, set they extend them, and decoders accept
+  both generations; the server answers in the shared layout whether or
+  not the flag is set;
+* **the happy path** — every slot of a multiproof batch verifies and
+  reports the path its pair gets alone;
 * **the hostile path** — a tampered, truncated, or omitted shared blob
   produces per-slot failure verdicts, never an exception, and error
-  slots ride alongside a shared proof for the ok ones.
+  slots ride alongside a shared proof for the ok ones;
+* **equivalence** — over drawn bursts, each slot's verdict is the one a
+  QUERY for its pair alone gets, and a lying slot folded in among
+  honest ones is the only one rejected.
 
-Every method's burst takes the same path, so the last two layers run
+Every method's burst takes the same path, so the last three layers run
 on DIJ, FULL, LDM and HYP alike.
 """
 
@@ -21,16 +25,21 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.api import codes
 from repro.api.client import RemoteClient
 from repro.api.envelope import (
+    BatchItem,
     BatchQueryReply,
     BatchQueryRequest,
+    QueryReply,
     decode_frame,
     decode_message,
 )
 from repro.api.transport import InProcessTransport
+from repro.core import adversary
 from repro.core.batch import MultiProofBatch, combine_multiproof
 from repro.core.dij import DijMethod
 from repro.core.full import FullMethod
@@ -88,10 +97,17 @@ class TestEnvelopeCompatibility:
         encoded = BatchQueryRequest(pairs, multiproof=True).encode()
         assert BatchQueryRequest.decode(encoded).multiproof is True
 
-    def test_legacy_reply_bytes_decode_with_empty_shared(self, client,
-                                                         workload):
-        reply = client.transport.roundtrip(
-            BatchQueryRequest(tuple(workload[:2])).to_frame())
+    def test_unflagged_request_gets_the_shared_layout(self, dij, workload):
+        pairs = tuple(workload[:2])
+        replies = [ProofServer(dij).dispatcher().dispatch(
+            BatchQueryRequest(pairs, multiproof=flag).to_frame())
+            for flag in (False, True)]
+        assert replies[0] == replies[1]
+        assert decode_message(decode_frame(replies[0])).shared
+
+    def test_all_error_reply_has_no_shared_tail(self, client):
+        reply = client.transport.roundtrip(BatchQueryRequest(
+            ((BAD_NODE, 1), (BAD_NODE, 2)), multiproof=True).to_frame())
         message = decode_message(decode_frame(reply))
         assert isinstance(message, BatchQueryReply)
         assert message.shared == b""
@@ -111,29 +127,22 @@ class TestEnvelopeCompatibility:
 
 
 class TestMultiproofRoundtrip:
-    def test_recovered_responses_byte_identical(self, method_client, method,
-                                                workload):
+    def test_slots_verify_like_single_queries(self, method_client, method,
+                                              workload):
         results = method_client.query_batch(workload)
         assert [(r.source, r.target) for r in results] == workload
         for result in results:
             assert result.ok, (result.verdict.reason, result.verdict.detail)
-            assert result.response_bytes == \
-                method.answer(result.source, result.target).encode()
+            assert result.response_bytes is None  # no standalone reply
+            honest = method.answer(result.source, result.target)
+            assert result.path == (honest.path_nodes, honest.path_cost)
 
-    def test_batch_ships_fewer_bytes_than_legacy(self, method_client,
-                                                 workload):
+    def test_batch_ships_fewer_bytes_than_single_queries(self, method_client,
+                                                         workload):
         multi = method_client.query_batch(workload)
-        legacy = method_client.query_batch(workload, multiproof=False)
+        singles = [method_client.query(vs, vt) for vs, vt in workload]
         assert sum(r.wire_bytes for r in multi) < \
-            sum(r.wire_bytes for r in legacy)
-
-    def test_legacy_opt_out_still_carries_payloads(self, method_client,
-                                                   method, workload):
-        results = method_client.query_batch(workload, multiproof=False)
-        for result in results:
-            assert result.ok
-            assert result.response_bytes == \
-                method.answer(result.source, result.target).encode()
+            sum(r.wire_bytes for r in singles)
 
     def test_mixed_ok_and_error_slots(self, method_client, workload):
         pairs = [workload[0], (BAD_NODE, 1), workload[1]]
@@ -142,10 +151,10 @@ class TestMultiproofRoundtrip:
         assert not results[1].ok
         assert results[1].verdict.reason == codes.E_QUERY_FAILED
         # The error slot must not poison the shared proof of the rest.
-        assert results[0].response_bytes and results[2].response_bytes
+        assert results[0].path and results[2].path
+        assert results[1].path is None
 
-    def test_all_error_batch_falls_back_to_legacy_layout(self,
-                                                         method_client):
+    def test_all_error_batch(self, method_client):
         results = method_client.query_batch([(BAD_NODE, 1), (BAD_NODE, 2)])
         assert all(not r.ok for r in results)
         assert all(r.verdict.reason == codes.E_QUERY_FAILED for r in results)
@@ -154,18 +163,17 @@ class TestMultiproofRoundtrip:
         pairs = [workload[0], workload[0], workload[1]]
         results = method_client.query_batch(pairs)
         assert all(r.ok for r in results)
-        assert results[0].response_bytes == results[1].response_bytes
+        assert results[0].path == results[1].path
 
     def test_singleton_batch(self, method_client, workload):
         (result,) = method_client.query_batch([workload[0]])
         assert result.ok
 
-    def test_query_many_uses_multiproof_by_default(self, method_client,
-                                                   workload):
+    def test_query_batch_sends_one_frame(self, method_client, workload):
         transport = method_client.transport
         transport.wire_log.clear()
         transport._log_frames = True
-        method_client.query_many(workload)
+        method_client.query_batch(workload)
         frames = list(transport.wire_log)
         transport._log_frames = False
         assert len(frames) == 1  # one BATCH frame for the whole burst
@@ -197,8 +205,6 @@ class TestHostileSharedBlob:
         for result in results:
             assert not result.ok
             if reason is not None:
-                # Structural failures never hand back response bytes.
-                assert result.response_bytes is None
                 assert result.verdict.reason == reason
 
     def test_truncated_shared_blob(self, method_dispatcher, signer, workload):
@@ -238,11 +244,24 @@ class TestHostileSharedBlob:
 
         results = self.run_against(method_dispatcher, signer, workload,
                                    flip_digest)
-        # Value tampering survives recovery and dies in per-query root
-        # verification — the same verdict independent replies would get.
-        self.assert_all_rejected(results)
-        assert {r.verdict.reason for r in results} <= {
-            codes.ROOT_MISMATCH, codes.MALFORMED_PROOF}
+        # Value tampering dies in the one union root check, with the
+        # verdict an independent reply carrying that digest would get.
+        self.assert_all_rejected(results, codes.ROOT_MISMATCH)
+
+    def test_duplicated_shared_entry_is_not_a_cover(self, method_dispatcher,
+                                                    signer, workload):
+        def repeat_entry(shared):
+            batch = MultiProofBatch.decode(shared)
+            name = sorted(batch.shared)[0]
+            section = batch.shared[name]
+            sections = dict(batch.shared)
+            sections[name] = replace(
+                section, entries=[*section.entries, section.entries[0]])
+            return replace(batch, shared=sections).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload,
+                                   repeat_entry)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
 
     def test_reordered_batch_queries_rejected(self, method_dispatcher,
                                               signer, workload):
@@ -307,7 +326,10 @@ class TestHostileSharedBlob:
 
         results = self.run_against(method_dispatcher, signer, workload[:2],
                                    point_outside)
-        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+        # Only the slot that points outside the union is malformed; the
+        # other's leaves are all inside it, authenticated.
+        assert results[0].verdict.reason == codes.MALFORMED_PROOF
+        assert results[1].ok
 
     def test_shared_section_sent_twice(self, method_dispatcher, signer,
                                        workload):
@@ -330,11 +352,39 @@ class TestHostileSharedBlob:
                                    duplicate_sections)
         self.assert_all_rejected(results, codes.MALFORMED_PROOF)
 
+    def test_query_listing_a_section_twice(self, method_dispatcher, signer,
+                                           workload):
+        def list_twice(shared):
+            batch = MultiProofBatch.decode(shared)
+            first = batch.query_positions[0]
+            return replace(batch, query_positions=(
+                (*first, first[0]), *batch.query_positions[1:])).encode()
+
+        results = self.run_against(method_dispatcher, signer, workload[:2],
+                                   list_twice)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda message: replace(message, items=tuple(
+            replace(item, response_bytes=b"\x00") if item.ok else item
+            for item in message.items)),
+        lambda message: replace(message, shared=b""),
+    ], ids=["ok-slot-with-bytes", "ok-slots-without-shared"])
+    def test_ok_slots_off_the_shared_layout(self, method_dispatcher, signer,
+                                            workload, rewrite):
+        reply = method_dispatcher.dispatch(
+            BatchQueryRequest(tuple(workload[:2])).to_frame())
+        forged = rewrite(decode_message(decode_frame(reply))).to_frame()
+        client = RemoteClient(None, signer.verify)
+        results = client.interpret_batch_reply(workload[:2], forged)
+        self.assert_all_rejected(results, codes.MALFORMED_PROOF)
+
 
 class TestCombineRefusesDisagreeingResponses:
     """The server folds a burst into one multiproof only when every
     response can share it; otherwise ``combine_multiproof`` refuses
-    with :class:`MethodError` and the burst ships per-item replies."""
+    with :class:`MethodError` (which the dispatcher answers as an
+    internal error: one server's burst always shares)."""
 
     @pytest.fixture(scope="class")
     def replies(self, road300, signer, workload):
@@ -381,3 +431,64 @@ class TestCombineRefusesDisagreeingResponses:
         pair = workload[0]
         with pytest.raises(MethodError, match="conflicting payloads"):
             combine_multiproof([pair, pair], [honest, forged])
+
+
+def _pair(ids):
+    """A query pair: two known nodes, or an unknown source."""
+    known = st.sampled_from(ids)
+    return st.tuples(known, known) | known.map(lambda v: (BAD_NODE, v))
+
+
+def _burst(data, ids):
+    """1–8 slots drawn from a pool of at most four pairs (so duplicates
+    are common)."""
+    pool = data.draw(st.lists(_pair(ids), min_size=1, max_size=4))
+    return data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+EQUIVALENCE = settings(derandomize=True, max_examples=30, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBatchVerdictsEqualSingles:
+    """The net under the one batch path: a slot is accepted or rejected,
+    for the same reason, exactly as its pair alone would be."""
+
+    @EQUIVALENCE
+    @given(data=st.data())
+    def test_each_slot_gets_its_single_verdict(self, method, road300, signer,
+                                               data):
+        burst = _burst(data, road300.node_ids())
+        client = RemoteClient(
+            InProcessTransport(ProofServer(method).dispatcher()), signer.verify)
+        for (vs, vt), result in zip(burst, client.query_batch(burst)):
+            alone = client.query(vs, vt)
+            assert (result.ok, result.verdict.reason) == \
+                (alone.ok, alone.verdict.reason)
+            assert result.path == alone.path
+
+    @EQUIVALENCE
+    @given(data=st.data())
+    def test_a_lying_slot_is_the_only_one_rejected(self, method, road300,
+                                                   signer, data):
+        burst = [(vs, vt) for vs, vt in _burst(data, road300.node_ids())
+                 if vs != BAD_NODE and vs != vt]
+        assume(burst)
+        liar = data.draw(st.integers(0, len(burst) - 1))
+        try:
+            lie = adversary.suboptimal_path(method, road300, *burst[liar])
+        except MethodError:
+            assume(False)  # no detour to lie with
+        responses = [lie if index == liar else method.answer(vs, vt)
+                     for index, (vs, vt) in enumerate(burst)]
+        shared = combine_multiproof(burst, responses).encode()
+        frame = BatchQueryReply((BatchItem(b""),) * len(burst),
+                                shared=shared).to_frame()
+        client = RemoteClient(None, signer.verify)
+        alone = client.interpret_query_reply(
+            *burst[liar], QueryReply(lie.encode()).to_frame())
+        assert not alone.ok
+        results = client.interpret_batch_reply(burst, frame)
+        assert [r.ok for r in results] == \
+            [index != liar for index in range(len(burst))]
+        assert results[liar].verdict.reason == alone.verdict.reason

@@ -8,9 +8,7 @@ import pytest
 
 from repro.api import codes
 from repro.api import envelope as E
-from repro.api.client import RemoteClient
-from repro.api.transport import InProcessTransport
-from repro.core.proofs import QueryResponse
+from repro.core.batch import MultiProofBatch
 from repro.errors import MethodError, ServiceError
 
 
@@ -85,10 +83,8 @@ class TestQuery:
         assert isinstance(reply, E.BatchQueryReply)
         assert [item.ok for item in reply.items] == [True, False, True]
         assert reply.items[1].error_code == codes.E_QUERY_FAILED
-        for (vs, vt), item in zip(pairs, reply.items):
-            if item.ok:
-                decoded = QueryResponse.decode(item.response_bytes)
-                assert (decoded.source, decoded.target) == (vs, vt)
+        assert MultiProofBatch.decode(reply.shared).queries == \
+            (workload[0], workload[1])
 
 
 class TestDescriptorAndMetrics:
@@ -144,8 +140,8 @@ class TestHandlerFailures:
         assert isinstance(roundtrip(dispatcher, E.QueryRequest(*workload[0])),
                           E.QueryReply)
 
-    def test_burst_that_cannot_share_a_multiproof_ships_per_item(
-            self, dispatcher, signer, workload, monkeypatch):
+    def test_burst_that_cannot_share_a_multiproof_is_an_internal_error(
+            self, dispatcher, workload, monkeypatch):
         import repro.core.batch
 
         def cannot_share(queries, responses):
@@ -153,14 +149,10 @@ class TestHandlerFailures:
 
         monkeypatch.setattr(repro.core.batch, "combine_multiproof",
                             cannot_share)
-        pairs = tuple(workload[:3])
-        reply = roundtrip(dispatcher, E.BatchQueryRequest(pairs,
+        reply = roundtrip(dispatcher, E.BatchQueryRequest(tuple(workload[:3]),
                                                           multiproof=True))
-        assert isinstance(reply, E.BatchQueryReply)
-        assert not reply.shared
-        assert all(item.ok and item.response_bytes for item in reply.items)
-        client = RemoteClient(InProcessTransport(dispatcher), signer.verify)
-        assert all(r.ok for r in client.query_batch(pairs))
+        assert reply == E.ErrorMessage(codes.E_INTERNAL,
+                                       "MethodError: responses disagree")
 
 
 class TestUpdates:

@@ -40,8 +40,8 @@ class TestQueries:
         assert isinstance(decoded, QueryResponse)
         assert (decoded.source, decoded.target) == (vs, vt)
 
-    def test_query_many(self, client, workload):
-        results = client.query_many(workload)
+    def test_query_batch(self, client, workload):
+        results = client.query_batch(workload)
         assert all(result.ok for result in results)
         assert [(r.source, r.target) for r in results] == workload
 
@@ -52,7 +52,7 @@ class TestQueries:
         assert result.verdict.reason == codes.E_QUERY_FAILED
 
     def test_batch_error_slot_is_a_verdict(self, client, workload):
-        results = client.query_many([workload[0], (10**9, 1)])
+        results = client.query_batch([workload[0], (10**9, 1)])
         assert results[0].ok
         assert not results[1].ok
         assert results[1].verdict.reason == codes.E_QUERY_FAILED

@@ -234,3 +234,21 @@ class TestPaddedProofs:
             padded.section(tree).entries.extend(padding)
             result = method.verify(vs, vt, padded, signer.verify)
             assert (result.ok, result.reason) == (False, "malformed-proof")
+
+
+class TestVerifySkeleton:
+    """Every method's ``verify`` reconstructs every section it is sent."""
+
+    @pytest.mark.parametrize("fixture", ["dij", "full", "ldm", "hyp"])
+    def test_surplus_section_is_rejected(self, fixture, request, signer,
+                                         workload):
+        method = request.getfixturevalue(fixture)
+        vs, vt = next(iter(workload))
+        response = method.answer(vs, vt)
+        assert method.verify(vs, vt, response, signer.verify).ok
+        network = response.sections[NETWORK_TREE]
+        response.sections["mystery"] = TreeSection(
+            "mystery", list(network.positions), list(network.payloads),
+            list(network.entries))
+        verdict = method.verify(vs, vt, response, signer.verify)
+        assert (verdict.ok, verdict.reason) == (False, "unknown-tree")

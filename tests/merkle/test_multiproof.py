@@ -1,20 +1,20 @@
 """Merkle multiproofs: one deduplicated ΓT for several disclosure sets.
 
-The two facts the wire-level BATCH layout rests on are proved here as
-byte-level equivalences, not just verification verdicts, on the pair
-production uses — :func:`merge_entries` on the server,
-:func:`expand_multi` on the client:
+The wire-level BATCH layout rests on what production runs here —
+:func:`merge_entries` on the server, :func:`reconstruct_root` over the
+union on the client:
 
 * pooling the k *independent* per-set proofs yields exactly
   ``prove(union)`` — which is how the server builds the shared cover
   without touching the tree;
-* expansion recovers every per-set cover **byte-identical** to the
-  standalone ``prove(set)``, so per-query verification is unchanged.
+* the union's payloads under that cover rebuild the signed root, so
+  every leaf of every set is authenticated by one reconstruction.
 
 The tamper battery then checks that the deduplication does not open a
 forgery seam: a wrong digest moves the root, an omitted one is a typed
-structural failure, and reordering the shared entries is benign (lookup
-is by coordinate).
+structural failure, a duplicated one is not a cover and is refused, and
+reordering the shared entries is benign (each level is read in index
+order).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import MerkleError
-from repro.merkle import MerkleTree, cover_indices, expand_multi, merge_entries
+from repro.merkle import MerkleTree, cover_indices, merge_entries, reconstruct_root
 
 HASH = "sha1"
 
@@ -47,6 +47,11 @@ def random_sets(n, k, rng):
             for _ in range(k)]
 
 
+def union_root(tree, leaves, entries):
+    """The client's check: the union's root from its shared cover."""
+    return reconstruct_root(tree.num_leaves, tree.fanout, HASH, leaves, entries)
+
+
 def multiproof(tree, sets):
     """The server's producer: pool the per-set proofs, cover the union."""
     union = sorted(set().union(*sets))
@@ -61,7 +66,7 @@ class TestUnionAndCovers:
         with pytest.raises(MerkleError):
             merge_entries(tree.num_leaves, tree.fanout, [], {})
         with pytest.raises(MerkleError):
-            expand_multi(tree.num_leaves, tree.fanout, HASH, {}, [], [[]])
+            union_root(tree, {}, [])
 
     def test_cover_indices_match_prove_coordinates(self):
         tree = make_tree(33, fanout=3)
@@ -84,24 +89,12 @@ class TestMultiproofEquivalence:
 
     @pytest.mark.parametrize("n,fanout", [(1, 2), (7, 2), (16, 4), (33, 3),
                                           (100, 8)])
-    def test_expansion_recovers_standalone_covers(self, n, fanout):
+    def test_union_rebuilds_the_root(self, n, fanout):
         tree = make_tree(n, fanout)
         rng = random.Random(n * 13 + fanout)
         sets = random_sets(n, 5, rng)
         union, shared = multiproof(tree, sets)
-        root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                    leaf_map(tree, union), shared, sets)
-        assert root == tree.root
-        for disclosed, cover in zip(sets, covers):
-            assert cover == tree.prove(disclosed)
-
-    def test_expansion_returns_the_union_root(self):
-        tree = make_tree(40, 4)
-        sets = [[0, 9], [9, 22, 39], [3]]
-        union, shared = multiproof(tree, sets)
-        root, _ = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                               leaf_map(tree, union), shared, sets)
-        assert root == tree.root
+        assert union_root(tree, leaf_map(tree, union), shared) == tree.root
 
 
 class TestBatchShapes:
@@ -116,25 +109,13 @@ class TestBatchShapes:
         sets = [[4, 7], [4, 7], [4, 7]]
         union, shared = multiproof(tree, sets)
         assert union == [4, 7]
-        _, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                 leaf_map(tree, union), shared, sets)
-        assert covers[0] == covers[1] == covers[2] == tree.prove([4, 7])
+        assert shared == tree.prove([4, 7])
 
     def test_all_leaves_disclosed_needs_no_entries(self):
         tree = make_tree(9, 3)
         union, shared = multiproof(tree, [list(range(9))])
         assert shared == []
-        root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                    leaf_map(tree, union), shared,
-                                    [list(range(9))])
-        assert root == tree.root and covers == [[]]
-
-    def test_leaf_set_outside_disclosure_rejected(self):
-        tree = make_tree(20, 4)
-        union, shared = multiproof(tree, [[2, 11]])
-        with pytest.raises(MerkleError):
-            expand_multi(tree.num_leaves, tree.fanout, HASH,
-                         leaf_map(tree, union), shared, [[2, 12]])
+        assert union_root(tree, leaf_map(tree, union), shared) == tree.root
 
 
 class TestTamperBattery:
@@ -152,9 +133,7 @@ class TestTamperBattery:
             entry = bad[position]
             flipped = bytes([entry.digest[0] ^ 0x01]) + entry.digest[1:]
             bad[position] = replace(entry, digest=flipped)
-            root, _ = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                   leaf_map(tree, union), bad, sets)
-            assert root != tree.root
+            assert union_root(tree, leaf_map(tree, union), bad) != tree.root
 
     def test_digest_swap_between_entries_moves_the_root(self, setting):
         tree, sets, union, shared = setting
@@ -162,25 +141,20 @@ class TestTamperBattery:
         a, b = shared[0], shared[1]
         swapped = [replace(a, digest=b.digest), replace(b, digest=a.digest),
                    *shared[2:]]
-        root, _ = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                               leaf_map(tree, union), swapped, sets)
-        assert root != tree.root
+        assert union_root(tree, leaf_map(tree, union), swapped) != tree.root
 
     def test_tampered_payload_moves_the_root(self, setting):
         tree, sets, union, shared = setting
         leaves = leaf_map(tree, union)
         leaves[union[0]] = leaves[union[0]] + b"!"
-        root, _ = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                               leaves, shared, sets)
-        assert root != tree.root
+        assert union_root(tree, leaves, shared) != tree.root
 
     def test_omitted_entry_is_structural_failure(self, setting):
         tree, sets, union, shared = setting
         for position in range(len(shared)):
             bad = shared[:position] + shared[position + 1:]
             with pytest.raises(MerkleError):
-                expand_multi(tree.num_leaves, tree.fanout, HASH,
-                             leaf_map(tree, union), bad, sets)
+                union_root(tree, leaf_map(tree, union), bad)
 
     def test_conflicting_duplicate_entries_rejected(self, setting):
         tree, sets, union, shared = setting
@@ -188,27 +162,21 @@ class TestTamperBattery:
         flipped = bytes([entry.digest[0] ^ 0x01]) + entry.digest[1:]
         doubled = [*shared, replace(entry, digest=flipped)]
         with pytest.raises(MerkleError):
-            expand_multi(tree.num_leaves, tree.fanout, HASH,
-                         leaf_map(tree, union), doubled, sets)
+            union_root(tree, leaf_map(tree, union), doubled)
 
-    def test_benign_duplicate_entries_tolerated(self, setting):
+    def test_benign_duplicate_entries_refused(self, setting):
+        """A repeated entry is not part of the canonical cover."""
         tree, sets, union, shared = setting
-        root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                    leaf_map(tree, union),
-                                    [*shared, shared[0]], sets)
-        assert root == tree.root
-        assert covers == [tree.prove(s) for s in sets]
+        with pytest.raises(MerkleError):
+            union_root(tree, leaf_map(tree, union), [*shared, shared[0]])
 
     def test_reordered_entries_are_benign(self, setting):
-        """Lookup is by (level, index): shuffling cannot weaken anything
-        — the recovered covers stay canonical and byte-identical."""
+        """The sweep reads each level in index order, so shuffling the
+        shared entries changes nothing."""
         tree, sets, union, shared = setting
         shuffled = list(shared)
         random.Random(5).shuffle(shuffled)
-        root, covers = expand_multi(tree.num_leaves, tree.fanout, HASH,
-                                    leaf_map(tree, union), shuffled, sets)
-        assert root == tree.root
-        assert covers == [tree.prove(s) for s in sets]
+        assert union_root(tree, leaf_map(tree, union), shuffled) == tree.root
 
     def test_merge_with_missing_pooled_entry_rejected(self, setting):
         tree, sets, union, shared = setting

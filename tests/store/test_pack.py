@@ -143,6 +143,15 @@ class TestPackLayout:
             assert got.dtype == array.dtype.newbyteorder("<")
             np.testing.assert_array_equal(got, array)
 
+    def test_zero_dimensional_array_keeps_its_shape(self, tmp_path):
+        writer = _writer()
+        writer.add_array("scalar", np.array(2.5))
+        path = str(tmp_path / "t.rspv")
+        writer.write(path)
+        got = ArtifactReader(path).array("scalar")
+        assert got.shape == ()
+        assert got == 2.5
+
     def test_duplicate_section_refused(self):
         writer = _writer()
         writer.add_bytes("a", b"x")
