@@ -7,6 +7,7 @@ margin past it.  Any route cheaper than ``D`` splits at one edge
 ``(u, v)`` whose prefix to ``u`` costs at most ``D / 2`` and whose
 suffix from ``v`` costs less, so it lies inside the two half-balls
 B_s(D/2) ∪ B_t(D/2) and costs at least ``d(s, u) + w(u, v) + d(v, t)``.
+The provider finds both in one Dijkstra run from both ends at once.
 
 The client runs Dijkstra from each end on the disclosed subgraph, out
 to ``D / 2``; each half is valid only if every node its search needs
@@ -14,8 +15,8 @@ is present, which is what defeats the tuple-dropping attack described
 in the paper.  The two searches then certify the meeting cost μ, the
 cheapest route through a node both settled or an edge from one half
 into the other, and the reply is accepted only if μ is the reported
-``D``.  (Pohl's bidirectional stopping rule, checked as a certificate
-instead of searched for.)
+``D``.  (Pohl's bidirectional stopping rule: the provider searches by
+it, the client checks it as a certificate.)
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from repro.core.method import (
 from repro.core.state import dump_bundle, load_bundle
 from repro.core.proofs import NETWORK_TREE, QueryResponse, SignedDescriptor, TreeConfig
 from repro.crypto.signer import Signer
-from repro.errors import EncodingError
+from repro.errors import EncodingError, NoPathError
 from repro.graph.graph import GraphMutation, SpatialGraph
 from repro.graph.tuples import BaseTuple, TupleColumns, decode_columns
-from repro.shortestpath.kernel import indexed_dijkstra, search
+from repro.shortestpath.kernel import node_rows, search
 from repro.shortestpath.path import Path
 
 
@@ -137,14 +138,24 @@ class DijMethod(VerificationMethod):
     # ------------------------------------------------------------------
     def answer(self, source: int, target: int, *,
                forced_path: "Path | None" = None) -> QueryResponse:
-        path, ball = self._proof_search(source, target, forced_path)
-        # The search from the source has settled its half on the way to
-        # the target; one more search settles the target's.
-        radius = path.cost / 2 + provider_margin(path.cost)
-        ids, dist = ball.index.ids, ball.dist
-        forward = [ids[i] for i in ball.settled_order if dist[i] <= radius]
-        backward = indexed_dijkstra(ball.index, target, radius=radius)
-        section = self._bundle.section_for(forward + backward.settled_ids())
+        # One search from both ends: once they meet it fixes the path
+        # and D as a one-sided search would, then each end expands its
+        # half-ball to D / 2 + provider_margin(D), all the reply
+        # discloses.  A forced path sets that limit first.
+        index = self._graph.to_index()
+        ids, n = index.ids, index.num_nodes
+        s, t = node_rows(index, source, target)
+        if forced_path is None:
+            run = search(*index.twin_lists(), s, finish=t,
+                         margin=provider_margin)
+            if run.route is None:
+                raise NoPathError(source, target)
+            path = Path(tuple(ids[r] for r in run.route[0]), run.route[1])
+        else:
+            path = forced_path
+            run = search(*index.twin_lists(), s, finish=t,
+                         limit=path.cost / 2 + provider_margin(path.cost))
+        section = self._bundle.section_for([ids[r % n] for r in run.order])
         return QueryResponse(
             method=self.name,
             source=source,

@@ -63,7 +63,7 @@ from repro.graph.tuples import (
 from repro.hiti.hyperedges import triangle_index
 from repro.merkle.tree import MerkleTree
 from repro.shortestpath.bulk import all_pairs_distances, repair_distances
-from repro.shortestpath.kernel import indexed_shortest_path
+from repro.shortestpath.kernel import indexed_shortest_path, node_rows
 from repro.shortestpath.path import Path
 
 
@@ -245,15 +245,7 @@ class FullMethod(VerificationMethod):
         the caller fall back to the search kernel.
         """
         index = self._graph.to_index()
-        iof = index.index_of
-        try:
-            si = iof[source]
-        except KeyError:
-            raise GraphError(f"unknown source node {source}") from None
-        try:
-            ti = iof[target]
-        except KeyError:
-            raise GraphError(f"unknown target node {target}") from None
+        si, ti = node_rows(index, source, target)
         row = self._matrix[si]
         if not np.isfinite(row[ti]):
             raise NoPathError(source, target)

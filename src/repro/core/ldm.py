@@ -39,7 +39,8 @@ from repro.core.checks import (
     resign_descriptor,
     sign_descriptor,
 )
-from repro.core.framework import VerificationResult, client_limit, distances_close
+from repro.core.framework import (VerificationResult, client_limit,
+                                  distances_close, provider_margin)
 from repro.core.incremental import (
     affected_sources,
     edge_endpoints,
@@ -72,7 +73,7 @@ from repro.landmarks.selection import select_landmarks
 from repro.landmarks.vectors import LandmarkVectors
 from repro.order import hilbert_order
 from repro.shortestpath.bulk import repair_distances
-from repro.shortestpath.kernel import search
+from repro.shortestpath.kernel import indexed_search, search
 from repro.shortestpath.path import Path
 
 
@@ -537,7 +538,16 @@ class LdmMethod(VerificationMethod):
             loose = max(0.0, lam * (units - 1))
             return max(0.0, loose - lam * (int(eps[v]) + eps_t) - slack)
 
-        path, cone = self._proof_search(source, target, forced_path, bound)
+        # The A* cone out to the target's distance (or a forced path's)
+        # plus provider_margin: the nodes the proof discloses.
+        if forced_path is None:
+            cone = indexed_search(index, source, target, bound=bound,
+                                  margin=provider_margin)
+            path = cone.path_to(target)  # NoPathError if unreachable
+        else:
+            path = forced_path
+            cone = indexed_search(index, source, bound=bound,
+                                  limit=path.cost + provider_margin(path.cost))
         ids = index.ids
         indptr = index.indptr
         nbrs = index.neighbors

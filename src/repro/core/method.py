@@ -22,10 +22,9 @@ from repro.api import codes
 from repro.core.checks import verify_descriptor, verify_section_root
 from repro.crypto.signer import Signer
 from repro.errors import EncodingError, MethodError
-from repro.core.framework import VerificationResult, provider_margin
+from repro.core.framework import VerificationResult
 from repro.core.proofs import QueryResponse, SignedDescriptor
 from repro.graph.graph import GraphMutation, SpatialGraph
-from repro.shortestpath.kernel import IndexedSearchResult, indexed_search
 from repro.shortestpath.path import Path
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -105,23 +104,6 @@ class VerificationMethod(ABC):
         #: landmark selection; for the other methods it equals
         #: :attr:`_build_params`).
         self._publish_params: dict = {}
-
-    def _proof_search(self, source: int, target: int,
-                      forced_path: "Path | None",
-                      bound: "Callable[[int], float] | None" = None,
-                      ) -> "tuple[Path, IndexedSearchResult]":
-        """The path and the search whose expanded nodes the proof
-        discloses: A* under *bound* (DIJ's is zero, the Lemma-1 ball)
-        out to :func:`provider_margin` past the target's distance, or
-        past a forced path's cost."""
-        index = self._graph.to_index()
-        if forced_path is None:
-            found = indexed_search(index, source, target, bound=bound,
-                                   margin=provider_margin)
-            return found.path_to(target), found  # NoPathError if unreachable
-        limit = forced_path.cost + provider_margin(forced_path.cost)
-        return forced_path, indexed_search(index, source, bound=bound,
-                                           limit=limit)
 
     # ------------------------------------------------------------------
     # live updates

@@ -33,7 +33,7 @@ class GraphIndex:
     """Immutable CSR-style snapshot of a :class:`SpatialGraph` adjacency."""
 
     __slots__ = ("ids", "index_of", "indptr", "neighbors", "weights",
-                 "_np_cache", "_csr_cache")
+                 "_np_cache", "_csr_cache", "_twin_cache")
 
     def __init__(self, ids: "list[int]", index_of: "dict[int, int]",
                  indptr: "list[int]", neighbors: "list[int]",
@@ -45,6 +45,7 @@ class GraphIndex:
         self.weights = weights
         self._np_cache = None
         self._csr_cache = None
+        self._twin_cache = None
 
     # ------------------------------------------------------------------
     @property
@@ -80,6 +81,16 @@ class GraphIndex:
                 np.asarray(self.weights, dtype=np.float64),
             )
         return self._np_cache
+
+    def twin_lists(self):
+        """The lists of two copies of the graph, the second offset by |V|."""
+        if self._twin_cache is None:
+            n, m = self.num_nodes, self.num_arcs
+            self._twin_cache = (
+                self.indptr + [p + m for p in self.indptr[1:]],
+                self.neighbors + [v + n for v in self.neighbors],
+                self.weights * 2)
+        return self._twin_cache
 
     def with_updated_weights(self, edges) -> "GraphIndex":
         """A sibling snapshot with re-weighted edges, topology shared.

@@ -14,6 +14,8 @@ runs it, on both sides of the wire, and differs only in three rules:
 * **gap** — an edge into an undisclosed row at tentative distance
   ``<= gap`` ends the search and is reported.
 
+A *finish* row runs a second Dijkstra in the same heap (Pohl's
+bidirectional rule), which is DIJ's proof search.
 Rows are in ascending node id order, so equal keys pop in id order.
 :func:`indexed_search` is the by-node-id entry point over a compiled
 :class:`GraphIndex`; :func:`indexed_dijkstra` and
@@ -36,6 +38,7 @@ __all__ = [
     "indexed_dijkstra",
     "indexed_search",
     "indexed_shortest_path",
+    "node_rows",
     "search",
 ]
 
@@ -48,7 +51,8 @@ class Search(NamedTuple):
     included) and ``parent`` each reached row's predecessor (-1 at the
     start).  ``gap`` is ``(row, edge, distance)`` when an edge into an
     undisclosed node ended the search; ``cut`` is true when the limit
-    stopped it with routes still queued.
+    stopped it with routes still queued.  ``route`` is a two-sided
+    search's path rows and cost.
     """
 
     dist: "list[float]"
@@ -56,6 +60,7 @@ class Search(NamedTuple):
     order: "list[int]"
     gap: "tuple[int, int, float] | None"
     cut: bool
+    route: "tuple[list[int], float] | None" = None
 
 
 def search(
@@ -69,6 +74,7 @@ def search(
     margin: "Callable[[float], float] | None" = None,
     limit: float = inf,
     gap: float = -inf,
+    finish: int = -1,
 ) -> Search:
     """A\\* from row *start* under the three rules of the module doc.
 
@@ -81,6 +87,13 @@ def search(
     the heap runs dry: a later improvement has a smaller key, so it
     re-expands first.  A stopping goal's own distance is final at its
     pop, and that pop is never cut.  ``goal = -1`` means no goal.
+
+    A *finish* row (no bound, no goal) over :meth:`GraphIndex.twin_lists`
+    starts a Dijkstra from its twin in the same heap.  A pop of a row
+    both sides labelled offers a route of cost μ; once keys reach
+    ``(μ + margin(μ)) / 2`` each shortest route's two halves have
+    popped, :func:`_onward` fixes ``route``, and *margin* caps both
+    sides at ``D / 2 + margin(D)`` (with no margin, both run to *limit*).
     """
     n = len(indptr) - 1
     best = [inf] * n
@@ -90,16 +103,32 @@ def search(
     order: list[int] = []
     pop = heapq.heappop
     push = heapq.heappush
-    hit = None
+    hit = route = None
     cut = False
 
     best[start] = 0.0
     heap: list[tuple[float, float, int]] = [
         (0.0 if bound is None else bound(start), 0.0, start)]
+    twin = 0
+    if finish >= 0:
+        best[finish + n // 2] = 0.0
+        heap.append((0.0, 0.0, finish + n // 2))
+        if margin is not None:
+            twin, mu, cap = n // 2, inf, inf
     while heap:
         key, d, u = pop(heap)
         if d > best[u]:
             continue  # superseded by a re-opening
+        if twin:
+            m = u % twin
+            if best[m] + best[m + twin] < mu:
+                mu = best[m] + best[m + twin]
+                cap = mu + margin(mu)
+            if 2 * key >= cap:
+                route = _onward(indptr, nbrs, weights, best, dist, parent,
+                                order, finish, twin, cap)
+                limit = route[1] / 2 + margin(route[1])
+                twin = 0
         if u == goal:
             if margin is not None:
                 limit = d + margin(d)
@@ -132,7 +161,37 @@ def search(
         else:
             continue
         break  # a gap
-    return Search(dist, parent, order, hit, cut)
+    if twin and mu < inf:  # the heap ran dry first
+        route = _onward(indptr, nbrs, weights, best, dist, parent, order,
+                        finish, twin, inf)
+    return Search(dist, parent, order, hit, cut, route)
+
+
+def _onward(indptr, nbrs, weights, best, dist, parent, order, finish,
+            half, cap):
+    """The start's Dijkstra carried on from its frontier to the finish,
+    through rows the finish's side expanded at ``d + d_t <= cap``: every
+    route folding to ``D`` lies there, so this is the route and the bits
+    of a one-sided search (a near-tie can fold to other bits from μ)."""
+    label = {v - half: best[v - half] for v in order  # labelled, unexpanded
+             if v >= half and best[v - half] < dist[v - half]}
+    via = {v: parent[v] for v in label}
+    heap = sorted((d, v) for v, d in label.items())
+    while heap and dist[finish] == inf:
+        d, v = heapq.heappop(heap)
+        if v == finish:
+            break
+        if d > label[v] or d + dist[v + half] > cap:
+            continue
+        for k in range(indptr[v], indptr[v + 1]):
+            w, nd = nbrs[k], d + weights[k]
+            if dist[w] == inf and nd < label.get(w, inf):
+                label[w], via[w] = nd, v
+                heapq.heappush(heap, (nd, w))
+    rows = [finish]
+    while (p := via.get(rows[-1], parent[rows[-1]])) >= 0:
+        rows.append(p)
+    return rows[::-1], min(dist[finish], label.get(finish, inf))
 
 
 class IndexedSearchResult:
@@ -197,14 +256,20 @@ def indexed_search(
     does not reach stays unsettled, so ``path_to`` raises
     :class:`NoPathError`.
     """
+    run = search(index.indptr, index.neighbors, index.weights,
+                 *node_rows(index, source, target),
+                 bound=bound, margin=margin, limit=limit)
+    return IndexedSearchResult(index, source, run)
+
+
+def node_rows(index: GraphIndex, source: int,
+              target: "int | None") -> "tuple[int, int]":
+    """The rows of two node ids (-1 for ``None``), or :class:`GraphError`."""
     index_of = index.index_of
     for role, node_id in (("source", source), ("target", target)):
         if node_id is not None and node_id not in index_of:
             raise GraphError(f"unknown {role} node {node_id}")
-    run = search(index.indptr, index.neighbors, index.weights,
-                 index_of[source], index_of.get(target, -1),
-                 bound=bound, margin=margin, limit=limit)
-    return IndexedSearchResult(index, source, run)
+    return index_of[source], index_of.get(target, -1)
 
 
 def indexed_dijkstra(

@@ -2,8 +2,9 @@
 
 The dict-of-dicts Dijkstra (with the *target* and *radius* stopping
 modes the paper needs), the textbook Floyd-Warshall of the paper's FULL
-precomputation (§IV-B), and a per-source multi-source loop over the
-index kernel.  None of them serves a query: each is the independent
+precomputation (§IV-B), a per-source multi-source loop over the
+index kernel, and DIJ's provider search as two one-sided searches.
+None of them serves a query: each is the independent
 answer the production search (:mod:`repro.shortestpath.kernel`) and
 the SciPy backends (:mod:`repro.shortestpath.bulk`) are held to.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.errors import GraphError, NoPathError
 from repro.graph.graph import SpatialGraph
 from repro.graph.index import GraphIndex
-from repro.shortestpath.kernel import indexed_dijkstra
+from repro.shortestpath.kernel import indexed_dijkstra, indexed_search
 from repro.shortestpath.path import Path
 
 
@@ -164,3 +165,30 @@ def one_ball_reply(method, source: int, target: int):
     ball = indexed_dijkstra(method.graph.to_index(), source, radius=radius)
     reply.sections = {NETWORK_TREE: method._bundle.section_for(ball.settled_ids())}
     return reply
+
+
+def dij_two_searches(index: GraphIndex, source: int, target: int,
+                     forced_path: "Path | None" = None):
+    """DIJ's provider search as it was before it ran from both ends at
+    once: ``(path, disclosed node ids)``.
+
+    A target search from the source out to ``D + provider_margin(D)``
+    (or past a forced path's cost), its ball filtered to the radius
+    ``D / 2 + provider_margin(D)``, then a radius search from the
+    target.  The two-sided search must disclose the same set and report
+    the same ``D`` bits (:mod:`tests.core.test_dij_two_sided`).
+    """
+    from repro.core.framework import provider_margin
+
+    if forced_path is None:
+        ball = indexed_search(index, source, target, margin=provider_margin)
+        path = ball.path_to(target)  # NoPathError if unreachable
+    else:
+        path = forced_path
+        ball = indexed_search(index, source,
+                              limit=path.cost + provider_margin(path.cost))
+    radius = path.cost / 2 + provider_margin(path.cost)
+    ids, dist = index.ids, ball.dist
+    forward = {ids[i] for i in ball.settled_order if dist[i] <= radius}
+    backward = indexed_dijkstra(index, target, radius=radius)
+    return path, forward | set(backward.settled_ids())
